@@ -11,13 +11,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
 import mpmath as mp
 
-from . import subdivision
 from .errors import InvalidConfig, PosetZetaError, ResourceCapExceeded
 from .poset import (
     barycentric_subdivision,
@@ -41,7 +39,6 @@ from .subdivision import (
 )
 from .zeta import zeta_rational
 
-DEFAULT_SEED = 20240823
 FLOAT_DIGITS = 20
 
 
@@ -76,9 +73,6 @@ def _emit(header, rows, fmt, out):
 
 
 def _cmd_tables(args, out):
-    cache_dir = os.environ.get("POSET_ZETA_CACHE")
-    if cache_dir:
-        subdivision.load_memo_cache(cache_dir)
     kind = args.kind
     rows = []
     if kind == "f":
@@ -94,8 +88,6 @@ def _cmd_tables(args, out):
             hv = H_vector(d)
             for i in range(d + 2):
                 rows.append([i, d, fmt_rational(hv[i])])
-    if cache_dir:
-        subdivision.save_memo_cache(cache_dir)
     _emit(["i", "d", "value"], rows, args.format, out)
 
 
@@ -204,7 +196,7 @@ def _cmd_pn(args, out):
     rows = []
     if args.pn_command == "chi":
         for n in range(lo, hi + 1):
-            rows.append([n, chi_Pn(n, "sieve")])
+            rows.append([n, chi_Pn(n)])
         _emit(["n", "chi"], rows, args.format, out)
         return
     for n in range(lo, hi + 1):
@@ -213,7 +205,7 @@ def _cmd_pn(args, out):
             rows.append(
                 [
                     n,
-                    chi_Pn(n, "sieve"),
+                    chi_Pn(n),
                     mertens(n),
                     d,
                     top_chain_count(n, d),
@@ -264,12 +256,6 @@ def build_parser():
             "squarefree-poset statistics.  Exit codes: 0 ok, 2 bad "
             "configuration, 3 computation error, 4 resource cap exceeded."
         ),
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for any randomized auxiliary behavior (CI determinism)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

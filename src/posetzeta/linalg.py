@@ -1,12 +1,10 @@
-"""Dense exact matrices over the rationals and fraction-free determinants.
+"""Dense exact matrices over the rationals.
 
 ExactMatrix carries an index_offset so matrices that are naturally indexed
 from -1 (the f/H/T families) can be addressed with their natural indices.
 """
 
 from fractions import Fraction
-
-from .polynomial import ExactPolynomial
 
 
 class ExactMatrix:
@@ -72,34 +70,3 @@ class ExactMatrix:
             " ".join(str(c) for c in row) for row in self.entries
         )
         return f"ExactMatrix[{self.rows}x{self.cols}]({body})"
-
-
-def poly_determinant(m):
-    """Determinant of a square matrix of ExactPolynomial entries.
-
-    Bareiss fraction-free elimination: every division is exact in the
-    polynomial ring, so intermediate entries stay polynomial instead of
-    blowing up into rational functions.
-    """
-    n = len(m)
-    a = [list(row) for row in m]
-    one = ExactPolynomial([1])
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ExactPolynomial()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is one else num.exact_div(prev)
-            a[i][k] = ExactPolynomial()
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det

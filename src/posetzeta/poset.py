@@ -14,6 +14,7 @@ from .errors import (
     CycleDetected,
     DuplicateLabel,
     EmptyPoset,
+    InvalidConfig,
     SubdivisionTooLarge,
     UnknownLabel,
 )
@@ -305,13 +306,36 @@ def poset_to_dict(p):
     return {"elements": list(p.labels), "relations": relations}
 
 
+def _is_string_list(value):
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def poset_from_dict(data):
-    return build_poset(data["elements"], data["relations"])
+    """Poset from a document in the file format, checked before building.
+
+    A document that is not an object with a list of string "elements"
+    and a list of [a, b] string "relations" raises InvalidConfig.
+    """
+    if not isinstance(data, dict):
+        raise InvalidConfig("poset document must be a JSON object")
+    elements = data.get("elements")
+    relations = data.get("relations")
+    if not _is_string_list(elements):
+        raise InvalidConfig('"elements" must be a list of strings')
+    if not isinstance(relations, list) or not all(
+        _is_string_list(r) and len(r) == 2 for r in relations
+    ):
+        raise InvalidConfig('"relations" must be a list of string pairs')
+    return build_poset(elements, relations)
 
 
 def load_poset(path):
     with open(path, encoding="utf-8") as fh:
-        return poset_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidConfig(f"{path}: {exc}") from None
+    return poset_from_dict(data)
 
 
 def save_poset(p, path):

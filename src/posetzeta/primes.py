@@ -1,8 +1,8 @@
 """Squarefree divisibility posets and their number-theoretic statistics.
 
 A linear sieve supplies smallest prime factors and the Mobius function;
-everything else (Mertens partial sums, the two Euler-characteristic
-routes, maximal-chain counts, the alpha records) is derived from it.
+everything else (Mertens partial sums, the Euler characteristic,
+maximal-chain counts, the alpha records) is derived from it.
 """
 
 import math
@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import ChiZero, RangeTooLarge
-from .poset import build_poset, euler_characteristic
+from .poset import build_poset
 from .subdivision import H_vector
 
 DEFAULT_SIEVE_CAP = 10_000_000
@@ -130,15 +130,11 @@ def build_Pn(n, cap=DEFAULT_POSET_CAP):
     return build_poset(labels, relations)
 
 
-def chi_Pn(n, method="sieve"):
-    """Euler characteristic of the divisibility poset, two routes."""
+def chi_Pn(n):
+    """Euler characteristic of the divisibility poset, from the sieve."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if method == "sieve":
-        return squarefree_sieve(n)._chi[n]
-    if method == "poset":
-        return euler_characteristic(build_Pn(n))
-    raise ValueError(f"unknown method {method!r}")
+    return squarefree_sieve(n)._chi[n]
 
 
 def dim_Pn(n):
@@ -213,7 +209,7 @@ def alpha_record(n):
     if n < 6:
         raise ValueError("n must be >= 6 so the dimension is >= 1")
     d = dim_Pn(n)
-    chi = chi_Pn(n, "sieve")
+    chi = chi_Pn(n)
     top = top_chain_count(n, d)
     h1 = H_vector(d)[1]
     alpha = Fraction(h1 * top, chi) if chi != 0 else None

@@ -7,8 +7,6 @@ recurrence, and the limit polynomial whose roots attract the bounded
 zeros of the chain series.
 """
 
-import csv
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -377,33 +375,3 @@ def H1_bounds_check(d_max):
             "self_reciprocal": reciprocal_ok,
         }
     return BoundsReport(d_max, per_d)
-
-
-# Optional on-disk cache of the f/F triangles (POSET_ZETA_CACHE).
-
-_F_CACHE_FILES = {"f": "f_numbers.csv", "F": "big_f_numbers.csv"}
-
-
-def load_memo_cache(directory):
-    for kind, fname in _F_CACHE_FILES.items():
-        path = os.path.join(directory, fname)
-        if not os.path.exists(path):
-            continue
-        with open(path, newline="", encoding="utf-8") as fh:
-            for i_s, d_s, val in csv.reader(fh):
-                key = (int(i_s), int(d_s))
-                if kind == "f":
-                    _f_memo.setdefault(key, int(val))
-                else:
-                    _F_memo.setdefault(key, Fraction(val))
-
-
-def save_memo_cache(directory):
-    os.makedirs(directory, exist_ok=True)
-    for kind, fname in _F_CACHE_FILES.items():
-        memo = _f_memo if kind == "f" else _F_memo
-        path = os.path.join(directory, fname)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for (i, d), val in sorted(memo.items()):
-                writer.writerow([i, d, str(val)])

@@ -1,52 +1,23 @@
-"""Rational form of the chain-counting series of a poset.
+"""Rational form of the chain-counting zeta series of a poset.
 
 The series with i-th coefficient equal to the number of weak chains of
-length i is rational: sum{adj(I - A s)} / det(I - A s) for the reflexive
-adjacency matrix A.  Both determinants are computed exactly over the
-polynomial ring; the cofactor sum uses the rank-one identity
-sum{adj(M)} = det(M + J) - det(M) with J the all-ones matrix.
+length i is g(s) / (1-s)^(d+1), where d is the dimension and the
+numerator g(s) = sum_i N_i s^i (1-s)^(d-i) is built from the strict
+chain vector (N_0, ..., N_d).  The quotient is already reduced, because
+g(1) = N_d > 0.
 """
 
-from .linalg import ExactMatrix, poly_determinant
 from .polynomial import ExactPolynomial, ExactRationalFunction
-from .polynomial import residue_at_infinity, series_expand  # noqa: F401
-from .poset import _require_nonempty, dimension, strict_chain_vector
-
-
-def adjacency_matrix(p):
-    """Reflexive adjacency matrix: entry (i, j) = 1 iff i <= j."""
-    _require_nonempty(p)
-    n = len(p)
-    return ExactMatrix(
-        [
-            [
-                1 if i == j or (p.above[i] >> j & 1) else 0
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
+from .poset import strict_chain_vector
 
 
 def zeta_rational(p):
     """Reduced rational form of the weak-chain generating series."""
-    a = adjacency_matrix(p)
-    n = len(p)
-    minus_s = ExactPolynomial([0, -1])
-    base = [
-        [
-            ExactPolynomial([1 if i == j else 0]) + minus_s * a.entries[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    det = poly_determinant(base)
-    bumped = [
-        [base[i][j] + 1 for j in range(n)]
-        for i in range(n)
-    ]
-    adj_sum = poly_determinant(bumped) - det
-    return ExactRationalFunction(adj_sum, det)
+    cv = strict_chain_vector(p)
+    return ExactRationalFunction(
+        g_from_chain_vector(cv),
+        ExactPolynomial([1, -1]) ** (cv.dim + 1),
+    )
 
 
 def g_polynomial(p):
@@ -67,30 +38,3 @@ def g_from_chain_vector(cv):
     for i, count in enumerate(cv.counts):
         total = total + count * (s ** i) * (one_minus_s ** (d - i))
     return total
-
-
-def zeta_from_chain_vector(cv):
-    """g / (1-s)^(d+1) without touching the adjacency determinant."""
-    return ExactRationalFunction(
-        g_from_chain_vector(cv),
-        ExactPolynomial([1, -1]) ** (cv.dim + 1),
-    )
-
-
-def verify_zeta_consistency(p, K=12):
-    """Cross-check the determinant route against the chain-vector route."""
-    from .poset import weak_chain_count
-
-    z = zeta_rational(p)
-    ok = z == zeta_from_chain_vector(strict_chain_vector(p))
-    coeffs = series_expand(z, K)
-    ok = ok and all(
-        coeffs[i] == weak_chain_count(p, i) for i in range(K + 1)
-    )
-    from .poset import euler_characteristic
-
-    ok = ok and residue_at_infinity(z) == euler_characteristic(p)
-    ok = ok and z.denominator == (
-        ExactPolynomial([1, -1]) ** (dimension(p) + 1)
-    ).integer_primitive()
-    return ok

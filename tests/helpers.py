@@ -7,7 +7,13 @@ of the code path it cross-checks.
 import random
 from itertools import combinations
 
-from posetzeta import build_poset
+from posetzeta import (
+    ExactMatrix,
+    ExactPolynomial,
+    ExactRationalFunction,
+    build_poset,
+)
+from posetzeta.poset import _require_nonempty
 
 FIXED_SEED = 20240823
 
@@ -87,3 +93,75 @@ def flag_chain_count(i, d):
 
 def descents(seq):
     return sum(1 for a, b in zip(seq, seq[1:]) if a > b)
+
+
+def adjacency_matrix(p):
+    """Reflexive adjacency matrix: entry (i, j) = 1 iff i <= j."""
+    _require_nonempty(p)
+    n = len(p)
+    return ExactMatrix(
+        [
+            [
+                1 if i == j or (p.above[i] >> j & 1) else 0
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+def poly_determinant(m):
+    """Determinant of a square matrix of ExactPolynomial entries.
+
+    Bareiss fraction-free elimination: every division is exact in the
+    polynomial ring, so intermediate entries stay polynomial instead of
+    blowing up into rational functions.
+    """
+    n = len(m)
+    a = [list(row) for row in m]
+    one = ExactPolynomial([1])
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if a[k][k].is_zero:
+            for r in range(k + 1, n):
+                if not a[r][k].is_zero:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return ExactPolynomial()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = num if prev is one else num.exact_div(prev)
+            a[i][k] = ExactPolynomial()
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def determinant_zeta(p):
+    """Reduced chain series as sum{adj(I - A s)} / det(I - A s).
+
+    A is the reflexive adjacency matrix.  The cofactor sum uses the
+    rank-one identity sum{adj(M)} = det(M + J) - det(M), J the all-ones
+    matrix, so both parts are exact polynomial determinants.
+    """
+    a = adjacency_matrix(p)
+    n = len(p)
+    minus_s = ExactPolynomial([0, -1])
+    base = [
+        [
+            ExactPolynomial([1 if i == j else 0]) + minus_s * a.entries[i][j]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    det = poly_determinant(base)
+    bumped = [
+        [base[i][j] + 1 for j in range(n)]
+        for i in range(n)
+    ]
+    adj_sum = poly_determinant(bumped) - det
+    return ExactRationalFunction(adj_sum, det)

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction as Fr
@@ -11,7 +10,6 @@ import pytest
 from posetzeta import (
     build_poset,
     build_Pn,
-    f_number,
     poset_from_dict,
     poset_to_dict,
     save_poset,
@@ -221,6 +219,31 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert main(["zeta", "--input", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("command", ["zeta", "subdivide"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"{", id="invalid-json"),
+            pytest.param(b'{"elements": ["a"]}', id="no-relations"),
+            pytest.param(b'["a"]', id="not-an-object"),
+            pytest.param(
+                b'{"elements": ["a", "b"], "relations": [["a", "b", "c"]]}',
+                id="relation-not-a-pair",
+            ),
+            pytest.param(
+                b'{"elements": [1, 2], "relations": [[1, 2]]}',
+                id="integer-labels",
+            ),
+            pytest.param(
+                b'{"elements": ["\xff"], "relations": []}', id="invalid-utf8"
+            ),
+        ],
+    )
+    def test_malformed_poset(self, tmp_path, command, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main([command, "--input", str(path)]) == 2
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
@@ -246,25 +269,3 @@ class TestDeterminism:
         assert res.stdout == run_to_string(
             ["tables", "--kind", "H", "--dmax", "2"]
         )
-
-
-def test_memo_cache_round_trip(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    monkeypatch.setenv("POSET_ZETA_CACHE", str(cache))
-    first = run_to_string(["tables", "--kind", "F", "--dmax", "6"])
-    assert (cache / "f_numbers.csv").exists()
-    assert (cache / "big_f_numbers.csv").exists()
-    # A fresh process must reproduce the same table from the cache.
-    env = dict(os.environ, POSET_ZETA_CACHE=str(cache))
-    res = subprocess.run(
-        [sys.executable, "-m", "posetzeta.cli", "tables", "--kind", "F",
-         "--dmax", "6"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert res.returncode == 0
-    assert res.stdout == first
-    # Cached entries still agree with direct recomputation.
-    assert f_number(3, 5) == 1560

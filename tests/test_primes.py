@@ -13,6 +13,7 @@ from posetzeta import (
     dim_Pn,
     dim_asymptotic_report,
     dimension,
+    euler_characteristic,
     mertens,
     pi_weight,
     squarefree_sieve,
@@ -100,15 +101,11 @@ class TestChi:
         rng = random.Random(FIXED_SEED)
         sample = rng.sample(range(2, 501), 25)
         for n in sample:
-            assert chi_Pn(n, "sieve") == chi_Pn(n, "poset"), n
+            assert chi_Pn(n) == euler_characteristic(build_Pn(n)), n
 
     def test_mertens_identity(self):
         for n in range(2, 2000):
             assert chi_Pn(n) == 1 - mertens(n)
-
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            chi_Pn(10, method="guess")
 
 
 class TestDim:
