@@ -29,6 +29,7 @@ from .primes import (
     dim_Pn,
     mertens,
     pi_weight,
+    squarefree_sieve,
     top_chain_count,
 )
 from .roots import find_roots, theorem_report
@@ -193,6 +194,7 @@ def _parse_range(text):
 
 def _cmd_pn(args, out):
     lo, hi = _parse_range(args.range)
+    squarefree_sieve(hi)  # raises RangeTooLarge before any row is computed
     rows = []
     if args.pn_command == "chi":
         for n in range(lo, hi + 1):

@@ -17,19 +17,19 @@ class ResourceCapExceeded(PosetZetaError):
     pass
 
 
-class DuplicateLabel(PosetZetaError):
+class DuplicateLabel(InvalidConfig):
     pass
 
 
-class UnknownLabel(PosetZetaError):
+class UnknownLabel(InvalidConfig):
     pass
 
 
-class CycleDetected(PosetZetaError):
+class CycleDetected(InvalidConfig):
     pass
 
 
-class EmptyPoset(PosetZetaError):
+class EmptyPoset(InvalidConfig):
     pass
 
 

@@ -108,11 +108,6 @@ class ExactPolynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self):
-        return ExactPolynomial(
-            [k * c for k, c in enumerate(self.coeffs)][1:]
-        )
-
     def shifted(self, a):
         """Return p(s + a), computed by Horner-style composition."""
         a = _frac(a)
@@ -156,19 +151,6 @@ class ExactPolynomial:
         while not b.is_zero:
             a, b = b, a.divmod(b)[1]
         return a.monic() if not a.is_zero else a
-
-    def integer_primitive(self):
-        """Scale to integer coefficients with content 1 (sign preserved)."""
-        if self.is_zero:
-            return self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        return ExactPolynomial([v // g for v in ints])
 
     def __repr__(self):
         return f"ExactPolynomial({[str(c) for c in self.coeffs]})"

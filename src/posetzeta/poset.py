@@ -7,6 +7,7 @@ All values are immutable after construction.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -26,7 +27,8 @@ class Poset:
     """Finite strict partial order over labeled elements.
 
     ``above[i]`` is the bitmask of indices j with element i < element j;
-    it is always the full transitive closure.
+    it is always the full transitive closure.  Labels are unique; a
+    repeated label raises DuplicateLabel.
     """
 
     __slots__ = ("labels", "above", "_index")
@@ -35,6 +37,9 @@ class Poset:
         self.labels = tuple(labels)
         self.above = tuple(above)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != len(self.labels):
+            dup = Counter(self.labels).most_common(1)[0][0]
+            raise DuplicateLabel(f"duplicate element {dup!r}")
 
     def __len__(self):
         return len(self.labels)
@@ -92,14 +97,9 @@ def build_poset(labels, relations):
     """Construct a poset from generating pairs (a, b) meaning a < b.
 
     The transitive closure is taken; any cycle (including a pair (a, a))
-    raises CycleDetected.
+    raises CycleDetected, and a repeated label raises DuplicateLabel.
     """
     labels = list(labels)
-    seen = set()
-    for lab in labels:
-        if lab in seen:
-            raise DuplicateLabel(f"duplicate element {lab!r}")
-        seen.add(lab)
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     direct = [0] * n
@@ -251,7 +251,10 @@ def barycentric_subdivision(p, cap=DEFAULT_SUBDIVISION_CAP):
     """Poset of all nonempty chains of p, ordered by strict inclusion.
 
     Chain elements are labeled by joining the original labels along the
-    chain with "|", which makes iterated subdivision deterministic.
+    chain with "|", which makes iterated subdivision deterministic; joined
+    labels that collide raise DuplicateLabel.  Inclusion is transitive, so
+    each chain's bit goes straight into the masks of its proper sub-chains.
+    ``cap`` is checked before any chain is enumerated.
     """
     _require_nonempty(p)
     size = sum(strict_chain_vector(p).counts)
@@ -260,37 +263,27 @@ def barycentric_subdivision(p, cap=DEFAULT_SUBDIVISION_CAP):
             f"subdivision has {size} elements, cap is {cap}"
         )
     chains = sorted(_all_chains(p), key=lambda c: (len(c), c))
-
-    def label(chain):
-        return "|".join(p.labels[i] for i in chain)
-
-    labels = [label(c) for c in chains]
-    relations = []
-    for chain in chains:
-        if len(chain) == 1:
-            continue
-        full = label(chain)
+    index = {chain: i for i, chain in enumerate(chains)}
+    above = [0] * len(chains)
+    for i, chain in enumerate(chains):
+        bit = 1 << i
         for k in range(1, len(chain)):
             for sub in combinations(chain, k):
-                relations.append((label(sub), full))
-    return build_poset(labels, relations)
+                above[index[sub]] |= bit
+    labels = ["|".join(p.labels[j] for j in chain) for chain in chains]
+    return Poset(labels, above)
 
 
 def simplex_face_poset(num_vertices):
-    """Face poset of the full simplex on the given vertices."""
+    """Face poset of the full simplex on vertices v1..vn.
+
+    It is the subdivision of the chain v1 < ... < vn.
+    """
     if num_vertices < 1:
         raise ValueError("need at least one vertex")
     verts = [f"v{i}" for i in range(1, num_vertices + 1)]
-    labels = []
-    relations = []
-    for k in range(1, num_vertices + 1):
-        for sub in combinations(verts, k):
-            labels.append("|".join(sub))
-            if k > 1:
-                for j in range(1, k):
-                    for face in combinations(sub, j):
-                        relations.append(("|".join(face), "|".join(sub)))
-    return build_poset(labels, relations)
+    chain = build_poset(verts, zip(verts, verts[1:]))
+    return barycentric_subdivision(chain, cap=2**num_vertices)
 
 
 def poset_to_dict(p):

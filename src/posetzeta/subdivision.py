@@ -15,7 +15,7 @@ from math import comb, factorial
 from .errors import BruteForceTooLarge, DimensionZero, IndexOutOfRange
 from .linalg import ExactMatrix
 from .polynomial import ExactPolynomial
-from .poset import ChainVector, dimension, strict_chain_vector
+from .poset import ChainVector, strict_chain_vector
 
 BRUTE_FORCE_MAX_D = 8
 
@@ -267,34 +267,22 @@ class SpectralConstants:
 
 def spectral_constants(p):
     """Exact eigendecomposition of the transfer recurrence for p."""
-    d = dimension(p)
+    start = strict_chain_vector(p)
+    d = start.dim
     if d < 1:
         raise DimensionZero("spectral constants need dimension >= 1")
-    start = strict_chain_vector(p)
-    # Eigenvector v_m of the primed transfer matrix for eigenvalue (m+1)!:
-    # supported on indices 0..m with v_m[m] = 1, solved upward.
-    vecs = []
-    for m in range(d + 1):
-        lam = factorial(m + 1)
-        v = [Fraction(0)] * (d + 1)
-        v[m] = Fraction(1)
-        for i in range(m - 1, -1, -1):
-            total = sum(
-                f_number(i, j) * v[j] for j in range(i + 1, m + 1)
-            )
-            v[i] = Fraction(total, lam - factorial(i + 1))
-        vecs.append(v)
-    # Expand the start vector over the eigenbasis; triangular because
-    # v_m is supported on 0..m.
+    # The eigenvector v_m of the primed transfer matrix for eigenvalue
+    # (m+1)! is supported on indices 0..m, with v_m[i] = F_{i,m}, so the
+    # expansion of the start vector over the eigenbasis is triangular.
     coeffs = [Fraction(0)] * (d + 1)
     residual = [Fraction(c) for c in start.counts]
     for m in range(d, -1, -1):
         coeffs[m] = residual[m]
         for i in range(m + 1):
-            residual[i] -= coeffs[m] * vecs[m][i]
+            residual[i] -= coeffs[m] * big_F_number(i, m)
     # C[j][i] pairs mode (d+1-j)! with eigenindex m = d - j.
     C = tuple(
-        tuple(coeffs[d - j] * vecs[d - j][i] for i in range(d - j + 1))
+        tuple(coeffs[d - j] * big_F_number(i, d - j) for i in range(d - j + 1))
         for j in range(d + 1)
     )
     return SpectralConstants(d, C)

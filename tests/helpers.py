@@ -13,7 +13,7 @@ from posetzeta import (
     ExactRationalFunction,
     build_poset,
 )
-from posetzeta.poset import _require_nonempty
+from posetzeta.poset import _all_chains, _require_nonempty
 
 FIXED_SEED = 20240823
 
@@ -89,6 +89,29 @@ def flag_chain_count(i, d):
             )
         counts = nxt
     return counts[universe]
+
+
+def subdivision_via_relations(p):
+    """Barycentric subdivision rebuilt through build_poset.
+
+    Every (proper sub-chain, chain) pair becomes a relation between
+    joined label strings, and build_poset takes the closure again.
+    """
+    chains = sorted(_all_chains(p), key=lambda c: (len(c), c))
+
+    def label(chain):
+        return "|".join(p.labels[i] for i in chain)
+
+    labels = [label(c) for c in chains]
+    relations = []
+    for chain in chains:
+        if len(chain) == 1:
+            continue
+        full = label(chain)
+        for k in range(1, len(chain)):
+            for sub in combinations(chain, k):
+                relations.append((label(sub), full))
+    return build_poset(labels, relations)
 
 
 def descents(seq):

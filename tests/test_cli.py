@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
+import posetzeta
 from posetzeta import (
     build_poset,
     build_Pn,
@@ -16,6 +19,10 @@ from posetzeta import (
     strict_chain_vector,
 )
 from posetzeta.cli import fmt_rational, main, parse_rational, run_to_string
+
+
+# A well-formed poset whose subdivision joins "a" and "b" into a second "a|b".
+LABEL_COLLISION = b'{"elements": ["a", "b", "a|b"], "relations": [["a", "b"]]}'
 
 
 def write_p6(tmp_path):
@@ -204,6 +211,9 @@ class TestExitCodes:
         assert main(["zeros", "--input", str(antichain)]) == 3
 
     def test_resource_cap(self, tmp_path):
+        # The sieve cap is checked before the first row is computed.
+        for command in ("chi", "alpha"):
+            assert main(["pn", command, "--range", "6:100000000"]) == 4
         assert main(
             [
                 "subdivide",
@@ -237,12 +247,30 @@ class TestExitCodes:
             pytest.param(
                 b'{"elements": ["\xff"], "relations": []}', id="invalid-utf8"
             ),
+            pytest.param(
+                b'{"elements": ["a", "a"], "relations": []}',
+                id="duplicate-label",
+            ),
+            pytest.param(
+                b'{"elements": ["a"], "relations": [["a", "b"]]}',
+                id="unknown-label",
+            ),
+            pytest.param(
+                b'{"elements": ["a", "b"],'
+                b' "relations": [["a", "b"], ["b", "a"]]}',
+                id="cycle",
+            ),
+            pytest.param(
+                b'{"elements": [], "relations": []}', id="no-elements"
+            ),
+            pytest.param(LABEL_COLLISION, id="subdivision-label-collision"),
         ],
     )
     def test_malformed_poset(self, tmp_path, command, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        assert main([command, "--input", str(path)]) == 2
+        expected = 0 if (command, content) == ("zeta", LABEL_COLLISION) else 2
+        assert main([command, "--input", str(path)]) == expected
 
 
 class TestDeterminism:
@@ -259,11 +287,18 @@ class TestDeterminism:
         assert run_to_string(argv) == run_to_string(argv)
 
     def test_installed_entry_point(self, tmp_path):
+        # Run the checkout under test, not whatever copy is installed.
+        src = str(Path(posetzeta.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
         res = subprocess.run(
             [sys.executable, "-m", "posetzeta.cli", "tables", "--kind", "H",
              "--dmax", "2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert res.returncode == 0
         assert res.stdout == run_to_string(

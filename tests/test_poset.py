@@ -23,6 +23,7 @@ from helpers import (
     brute_strict_chain_counts,
     brute_weak_chain_count,
     random_posets,
+    subdivision_via_relations,
 )
 
 
@@ -146,6 +147,21 @@ class TestSubdivision:
         with pytest.raises(SubdivisionTooLarge):
             barycentric_subdivision(p30_explicit(), cap=10)
 
+    def test_label_collision(self):
+        p = build_poset(["a", "b", "a|b"], [("a", "b")])
+        with pytest.raises(DuplicateLabel):
+            barycentric_subdivision(p)
+
+    def test_matches_relation_route(self):
+        posets = [p30_explicit(), simplex_face_poset(3)]
+        for p in random_posets(40, max_elements=7):
+            posets += [p, barycentric_subdivision(p)]
+        for p in posets:
+            sd = barycentric_subdivision(p)
+            oracle = subdivision_via_relations(p)
+            assert sd.labels == oracle.labels
+            assert sd.above == oracle.above
+
 
 class TestJsonFormat:
     def test_round_trip(self):
@@ -165,3 +181,9 @@ def test_simplex_face_poset():
     assert len(p) == 7
     assert dimension(p) == 2
     assert euler_characteristic(p) == 1
+    for n in range(1, 6):
+        p = simplex_face_poset(n)
+        assert len(p) == 2**n - 1
+        for a in p.labels:
+            for b in p.labels:
+                assert p.less(a, b) == (set(a.split("|")) < set(b.split("|")))
