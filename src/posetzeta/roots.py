@@ -1,14 +1,17 @@
 """High-precision root finding and convergence diagnostics.
 
 Roots are found by simultaneous Aberth-Ehrlich iteration in mpmath
-arbitrary precision.  The trajectory report tracks, per subdivision
-step, the dominant root against its predicted growth and the remaining
-roots against the fixed roots of the limit polynomial.
+arbitrary precision, started and stopped as in Bini, "Numerical
+computation of polynomial zeros by means of Aberth's method" (1996):
+the starting points lie on one circle per edge of the Newton polygon,
+and a root is accepted once its backward error is at most
+2^-(bits/2).  The trajectory report tracks, per subdivision step, the
+dominant root against its predicted growth and the remaining roots
+against the fixed roots of the limit polynomial.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 import mpmath as mp
@@ -24,12 +27,16 @@ from .subdivision import H_polynomial, H_vector, transfer_iterate
 from .zeta import g_from_chain_vector
 
 MAX_SWEEPS = 1000
+# Bini's rotation of the starting circles: it keeps the starts of a
+# real polynomial off the real axis and out of conjugate-symmetric
+# positions, which the iteration of a real polynomial would preserve.
+START_ANGLE = mp.mpf("0.7")
 
 
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple
-    residuals: tuple
+    residuals: tuple  # backward error |p(z)| / sum |c_i| |z|^i per root
     precision_bits: int
 
 
@@ -44,55 +51,110 @@ def _horner(coeffs, z):
     return acc
 
 
+def _backward_error(coeffs, abs_coeffs, z, value=None):
+    """|p(z)| / sum |c_i| |z|^i: the smallest relative change of the
+    coefficients that makes z an exact root."""
+    if value is None:
+        value = _horner(coeffs, z)
+    if not value:
+        return mp.mpf(0)
+    r = abs(z)
+    scale = mp.mpf(0)
+    for c in reversed(abs_coeffs):
+        scale = scale * r + c
+    return abs(value) / scale
+
+
 def find_roots(p, precision_bits=256):
     """All complex roots of an exact polynomial, deterministically.
 
-    The polynomial is scaled by its largest absolute coefficient in
-    exact arithmetic before rounding, which conditions the iteration
-    when coefficients grow factorially.
+    Exactly zero low coefficients give exact zero roots; the rest are
+    found by `_aberth` at `precision_bits + 64` working bits.  Every
+    root's backward error |p(z)| / sum |c_i| |z|^i must be at most
+    2^-(precision_bits/2), else NoConvergence is raised; those errors
+    are returned as the residuals.  Roots are sorted by real part, then
+    imaginary part.
     """
     if p.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
-    scale = max(abs(c) for c in p.coeffs)
-    scaled = [c / scale for c in p.coeffs]
+    zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
     with mp.workprec(precision_bits + 64):
-        coeffs = [_to_mpf(c) for c in scaled]
-        n = p.degree
+        coeffs = [_to_mpf(c) for c in p.coeffs]
+        abs_coeffs = [abs(c) for c in coeffs]
+        n = p.degree - zeros
         tol = mp.mpf(2) ** (-(precision_bits // 2))
-        if n == 1:
-            roots = [mp.mpc(-coeffs[0] / coeffs[1])]
+        if n == 0:
+            roots = []
+        elif n == 1:
+            roots = [mp.mpc(-coeffs[zeros] / coeffs[zeros + 1])]
         else:
-            roots = _aberth(coeffs, n, tol)
+            roots = _aberth(coeffs[zeros:], n, tol)
+        roots += [mp.mpc(0) for _ in range(zeros)]
         roots.sort(key=lambda z: (mp.re(z), mp.im(z)))
-        residuals = [abs(_horner(coeffs, z)) for z in roots]
+        residuals = [_backward_error(coeffs, abs_coeffs, z) for z in roots]
         if any(r > tol for r in residuals):
             raise NoConvergence(
-                f"residuals above 2^-{precision_bits // 2}; raise precision"
+                f"backward error above 2^-{precision_bits // 2}; "
+                "raise precision"
             )
         return RootSet(tuple(roots), tuple(residuals), precision_bits)
 
 
-def _aberth(coeffs, n, tol):
-    lead = coeffs[n]
-    radius = 1 + max(abs(c / lead) for c in coeffs[:n])
-    # Deterministic start: points on a circle with a fixed angular offset
-    # so no starting point sits on a symmetry axis.
-    z = [
-        mp.mpc(
-            0.5
-            * radius
-            * mp.exp(mp.mpc(0, 2 * mp.pi * (k + mp.mpf(1) / 4) / n))
+def _newton_polygon_starts(coeffs):
+    """One circle of starts per edge of the upper convex hull of the
+    points (i, log|c_i|), c_i != 0 (Bini 1996).
+
+    An edge from i to j carries j - i starts, evenly spaced on the
+    circle of radius (|c_i| / |c_j|)^(1/(j-i)) and rotated by
+    2 pi i / n + START_ANGLE, n the degree.  About j - i roots have
+    modulus near that radius, so roots of very different sizes each
+    start near their own circle.
+    """
+    n = len(coeffs) - 1
+    logs = {i: mp.log(abs(c)) for i, c in enumerate(coeffs) if c}
+    hull = []
+    for j in sorted(logs):
+        # Drop the last vertex while it lies on or below the chord
+        # from the one before it to j.
+        while len(hull) >= 2 and (logs[hull[-1]] - logs[hull[-2]]) * (
+            j - hull[-2]
+        ) <= (logs[j] - logs[hull[-2]]) * (hull[-1] - hull[-2]):
+            hull.pop()
+        hull.append(j)
+    starts = []
+    for i, j in zip(hull, hull[1:]):
+        m = j - i
+        radius = mp.exp((logs[i] - logs[j]) / m)
+        offset = 2 * mp.pi * i / n + START_ANGLE
+        starts.extend(
+            radius * mp.expj(2 * mp.pi * k / m + offset) for k in range(m)
         )
-        for k in range(n)
-    ]
+    return starts
+
+
+def _aberth(coeffs, n, tol):
+    """Aberth-Ehrlich sweeps over the n roots of a polynomial with a
+    nonzero constant term, started and stopped as in Bini (1996).
+
+    The starts come from `_newton_polygon_starts`.  Each sweep updates
+    every root in turn by the Aberth correction.  The stop is relative:
+    iteration ends after the first sweep that began with every root's
+    backward error |p(z)| / sum |c_i| |z|^i at most `tol`, a test that
+    holds at any root size, where an absolute |p(z)| < tol does not.
+    That last sweep still updates each root, which polishes it to near
+    working precision.  Raises NoConvergence after MAX_SWEEPS sweeps.
+    """
+    with mp.workprec(53):  # starting points need no more
+        z = _newton_polygon_starts(coeffs)
+    abs_coeffs = [abs(c) for c in coeffs]
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
     for _ in range(MAX_SWEEPS):
         converged = True
         for i in range(n):
             pv = _horner(coeffs, z[i])
-            if abs(pv) > tol:
+            if _backward_error(coeffs, abs_coeffs, z[i], pv) > tol:
                 converged = False
             dv = _horner(dcoeffs, z[i])
             if dv == 0:
@@ -148,30 +210,92 @@ class TrajectoryReport:
     modulus_increasing_from_k0: bool
 
 
-def _pick_beta1(roots):
-    best = None
-    for z in roots:
-        key = (-abs(z), 0 if mp.im(z) == 0 else 1, mp.re(z), mp.im(z))
-        if best is None or key < best[0]:
-            best = (key, z)
-    return best[1]
+def _pick_beta1(roots, precision_bits):
+    """The root of largest modulus, picked the same way in any order.
+
+    Moduli within relative 2^-(precision_bits/2) of the largest count as
+    tied, since they differ by rounding only.  Among tied roots a
+    numerically real one (|im| <= 2^-(precision_bits/4) |z|) wins, then
+    a non-real one with im > 0; the smaller real part breaks what is
+    left.  The sign of a numerically real root's im is noise, so it is
+    not consulted.
+    """
+    top = max(abs(z) for z in roots)
+    floor = top * (1 - mp.mpf(2) ** -(precision_bits // 2))
+    real_tol = mp.mpf(2) ** -(precision_bits // 4)
+
+    def key(z):
+        real = abs(mp.im(z)) <= real_tol * abs(z)
+        return (not real, not real and mp.im(z) < 0, mp.re(z), mp.im(z))
+
+    return min((z for z in roots if abs(z) >= floor), key=key)
 
 
-def _match(roots, targets):
-    """Globally minimal-cost assignment of roots to fixed targets."""
+def _assign(cost):
+    """Columns minimising the summed cost, one distinct column per row.
+
+    The Hungarian method (Kuhn 1955) with row and column potentials,
+    O(rows^2 cols); needs rows <= cols.
+    """
+    rows, cols = len(cost), len(cost[0])
+    u = [0] * (rows + 1)
+    v = [0] * (cols + 1)
+    owner = [0] * (cols + 1)  # 1-based row matched to each column; 0 = none
+    way = [0] * (cols + 1)
+    for row in range(1, rows + 1):
+        owner[0] = row
+        j0 = 0
+        slack = [float("inf")] * (cols + 1)
+        used = [False] * (cols + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0, delta, j1 = owner[j0], float("inf"), 0
+            for j in range(1, cols + 1):
+                if not used[j]:
+                    reduced = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(cols + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    col = [0] * rows
+    for j in range(1, cols + 1):
+        if owner[j]:
+            col[owner[j] - 1] = j - 1
+    return col
+
+
+def _match(roots, targets, precision_bits):
+    """Globally minimal-cost assignment of roots to fixed targets.
+
+    Costs are distances.  Assignments whose summed costs agree to about
+    2^-(precision_bits/2) of the largest distance count as tied, and the
+    tie goes to the lexicographically least one (earliest target for the
+    first root, and so on), so rounding noise never decides it.
+    """
     if not targets:
         return (), ()
-    best = None
-    for perm in permutations(range(len(targets))):
-        cost = sum(abs(roots[i] - targets[perm[i]]) for i in range(len(roots)))
-        if best is None or cost < best[0]:
-            best = (cost, perm)
-    perm = best[1]
-    matched = tuple(targets[perm[i]] for i in range(len(roots)))
-    dists = tuple(
-        abs(roots[i] - targets[perm[i]]) for i in range(len(roots))
+    rows, cols = len(roots), len(targets)
+    dist = [[abs(r - t) for t in targets] for r in roots]
+    unit = max(map(max, dist)) * mp.mpf(2) ** -(precision_bits // 2)
+    unit /= cols ** rows
+    picks = _assign(
+        [
+            [c + unit * j * cols ** (rows - 1 - i) for j, c in enumerate(row)]
+            for i, row in enumerate(dist)
+        ]
     )
-    return matched, dists
+    matched = tuple(targets[j] for j in picks)
+    return matched, tuple(dist[i][j] for i, j in enumerate(picks))
 
 
 def theorem_report(p, k_max, precision_bits=256):
@@ -192,9 +316,9 @@ def theorem_report(p, k_max, precision_bits=256):
         for k in range(k_max + 1):
             gk = g_from_chain_vector(transfer_iterate(cv, k))
             roots = find_roots(gk, precision_bits).roots
-            beta1 = _pick_beta1(roots)
+            beta1 = _pick_beta1(roots, precision_bits)
             others = tuple(z for z in roots if z is not beta1)
-            matched, dists = _match(others, targets)
+            matched, dists = _match(others, targets, precision_bits)
             growth = Fraction(factorial(d + 1)) ** k * h1 * cv[d]
             es_ratio = abs(beta1) * chi / _to_mpf(growth)
             product = mp.mpc(1)

@@ -5,7 +5,7 @@ of the code path it cross-checks.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from posetzeta import (
     ExactMatrix,
@@ -112,6 +112,27 @@ def subdivision_via_relations(p):
             for sub in combinations(chain, k):
                 relations.append((label(sub), full))
     return build_poset(labels, relations)
+
+
+def match_by_permutations(roots, targets):
+    """Globally minimal-cost assignment of roots to fixed targets.
+
+    Exhaustive search over every permutation; the oracle for
+    roots._match.
+    """
+    if not targets:
+        return (), ()
+    best = None
+    for perm in permutations(range(len(targets))):
+        cost = sum(abs(roots[i] - targets[perm[i]]) for i in range(len(roots)))
+        if best is None or cost < best[0]:
+            best = (cost, perm)
+    perm = best[1]
+    matched = tuple(targets[perm[i]] for i in range(len(roots)))
+    dists = tuple(
+        abs(roots[i] - targets[perm[i]]) for i in range(len(roots))
+    )
+    return matched, dists
 
 
 def descents(seq):

@@ -1,6 +1,12 @@
+import random
+from itertools import permutations
+
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import match_by_permutations
 from posetzeta import (
     DegreeZero,
     DimensionZero,
@@ -12,12 +18,25 @@ from posetzeta import (
     find_roots,
     g_k_polynomial,
     g_polynomial,
+    simplex_face_poset,
     theorem_report,
 )
+from posetzeta.roots import _match, _pick_beta1
 
 
 def p6():
     return build_poset(["2", "3", "5", "6"], [("2", "6"), ("3", "6")])
+
+
+def assert_backward_errors(poly, roots, bits):
+    """|p(z)| <= 2^-(bits/2) * sum |c_i| |z|^i for every root, evaluated
+    from the exact coefficients at higher precision."""
+    with mp.workprec(2 * bits):
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in poly.coeffs]
+        for z in roots:
+            value = abs(mp.polyval(coeffs[::-1], z))
+            scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
+            assert value <= mp.mpf(2) ** -(bits // 2) * scale, z
 
 
 class TestFindRoots:
@@ -66,6 +85,35 @@ class TestFindRoots:
             for a, b in zip(lo, hi):
                 assert abs(a - b) < mp.mpf(2) ** -(128 // 4)
 
+    def test_exact_zero_roots(self):
+        rs = find_roots(ExactPolynomial([0, 0, 1, 1]))
+        assert rs.roots == (-1, 0, 0)
+        assert rs.residuals == (0, 0, 0)
+
+    def test_dominant_root_far_out(self):
+        # d = 5 at k = 8: the dominant root is about 6.6e23 while the
+        # others stay near the unit circle; an absolute residual stop
+        # cannot be met at that size.
+        poly = g_k_polynomial(simplex_face_poset(6), 8)
+        rs = find_roots(poly)
+        assert len(rs.roots) == 5
+        assert mp.nstr(max(abs(z) for z in rs.roots), 2) == "6.6e+23"
+        assert all(r <= mp.mpf(2) ** -128 for r in rs.residuals)
+        assert_backward_errors(poly, rs.roots, 256)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        st.lists(st.integers(-(2 ** 80), 2 ** 80), min_size=1, max_size=8),
+        st.integers(1, 2 ** 80),
+        st.booleans(),
+    )
+    def test_random_integer_polynomials(self, low, lead, negate):
+        poly = ExactPolynomial(low + [-lead if negate else lead])
+        rs = find_roots(poly)
+        assert len(rs.roots) == poly.degree
+        assert all(r <= mp.mpf(2) ** -128 for r in rs.residuals)
+        assert_backward_errors(poly, rs.roots, 256)
+
     def test_determinism(self):
         poly = g_k_polynomial(build_Pn(30), 3)
         first = find_roots(poly).roots
@@ -73,6 +121,54 @@ class TestFindRoots:
         assert [mp.nstr(z, 30) for z in first] == [
             mp.nstr(z, 30) for z in second
         ]
+
+
+class TestPickBeta1:
+    def test_independent_of_order_and_noise(self):
+        with mp.workprec(320):
+            noise = mp.mpf(2) ** -300
+            pair = mp.mpc(3, 4)
+            cases = [
+                # A conjugate pair whose moduli differ by rounding noise:
+                # the member with im > 0.
+                ([pair, mp.conj(pair) * (1 + noise), mp.mpc(1, 1)], pair),
+                # A numerically real root ties with a complex pair.
+                ([mp.mpc(0, -5), mp.mpc(5 - noise, 2 ** -100), mp.mpc(0, 5)],
+                 mp.mpc(5, 2 ** -100)),
+                # Two real roots of equal modulus, whatever the sign of
+                # their imaginary noise: the smaller real part.
+                ([mp.mpc(3 + noise, noise), mp.mpc(-3, -noise), mp.mpc(1)],
+                 mp.mpc(-3)),
+            ]
+            for roots, want in cases:
+                for perm in permutations(roots):
+                    got = _pick_beta1(list(perm), 256)
+                    assert abs(got - want) < mp.mpf(2) ** -90
+
+
+class TestMatch:
+    def test_matches_permutation_search(self):
+        rng = random.Random(20240823)
+
+        def point():
+            return complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            roots = tuple(point() for _ in range(n))
+            targets = tuple(point() for _ in range(rng.randint(n, 7)))
+            assert _match(roots, targets, 256) == match_by_permutations(
+                roots, targets
+            )
+
+    def test_tie_goes_to_earliest_target(self):
+        # On one line both assignments of two roots to two targets cost
+        # the same; the earlier target goes to the first root.
+        with mp.workprec(320):
+            roots = (mp.mpf("1.53"), mp.mpf("2.43"))
+            targets = (mp.mpf("-3.19"), mp.mpf("-0.31"))
+            assert _match(roots, targets, 256)[0] == targets
+            assert _match(roots, targets[::-1], 256)[0] == targets[::-1]
 
 
 class TestGk:
@@ -114,6 +210,14 @@ class TestTheoremReport:
         # Dominant modulus grows without bound.
         mods = [rec.beta1_abs for rec in rep.records[2:]]
         assert all(a < b for a, b in zip(mods, mods[1:]))
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_simplex_converges(self, n):
+        # d = n - 1; the dominant root grows like ((d+1)!)^k.
+        rep = theorem_report(simplex_face_poset(n), 8)
+        assert rep.d == n - 1
+        assert rep.precision_bits == 256
+        assert abs(rep.es_ratio_final - 1) < mp.mpf("0.01")
 
     def test_errors(self):
         with pytest.raises(DimensionZero):
