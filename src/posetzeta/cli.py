@@ -210,8 +210,8 @@ def _cmd_pn(args, out):
                     chi_Pn(n),
                     mertens(n),
                     d,
-                    top_chain_count(n, d),
-                    fmt_rational(H_vector(d)[1]) if d >= 0 else "NA",
+                    top_chain_count(n),
+                    fmt_rational(H_vector(d)[1]),
                     "NA",
                 ]
             )
@@ -237,12 +237,19 @@ def _cmd_pn(args, out):
 
 
 def _cmd_pi_weight(args, out):
+    if args.d < 1:
+        raise InvalidConfig("--d must be at least 1")
     rows = [[args.d, args.x, pi_weight(args.d, args.x)]]
     _emit(["d", "x", "count"], rows, args.format, out)
 
 
 def _cmd_dim_report(args, out):
-    n_list = [int(v) for v in args.n.split(",")]
+    try:
+        n_list = [int(v) for v in args.n.split(",")]
+    except ValueError:
+        raise InvalidConfig(f"bad --n {args.n!r}, expected integers") from None
+    if any(n < 16 for n in n_list):
+        raise InvalidConfig("--n values must be at least 16")
     rows = [
         [r.n, r.d, repr(r.estimate), repr(r.ratio), int(r.in_band)]
         for r in dim_asymptotic_report(n_list)

@@ -92,6 +92,11 @@ class ChainVector:
     def __len__(self):
         return len(self.counts)
 
+    @property
+    def euler_characteristic(self):
+        """Alternating sum of the counts."""
+        return sum((-1) ** i * c for i, c in enumerate(self.counts))
+
 
 def build_poset(labels, relations):
     """Construct a poset from generating pairs (a, b) meaning a < b.
@@ -227,8 +232,7 @@ def weak_chain_count(p, i):
 
 def euler_characteristic(p):
     """Alternating sum of the strict chain counts."""
-    cv = strict_chain_vector(p)
-    return sum((-1) ** i * c for i, c in enumerate(cv.counts))
+    return strict_chain_vector(p).euler_characteristic
 
 
 def _all_chains(p):

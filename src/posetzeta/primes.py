@@ -16,6 +16,8 @@ from .subdivision import H_vector
 
 DEFAULT_SIEVE_CAP = 10_000_000
 DEFAULT_POSET_CAP = 5_000
+# Band for d / (log n / log log n) in dim_asymptotic_report.
+DIM_RATIO_BAND = (0.3, 3.0)
 
 
 class SquarefreeTable:
@@ -109,12 +111,14 @@ def mertens(n):
     return squarefree_sieve(max(n, 2))._mertens[n]
 
 
-def build_Pn(n, cap=DEFAULT_POSET_CAP):
+def build_Pn(n):
     """Divisibility poset of squarefree integers in [2, n]."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n > cap:
-        raise RangeTooLarge(f"n={n} exceeds the explicit-poset cap {cap}")
+    if n > DEFAULT_POSET_CAP:
+        raise RangeTooLarge(
+            f"n={n} exceeds the explicit-poset cap {DEFAULT_POSET_CAP}"
+        )
     table = squarefree_sieve(n)
     elements = table.squarefree(n)
     labels = [str(k) for k in elements]
@@ -161,32 +165,18 @@ def _next_prime(p):
     return q
 
 
-def top_chain_count(n, d=None):
+def top_chain_count(n):
     """Number of maximal-length divisibility chains in [2, n].
 
-    Leveled DP over the squarefree integers: an element can appear at
-    level l of a chain only if its weight is at least l + 1, which
-    prunes each pass to the relevant weight classes.
+    With d = dim_Pn(n), no squarefree k <= n has more than d + 1 prime
+    factors (the (d + 2)-nd primorial exceeds n), and a chain of length
+    d gains at least one prime per step.  So it gains exactly one: it
+    starts at a prime, ends at a k with d + 1 prime factors, and is one
+    of the (d + 1)! orders in which those primes can be added, which
+    gives (d + 1)! * pi_weight(d + 1, n).
     """
-    if d is None:
-        d = dim_Pn(n)
-    table = squarefree_sieve(n)
-    elements = table.squarefree(n)
-    cnt = {k: 1 for k in elements}
-    for level in range(1, d + 1):
-        nxt = {}
-        for k in elements:
-            facs = table.factors(k)
-            if len(facs) < level + 1:
-                continue
-            total = 0
-            for r in range(level, len(facs)):
-                for sub in combinations(facs, r):
-                    total += cnt.get(math.prod(sub), 0)
-            if total:
-                nxt[k] = total
-        cnt = nxt
-    return sum(cnt.values())
+    d = dim_Pn(n)
+    return math.factorial(d + 1) * pi_weight(d + 1, n)
 
 
 @dataclass(frozen=True)
@@ -210,19 +200,19 @@ def alpha_record(n):
         raise ValueError("n must be >= 6 so the dimension is >= 1")
     d = dim_Pn(n)
     chi = chi_Pn(n)
-    top = top_chain_count(n, d)
+    top = top_chain_count(n)
     h1 = H_vector(d)[1]
     alpha = Fraction(h1 * top, chi) if chi != 0 else None
     return AlphaRecord(n=n, d=d, chi=chi, top_chains=top, H1=h1, alpha=alpha)
 
 
-def pi_weight(d, x, cap=DEFAULT_SIEVE_CAP):
+def pi_weight(d, x):
     """Count of squarefree integers of exactly d prime factors up to x."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if x < 2:
         return 0
-    table = squarefree_sieve(x, cap=cap)
+    table = squarefree_sieve(x)
     return sum(
         1 for k in range(2, x + 1)
         if table.mu[k] != 0 and table.omega(k) == d
@@ -238,11 +228,11 @@ class DimReportRow:
     in_band: bool
 
 
-def dim_asymptotic_report(n_list, band=(0.3, 3.0)):
+def dim_asymptotic_report(n_list):
     """Dimension against its log n / log log n first-order estimate.
 
     The estimate's error constant is not quantified, so only membership
-    in a configurable band is reported.
+    in DIM_RATIO_BAND is reported.
     """
     rows = []
     for n in n_list:
@@ -257,7 +247,7 @@ def dim_asymptotic_report(n_list, band=(0.3, 3.0)):
                 d=d,
                 estimate=est,
                 ratio=ratio,
-                in_band=band[0] <= ratio <= band[1],
+                in_band=DIM_RATIO_BAND[0] <= ratio <= DIM_RATIO_BAND[1],
             )
         )
     return rows

@@ -22,7 +22,7 @@ from .errors import (
     NoConvergence,
     ZeroEulerCharacteristic,
 )
-from .poset import dimension, euler_characteristic, strict_chain_vector
+from .poset import strict_chain_vector
 from .subdivision import H_polynomial, H_vector, transfer_iterate
 from .zeta import g_from_chain_vector
 
@@ -178,10 +178,10 @@ def _aberth(coeffs, n, tol):
 
 def g_k_polynomial(p, k):
     """Exact numerator polynomial after k subdivisions."""
-    d = dimension(p)
-    if d < 1:
+    cv = strict_chain_vector(p)
+    if cv.dim < 1:
         raise DimensionZero("needs dimension >= 1")
-    return g_from_chain_vector(transfer_iterate(strict_chain_vector(p), k))
+    return g_from_chain_vector(transfer_iterate(cv, k))
 
 
 @dataclass(frozen=True)
@@ -300,21 +300,24 @@ def _match(roots, targets, precision_bits):
 
 def theorem_report(p, k_max, precision_bits=256):
     """Per-k diagnostics for the dominant and bounded roots."""
-    d = dimension(p)
+    cv = strict_chain_vector(p)
+    d = cv.dim
     if d < 1:
         raise DimensionZero("needs dimension >= 1")
-    chi = euler_characteristic(p)
+    chi = cv.euler_characteristic
     if chi == 0:
         raise ZeroEulerCharacteristic("the growth law requires chi != 0")
-    cv = strict_chain_vector(p)
     h1 = H_vector(d)[1]
     targets = ()
     if d >= 2:
         targets = find_roots(H_polynomial(d), precision_bits).roots
     records = []
+    cv_k = cv  # the chain vector after k subdivisions
     with mp.workprec(precision_bits + 64):
         for k in range(k_max + 1):
-            gk = g_from_chain_vector(transfer_iterate(cv, k))
+            if k:
+                cv_k = transfer_iterate(cv_k, 1)
+            gk = g_from_chain_vector(cv_k)
             roots = find_roots(gk, precision_bits).roots
             beta1 = _pick_beta1(roots, precision_bits)
             others = tuple(z for z in roots if z is not beta1)

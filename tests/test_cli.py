@@ -204,6 +204,10 @@ class TestExitCodes:
     def test_invalid_config(self):
         assert main(["tables", "--kind", "f", "--dmax", "-1"]) == 2
         assert main(["zeros", "--input", "x", "--precision-bits", "40"]) == 2
+        for d in ("0", "-2"):
+            assert main(["pi-weight", "--d", d, "--x", "30"]) == 2
+        for n in ("10", "abc", "30,,210"):
+            assert main(["dim-report", "--n", n]) == 2
 
     def test_computation_error(self, tmp_path):
         antichain = tmp_path / "anti.json"

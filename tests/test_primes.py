@@ -166,7 +166,9 @@ class TestTopChains:
         assert top_chain_count(210) == 24
 
     def test_matches_chain_vector(self):
-        for n in (6, 15, 30, 100, 210, 400):
+        # Both sides of the primorial boundaries 6, 30, 210 and 2310,
+        # from d = 0 (n < 6) up to d = 4, and the poset cap 5000.
+        for n in [*range(2, 401), 2309, 2310, 4999, 5000]:
             cv = strict_chain_vector(build_Pn(n))
             assert top_chain_count(n) == cv[cv.dim], n
 

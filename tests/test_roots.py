@@ -211,7 +211,7 @@ class TestTheoremReport:
         mods = [rec.beta1_abs for rec in rep.records[2:]]
         assert all(a < b for a, b in zip(mods, mods[1:]))
 
-    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
     def test_simplex_converges(self, n):
         # d = n - 1; the dominant root grows like ((d+1)!)^k.
         rep = theorem_report(simplex_face_poset(n), 8)
