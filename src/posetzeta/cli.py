@@ -43,19 +43,45 @@ from .zeta import zeta_rational
 FLOAT_DIGITS = 20
 
 
+# Decimal digits that str() and int() convert in one call; Python caps
+# a single conversion (4300 digits by default), so longer numbers are
+# split into halves by a power of ten.
+DIGITS_PER_CALL = 3000
+
+
+def _int_to_str(n):
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    if n.bit_length() <= 3 * DIGITS_PER_CALL:  # fewer digits than that
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits of n
+    high, low = divmod(n, 10**k)
+    return _int_to_str(high) + _int_to_str(low).zfill(k)
+
+
+def _str_to_int(s):
+    if s.startswith("-"):
+        return -_str_to_int(s[1:])
+    if len(s) <= DIGITS_PER_CALL:
+        return int(s)
+    k = len(s) // 2
+    return _str_to_int(s[:-k]) * 10**k + _str_to_int(s[-k:])
+
+
 def fmt_rational(x):
     if x is None:
         return "NA"
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_to_str(x.numerator)
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
 def parse_rational(s):
     if s == "NA":
         return None
-    return Fraction(s)
+    num, slash, den = s.partition("/")
+    return Fraction(_str_to_int(num), _str_to_int(den) if slash else 1)
 
 
 def fmt_float(x):

@@ -1,22 +1,15 @@
-"""Dense exact matrices over the rationals.
+"""Dense exact matrices over the rationals, entries stored as given.
 
 ExactMatrix carries an index_offset so matrices that are naturally indexed
 from -1 (the f/H/T families) can be addressed with their natural indices.
 """
-
-from fractions import Fraction
 
 
 class ExactMatrix:
     __slots__ = ("rows", "cols", "entries", "index_offset")
 
     def __init__(self, entries, index_offset=0):
-        self.entries = tuple(
-            tuple(
-                c if isinstance(c, Fraction) else Fraction(c) for c in row
-            )
-            for row in entries
-        )
+        self.entries = tuple(tuple(row) for row in entries)
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(r) != self.cols for r in self.entries):

@@ -1,8 +1,8 @@
-"""Dense exact-rational polynomials and reduced rational functions.
+"""Dense exact polynomials and reduced rational functions.
 
-Coefficients are fractions.Fraction throughout; no floating point enters
-this module.  Coefficient lists are stored lowest degree first and the
-zero polynomial has degree -1.
+Coefficients are kept as given (int or fractions.Fraction); division
+yields Fraction, never float.  Coefficient lists are stored lowest
+degree first and the zero polynomial has degree -1.
 """
 
 from fractions import Fraction
@@ -11,15 +11,11 @@ from math import gcd
 from .errors import DivergentAtInfinity, PoleAtOrigin
 
 
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 class ExactPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -38,12 +34,12 @@ class ExactPolynomial:
     def __getitem__(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     @property
     def leading(self):
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         return self.coeffs[-1]
 
     def __eq__(self, other):
@@ -82,7 +78,7 @@ class ExactPolynomial:
             return ExactPolynomial([c * other for c in self.coeffs])
         if self.is_zero or other.is_zero:
             return ExactPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -110,7 +106,6 @@ class ExactPolynomial:
 
     def shifted(self, a):
         """Return p(s + a), computed by Horner-style composition."""
-        a = _frac(a)
         out = ExactPolynomial()
         s_plus_a = ExactPolynomial([a, 1])
         for c in reversed(self.coeffs):
@@ -122,13 +117,13 @@ class ExactPolynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
+        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.degree
         lead = other.leading
         for k in range(len(rem) - 1, d - 1, -1):
             if rem[k] == 0:
                 continue
-            f = rem[k] / lead
+            f = Fraction(rem[k], lead)
             q[k - d] = f
             for j, b in enumerate(other.coeffs):
                 rem[k - d + j] -= f * b
@@ -144,7 +139,7 @@ class ExactPolynomial:
         if self.is_zero:
             return self
         lead = self.leading
-        return ExactPolynomial([c / lead for c in self.coeffs])
+        return ExactPolynomial([Fraction(c, lead) for c in self.coeffs])
 
     def gcd(self, other):
         a, b = self, other
@@ -212,7 +207,7 @@ class ExactRationalFunction:
         return hash((self.numerator, self.denominator))
 
     def __call__(self, x):
-        return self.numerator(x) / self.denominator(x)
+        return Fraction(self.numerator(x)) / self.denominator(x)
 
     def __repr__(self):
         return (

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
+from operator import mul
 
 from .errors import BruteForceTooLarge, DimensionZero, IndexOutOfRange
 from .linalg import ExactMatrix
@@ -23,6 +24,7 @@ BRUTE_FORCE_MAX_D = 8
 # are safe.
 _f_memo = {(-1, -1): 1}
 _F_memo = {}
+_H_memo = {}
 
 
 def f_number(i, d):
@@ -75,10 +77,13 @@ def H_vector(d):
     """
     if d < 0:
         raise IndexOutOfRange("d must be >= 0")
-    if d == 0:
-        return (Fraction(0), Fraction(1))
-    shifted = F_polynomial(d).shifted(-1)
-    return tuple(shifted[k] for k in range(d + 2))
+    if d not in _H_memo:
+        if d == 0:
+            _H_memo[d] = (Fraction(0), Fraction(1))
+        else:
+            shifted = F_polynomial(d).shifted(-1)
+            _H_memo[d] = tuple(shifted[k] for k in range(d + 2))
+    return _H_memo[d]
 
 
 def H_polynomial(d):
@@ -152,18 +157,14 @@ def descent_matrix(d, method="recurrence"):
     return ExactMatrix(entries, index_offset=1)
 
 
-def f_matrix(d, primed=False):
-    """Upper-triangular chain-transfer matrix.
+def f_matrix(d):
+    """Upper-triangular chain-transfer matrix, integer entries f_{i,j}.
 
-    Unprimed: indices -1..d with diagonal 0!..(d+1)!.  Primed: indices
-    0..d (the variant that acts on chain vectors).
+    Indices -1..d with diagonal 0!..(d+1)!.  Its rows 0..d, read from
+    column 0, act on chain vectors (see transfer_iterate).
     """
     if d < 0:
         raise IndexOutOfRange("d must be >= 0")
-    if primed:
-        return ExactMatrix(
-            [[f_number(i, j) for j in range(d + 1)] for i in range(d + 1)]
-        )
     return ExactMatrix(
         [
             [f_number(i, j) for j in range(-1, d + 1)]
@@ -230,15 +231,15 @@ def verify_similarity(d):
 
 
 def transfer_iterate(start, k):
-    """Apply the chain-vector transfer matrix k times."""
+    """Apply the transfer step N'_i = sum_{j>=i} f_{i,j} N_j k times."""
     if k < 0:
         raise ValueError("k must be >= 0")
     d = start.dim
-    fm = f_matrix(d, primed=True)
-    counts = list(start.counts)
+    rows = [[f_number(i, j) for j in range(i, d + 1)] for i in range(d + 1)]
+    counts = start.counts
     for _ in range(k):
-        counts = [int(v) for v in (fm * counts)]
-    return ChainVector(tuple(counts))
+        counts = [sum(map(mul, r, counts[i:])) for i, r in enumerate(rows)]
+    return ChainVector(counts)
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,7 @@ def spectral_constants(p):
     d = start.dim
     if d < 1:
         raise DimensionZero("spectral constants need dimension >= 1")
-    # The eigenvector v_m of the primed transfer matrix for eigenvalue
+    # The eigenvector v_m of the transfer step for eigenvalue
     # (m+1)! is supported on indices 0..m, with v_m[i] = F_{i,m}, so the
     # expansion of the start vector over the eigenbasis is triangular.
     coeffs = [Fraction(0)] * (d + 1)

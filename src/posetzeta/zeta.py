@@ -7,6 +7,8 @@ chain vector (N_0, ..., N_d).  The quotient is already reduced, because
 g(1) = N_d > 0.
 """
 
+from math import comb
+
 from .polynomial import ExactPolynomial, ExactRationalFunction
 from .poset import strict_chain_vector
 
@@ -31,10 +33,12 @@ def g_polynomial(p):
 
 
 def g_from_chain_vector(cv):
+    """Integer h-transform: h_j = sum_{i<=j} (-1)^(j-i) C(d-i, j-i) N_i."""
     d = cv.dim
-    one_minus_s = ExactPolynomial([1, -1])
-    s = ExactPolynomial([0, 1])
-    total = ExactPolynomial()
-    for i, count in enumerate(cv.counts):
-        total = total + count * (s ** i) * (one_minus_s ** (d - i))
-    return total
+    return ExactPolynomial(
+        sum(
+            (-1) ** (j - i) * comb(d - i, j - i) * n
+            for i, n in enumerate(cv.counts[: j + 1])
+        )
+        for j in range(d + 1)
+    )

@@ -7,13 +7,15 @@ of the code path it cross-checks.
 import random
 from itertools import combinations, permutations
 
+from hypothesis import strategies as st
+
 from posetzeta import (
     ExactMatrix,
     ExactPolynomial,
     ExactRationalFunction,
     build_poset,
 )
-from posetzeta.poset import _all_chains, _require_nonempty
+from posetzeta.poset import ChainVector, _all_chains, _require_nonempty
 
 FIXED_SEED = 20240823
 
@@ -34,6 +36,13 @@ def random_poset(rng, max_elements=7, edge_prob=0.35):
 def random_posets(count, seed=FIXED_SEED, **kwargs):
     rng = random.Random(seed)
     return [random_poset(rng, **kwargs) for _ in range(count)]
+
+
+def chain_vectors(max_dim=20, max_count=2 ** 64):
+    """Hypothesis strategy: positive chain vectors with d = 0..max_dim."""
+    return st.lists(
+        st.integers(1, max_count), min_size=1, max_size=max_dim + 1
+    ).map(lambda counts: ChainVector(tuple(counts)))
 
 
 def brute_strict_chain_counts(p):
@@ -209,3 +218,18 @@ def determinant_zeta(p):
     ]
     adj_sum = poly_determinant(bumped) - det
     return ExactRationalFunction(adj_sum, det)
+
+
+def g_by_powers(cv):
+    """sum_i N_i s^i (1-s)^(d-i) by polynomial powers.
+
+    The former body of zeta.g_from_chain_vector; the oracle for its
+    integer h-transform.
+    """
+    d = cv.dim
+    one_minus_s = ExactPolynomial([1, -1])
+    s = ExactPolynomial([0, 1])
+    total = ExactPolynomial()
+    for i, count in enumerate(cv.counts):
+        total = total + count * (s ** i) * (one_minus_s ** (d - i))
+    return total

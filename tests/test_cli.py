@@ -45,6 +45,18 @@ def test_fmt_parse_round_trip():
     assert fmt_rational(Fr(6, 4)) == "3/2"
 
 
+def test_fmt_parse_beyond_int_str_limit():
+    # Python caps one int <-> str conversion at 4300 digits by default.
+    x = Fr(-(7 ** 6000), 3 ** 11000)  # 5071 / 5249 digits
+    text = fmt_rational(x)
+    assert len(text) > 10000
+    assert parse_rational(text) == x
+    big = 10 ** 5000 + 1
+    assert fmt_rational(Fr(big)) == "1" + "0" * 4999 + "1"
+    assert fmt_rational(Fr(-1, 10 ** 6000)) == "-1/1" + "0" * 6000
+    assert parse_rational("1" + "0" * 4999 + "1") == big
+
+
 class TestTables:
     def test_f_csv(self):
         header, rows = parse_csv(

@@ -1,6 +1,8 @@
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetzeta import (
     DivergentAtInfinity,
@@ -32,6 +34,11 @@ def test_eval_and_shift():
     assert p.shifted(-1)(3) == p(2)
 
 
+def _exact(values):
+    # 0.5 == Fr(1, 2), so equality alone would let a float through.
+    return all(type(v) in (int, Fr) for v in values)
+
+
 def test_divmod_and_gcd():
     a = ExactPolynomial([-1, 0, 1])  # s^2 - 1
     b = ExactPolynomial([1, 1])
@@ -41,6 +48,13 @@ def test_divmod_and_gcd():
     assert a.gcd(b) == b.monic()
     c = ExactPolynomial([2, 3])
     assert a.gcd(c).degree == 0
+    # Over the rationals: s^2 - 1 = (2s + 1)(s/2 - 1/4) - 3/4.
+    q, r = a.divmod(ExactPolynomial([1, 2]))
+    assert q.coeffs == (Fr(-1, 4), Fr(1, 2))
+    assert r.coeffs == (Fr(-3, 4),)
+    assert ExactPolynomial([1, 2]).monic().coeffs == (Fr(1, 2), Fr(1))
+    for poly in (q, r, a.gcd(b), a.gcd(c), c.monic(), b.monic()):
+        assert _exact(poly.coeffs)
 
 
 def test_rational_reduction():
@@ -48,9 +62,41 @@ def test_rational_reduction():
     f = ExactRationalFunction([-1, 0, 1], [-1, 1])
     assert f.numerator.coeffs == (Fr(1), Fr(1))
     assert f.denominator.coeffs == (Fr(1),)
+    assert f(2) == 3 and _exact([f(2)])
+    h = ExactRationalFunction([1], [0, 2])
+    assert h(3) == Fr(1, 6) and _exact([h(3)])
     # Reduction must not change the value.
     g = ExactRationalFunction([Fr(1, 2), Fr(1, 3)], [Fr(1, 5), 1])
     assert g(2) == Fr(Fr(1, 2) + Fr(2, 3), Fr(1, 5) + 2)
+    for r in (f, g, h):
+        assert _exact(r.numerator.coeffs + r.denominator.coeffs)
+
+
+small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=4)
+nonzero_scalars = st.one_of(
+    st.integers(-10**6, 10**6), st.fractions(max_denominator=10**6)
+).filter(lambda x: x != 0)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    small_polys,
+    small_polys.filter(any),
+    nonzero_scalars,
+    small_polys.filter(any),
+)
+def test_normal_form_ignores_common_factor(num, den, scalar, common):
+    # A common scalar or polynomial factor leaves the reduced form as it is.
+    f = ExactRationalFunction(num, den)
+    factor = ExactPolynomial(common) * scalar
+    g = ExactRationalFunction(
+        ExactPolynomial(num) * factor, ExactPolynomial(den) * factor
+    )
+    assert g == f
+    for r in (f, g):
+        assert all(
+            type(c) is int for c in r.numerator.coeffs + r.denominator.coeffs
+        )
 
 
 def test_series_expand():

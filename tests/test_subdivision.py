@@ -3,6 +3,7 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
 
 from posetzeta import (
     BruteForceTooLarge,
@@ -29,7 +30,7 @@ from posetzeta import (
     verify_similarity,
 )
 from posetzeta.zeta import g_from_chain_vector
-from helpers import descents, flag_chain_count
+from helpers import chain_vectors, descents, flag_chain_count
 from reference_tables import (
     DESCENT_MATRICES,
     F_BIG_TABLE,
@@ -171,17 +172,6 @@ class TestTransferMatrices:
                 [int(v) for v in row] for row in got.entries
             ] == expected, d
 
-    def test_primed(self):
-        assert f_matrix(1, primed=True).entries == (
-            (Fr(1), Fr(1)), (Fr(0), Fr(2)),
-        )
-        for d in range(6):
-            fp = f_matrix(d, primed=True)
-            assert fp.rows == d + 1
-            assert [fp.entries[i][i] for i in range(d + 1)] == [
-                factorial(i + 1) for i in range(d + 1)
-            ]
-
     def test_diagonal_unprimed(self):
         fm = f_matrix(4)
         assert [fm.get(i, i) for i in range(-1, 5)] == [
@@ -247,6 +237,15 @@ class TestTransferIterate:
                     transfer_iterate(cv, k).counts
                     == strict_chain_vector(q).counts
                 )
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(chain_vectors())
+    def test_one_step_is_f_matrix(self, cv):
+        # Row -1 of the f-matrix meets the padded 0 and is dropped.
+        got = transfer_iterate(cv, 1)
+        want = f_matrix(cv.dim) * [0, *cv.counts]
+        assert got.counts == tuple(want[1:])
+        assert all(type(n) is int for n in got.counts)
 
 
 class TestSpectralConstants:

@@ -1,6 +1,7 @@
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
 
 from posetzeta import (
     EmptyPoset,
@@ -9,6 +10,7 @@ from posetzeta import (
     build_Pn,
     dimension,
     euler_characteristic,
+    g_k_polynomial,
     g_polynomial,
     residue_at_infinity,
     series_expand,
@@ -17,7 +19,14 @@ from posetzeta import (
     weak_chain_count,
     zeta_rational,
 )
-from helpers import adjacency_matrix, determinant_zeta, random_posets
+from posetzeta.zeta import g_from_chain_vector
+from helpers import (
+    adjacency_matrix,
+    chain_vectors,
+    determinant_zeta,
+    g_by_powers,
+    random_posets,
+)
 
 
 def point():
@@ -99,3 +108,24 @@ def test_zeta_consistency_suite():
         cv = strict_chain_vector(p)
         assert g(1) == cv[cv.dim]
         assert g(1) != 0
+
+
+def _all_int(values):
+    return all(type(v) is int for v in values)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(chain_vectors())
+def test_h_transform_matches_power_oracle(cv):
+    g = g_from_chain_vector(cv)
+    assert g == g_by_powers(cv)
+    assert _all_int(g.coeffs)
+
+
+def test_integer_coefficients():
+    for p in _suite():
+        z = zeta_rational(p)
+        assert _all_int(z.numerator.coeffs + z.denominator.coeffs)
+        if dimension(p) >= 1:
+            for k in range(4):
+                assert _all_int(g_k_polynomial(p, k).coeffs)
