@@ -104,14 +104,6 @@ class ExactPolynomial:
             acc = acc * x + c
         return acc
 
-    def shifted(self, a):
-        """Return p(s + a), computed by Horner-style composition."""
-        out = ExactPolynomial()
-        s_plus_a = ExactPolynomial([a, 1])
-        for c in reversed(self.coeffs):
-            out = out * s_plus_a + c
-        return out
-
     def divmod(self, other):
         """Exact polynomial division over the rationals."""
         if other.is_zero:

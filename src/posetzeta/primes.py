@@ -1,14 +1,18 @@
 """Squarefree divisibility posets and their number-theoretic statistics.
 
-A linear sieve supplies smallest prime factors and the Mobius function;
-everything else (Mertens partial sums, the Euler characteristic,
-maximal-chain counts, the alpha records) is derived from it.
+One linear-sieve pass records the Mobius function, its Mertens prefix
+sums and the squarefree integers grouped by their number of prime
+factors.  The Euler characteristic is chi(P_n) = 1 - M(n), pi_weight is a
+bisection into one weight's list, and the top-chain counts and alpha
+records are derived from those.
 """
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, compress
 
 from .errors import ChiZero, RangeTooLarge
 from .poset import build_poset
@@ -20,68 +24,53 @@ DEFAULT_POSET_CAP = 5_000
 DIM_RATIO_BAND = (0.3, 3.0)
 
 
-class SquarefreeTable:
-    """Sieve results up to n: smallest prime factors, mu, prefix sums."""
+# Sieve code of an integer with a square factor; a squarefree k is coded
+# by its number of prime factors.
+_NOT_SQUAREFREE = 255
+# Maps a sieve code to mu as a signed byte (255 reads as -1).
+_MU_OF_CODE = bytes((1, 255)[w % 2] for w in range(255)) + b"\0"
 
-    __slots__ = ("n", "spf", "mu", "_mertens", "_chi")
+
+class SquarefreeTable:
+    """Sieve results up to n, in typed arrays (no Python int per integer).
+
+    ``mu[k]`` is the Mobius function, ``mertens[k]`` its prefix sum
+    M(k), and ``by_weight[w]`` lists the squarefree k <= n with exactly w
+    prime factors in ascending order (``by_weight[0]`` holds only 1).
+    """
+
+    __slots__ = ("n", "mu", "mertens", "by_weight")
 
     def __init__(self, n):
         self.n = n
-        spf = [0] * (n + 1)
-        mu = [0] * (n + 1)
-        if n >= 1:
-            mu[1] = 1
+        # code[1] = 0 is the weight of 1; any k > 1 still 0 at its turn
+        # was never reached as a multiple, so it is prime.
+        code = bytearray(n + 1)
+        code[0] = _NOT_SQUAREFREE
         primes = []
+        # Linear sieve: each composite is reached once, as i * p with p its
+        # smallest prime factor, so p runs up to the first prime dividing
+        # i.  Then i * p is squarefree iff i is and p does not divide i.
         for i in range(2, n + 1):
-            if spf[i] == 0:
-                spf[i] = i
-                mu[i] = -1
+            c = code[i]
+            if c == 0:
+                code[i] = c = 1
                 primes.append(i)
+            next_code = _NOT_SQUAREFREE if c == _NOT_SQUAREFREE else c + 1
+            lim = n // i
             for p in primes:
-                if p > spf[i] or i * p > n:
+                if p > lim:
                     break
-                spf[i * p] = p
-                mu[i * p] = 0 if p == spf[i] else -mu[i]
-        self.spf = spf
-        self.mu = mu
-        # Prefix sums: _mertens[k] = sum of mu up to k; _chi[k] = the
-        # inclusion-exclusion Euler characteristic over squarefree 2..k.
-        mert = [0] * (n + 1)
-        chi = [0] * (n + 1)
-        acc_m = 0
-        acc_c = 0
-        for k in range(1, n + 1):
-            acc_m += mu[k]
-            if k >= 2 and mu[k] != 0:
-                acc_c -= mu[k]  # (-1)^(omega-1) = -mu for squarefree k
-            mert[k] = acc_m
-            chi[k] = acc_c
-        self._mertens = mert
-        self._chi = chi
-
-    def is_squarefree(self, k):
-        return 2 <= k <= self.n and self.mu[k] != 0
-
-    def mobius(self, k):
-        return self.mu[k]
-
-    def factors(self, k):
-        """Distinct prime factors, ascending."""
-        out = []
-        while k > 1:
-            p = self.spf[k]
-            out.append(p)
-            while k % p == 0:
-                k //= p
-        return tuple(out)
-
-    def omega(self, k):
-        return len(self.factors(k))
-
-    def squarefree(self, limit=None):
-        """Squarefree integers 2..limit (default: the sieve bound)."""
-        hi = self.n if limit is None else min(limit, self.n)
-        return [k for k in range(2, hi + 1) if self.mu[k] != 0]
+                if i % p == 0:
+                    code[i * p] = _NOT_SQUAREFREE
+                    break
+                code[i * p] = next_code
+        self.mu = array("b", code.translate(_MU_OF_CODE))
+        self.mertens = array("i", accumulate(self.mu))
+        top = max(set(code) - {_NOT_SQUAREFREE})
+        self.by_weight = tuple(array("i") for _ in range(top + 1))
+        for k in compress(range(n + 1), self.mu):
+            self.by_weight[code[k]].append(k)
 
 
 _table_cache = [None]
@@ -99,7 +88,7 @@ def squarefree_sieve(n, cap=DEFAULT_SIEVE_CAP):
         target = max(n, 1000)
         if cached is not None:
             target = max(target, 2 * cached.n)
-        cached = SquarefreeTable(min(max(target, n), max(cap, n)))
+        cached = SquarefreeTable(min(target, cap))
         _table_cache[0] = cached
     return cached
 
@@ -108,7 +97,7 @@ def mertens(n):
     """Partial sum of the Mobius function."""
     if n < 1:
         return 0
-    return squarefree_sieve(max(n, 2))._mertens[n]
+    return squarefree_sieve(max(n, 2)).mertens[n]
 
 
 def build_Pn(n):
@@ -119,26 +108,29 @@ def build_Pn(n):
         raise RangeTooLarge(
             f"n={n} exceeds the explicit-poset cap {DEFAULT_POSET_CAP}"
         )
-    table = squarefree_sieve(n)
-    elements = table.squarefree(n)
+    mu = squarefree_sieve(n).mu
+    elements = [k for k in range(2, n + 1) if mu[k]]
     labels = [str(k) for k in elements]
-    relations = []
-    for k in elements:
-        facs = table.factors(k)
-        if len(facs) == 1:
-            continue
-        for r in range(1, len(facs)):
-            for sub in combinations(facs, r):
-                div = math.prod(sub)
-                relations.append((str(div), str(k)))
+    # Every multiple of a squarefree a that is itself squarefree is above
+    # a, so these pairs are already the whole divisibility order.
+    relations = [
+        (str(a), str(m))
+        for a in elements
+        for m in range(2 * a, n + 1, a)
+        if mu[m]
+    ]
     return build_poset(labels, relations)
 
 
 def chi_Pn(n):
-    """Euler characteristic of the divisibility poset, from the sieve."""
+    """Euler characteristic of the divisibility poset: 1 - M(n).
+
+    By Philip Hall's theorem on the divisors of k, the chains of P_n with
+    top element k contribute -mu(k) in all, so chi(P_n) = mu(1) - M(n).
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    return squarefree_sieve(n)._chi[n]
+    return 1 - mertens(n)
 
 
 def dim_Pn(n):
@@ -212,11 +204,8 @@ def pi_weight(d, x):
         raise ValueError("d must be >= 1")
     if x < 2:
         return 0
-    table = squarefree_sieve(x)
-    return sum(
-        1 for k in range(2, x + 1)
-        if table.mu[k] != 0 and table.omega(k) == d
-    )
+    by_weight = squarefree_sieve(x).by_weight
+    return bisect_right(by_weight[d], x) if d < len(by_weight) else 0
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ zeros of the chain series.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 
 from .errors import BruteForceTooLarge, DimensionZero, IndexOutOfRange
@@ -72,6 +72,9 @@ def F_polynomial(d):
 def H_vector(d):
     """Coefficients (H_0, ..., H_{d+1}) of the shift of F_d to s - 1.
 
+    With a_e = F_{d-e,d} = L_e / L over the common denominator L, the
+    shift is the integer Taylor shift
+    H_k = sum_{e>=k} (-1)^(e-k) C(e, k) L_e / L, so H_{d+1} = 0.
     The d = 0 case follows the (0, 1) convention; the generic shift
     degenerates there (see H_polynomial).
     """
@@ -81,8 +84,19 @@ def H_vector(d):
         if d == 0:
             _H_memo[d] = (Fraction(0), Fraction(1))
         else:
-            shifted = F_polynomial(d).shifted(-1)
-            _H_memo[d] = tuple(shifted[k] for k in range(d + 2))
+            a = [big_F_number(d - e, d) for e in range(d + 1)]
+            den = lcm(*(x.denominator for x in a))
+            num = [x.numerator * (den // x.denominator) for x in a]
+            _H_memo[d] = tuple(
+                Fraction(
+                    sum(
+                        (-1) ** (e - k) * comb(e, k) * num[e]
+                        for e in range(k, d + 1)
+                    ),
+                    den,
+                )
+                for k in range(d + 2)
+            )
     return _H_memo[d]
 
 

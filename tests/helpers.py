@@ -45,6 +45,34 @@ def chain_vectors(max_dim=20, max_count=2 ** 64):
     ).map(lambda counts: ChainVector(tuple(counts)))
 
 
+@st.composite
+def dags(draw):
+    """Hypothesis strategy: (labels, relations) of a DAG on 1..7 elements.
+
+    Edges run forward in a hidden order of the elements, and labels are
+    listed in another order, so the listing need not be topological.
+    """
+    n = draw(st.integers(1, 7))
+    labels = draw(
+        st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n,
+                 unique=True)
+    )
+    order = draw(st.permutations(labels))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    relations = [pair for pair in pairs if draw(st.booleans())]
+    return labels, relations
+
+
+def brute_closure(relations):
+    """Set of pairs (a, b) with a < b, closed by repeated composition."""
+    less = set(map(tuple, relations))
+    while True:
+        more = {(a, d) for a, b in less for c, d in less if b == c} - less
+        if not more:
+            return less
+        less |= more
+
+
 def brute_strict_chain_counts(p):
     """N_i by checking every subset for being totally ordered."""
     n = len(p)
@@ -233,3 +261,16 @@ def g_by_powers(cv):
     for i, count in enumerate(cv.counts):
         total = total + count * (s ** i) * (one_minus_s ** (d - i))
     return total
+
+
+def shift_by_composition(p, a):
+    """p(s + a) by Horner-style composition with s + a.
+
+    The former ExactPolynomial.shifted; the oracle for the integer Taylor
+    shift in subdivision.H_vector.
+    """
+    out = ExactPolynomial()
+    s_plus_a = ExactPolynomial([a, 1])
+    for c in reversed(p.coeffs):
+        out = out * s_plus_a + c
+    return out

@@ -30,8 +30,6 @@ def test_arithmetic():
 def test_eval_and_shift():
     p = ExactPolynomial([1, 0, 1])  # 1 + s^2
     assert p(2) == 5
-    assert p.shifted(-1).coeffs == (Fr(2), Fr(-2), Fr(1))
-    assert p.shifted(-1)(3) == p(2)
 
 
 def _exact(values):

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from posetzeta import (
     ChainVector,
@@ -20,8 +21,10 @@ from posetzeta import (
     weak_chain_count,
 )
 from helpers import (
+    brute_closure,
     brute_strict_chain_counts,
     brute_weak_chain_count,
+    dags,
     random_posets,
     subdivision_via_relations,
 )
@@ -107,6 +110,33 @@ class TestChainCounts:
 
 
 class TestRandomOracle:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dags())
+    def test_closure_vs_brute_force(self, dag):
+        labels, relations = dag
+        p = build_poset(labels, relations)
+        less = brute_closure(relations)
+        assert p.labels == tuple(labels)
+        assert p.above == tuple(
+            sum(1 << j for j, b in enumerate(labels) if (a, b) in less)
+            for a in labels
+        )
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dags())
+    def test_chains_and_dimension_vs_brute_force(self, dag):
+        p = build_poset(*dag)
+        brute = brute_strict_chain_counts(p)
+        assert strict_chain_vector(p).counts == brute
+        assert dimension(p) == len(brute) - 1
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dags())
+    def test_dict_round_trip(self, dag):
+        p = build_poset(*dag)
+        q = poset_from_dict(json.loads(json.dumps(poset_to_dict(p))))
+        assert (q.labels, q.above) == (p.labels, p.above)
+
     def test_strict_counts_vs_brute_force(self):
         for p in random_posets(60):
             assert (

@@ -1,12 +1,16 @@
+import functools
 from fractions import Fraction as Fr
 from itertools import combinations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetzeta import (
     ChiZero,
     RangeTooLarge,
+    SquarefreeTable,
     alpha_record,
     build_Pn,
     chi_Pn,
@@ -46,26 +50,45 @@ def brute_squarefree(n):
     return out
 
 
+def brute_mobius(k):
+    facs = brute_prime_factors(k)
+    if any(k % (p * p) == 0 for p in facs):
+        return 0
+    return (-1) ** len(facs)
+
+
+@functools.cache
+def brute_weights(limit):
+    """Number of prime factors of each squarefree k in [2, limit]."""
+    return {k: len(brute_prime_factors(k)) for k in brute_squarefree(limit)}
+
+
 class TestSieve:
     def test_small_sets(self):
-        t = squarefree_sieve(10)
-        assert t.squarefree(10) == [2, 3, 5, 6, 7, 10]
-        assert t.mobius(6) == 1
-        assert t.mobius(4) == 0
-        assert t.mobius(30) == -1
-        assert t.factors(10) == (2, 5)
-        assert not t.is_squarefree(4)
+        t = SquarefreeTable(10)
+        assert list(t.mu) == [0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+        assert list(t.mertens) == [0, 1, 0, -1, -1, -2, -1, -2, -2, -2, -1]
+        assert [list(a) for a in t.by_weight] == [[1], [2, 3, 5, 7], [6, 10]]
 
     def test_against_brute_force(self):
-        t = squarefree_sieve(500)
-        assert t.squarefree(500) == brute_squarefree(500)
-        for k in range(2, 200):
-            assert t.factors(k) == brute_prime_factors(k)
+        n = 500
+        t = SquarefreeTable(n)
+        assert t.n == n
+        assert list(t.mu) == [0] + [brute_mobius(k) for k in range(1, n + 1)]
+        weights = brute_weights(n)
+        expected = [[1]] + [
+            [k for k in brute_squarefree(n) if weights[k] == w]
+            for w in range(1, max(weights.values()) + 1)
+        ]
+        assert [list(a) for a in t.by_weight] == expected
 
     def test_omega_and_weight(self):
+        # The cached table may reach past 30; weights are read up to 30.
         t = squarefree_sieve(30)
-        assert t.omega(30) == 3
-        assert t.omega(7) == 1
+        assert t.n >= 30
+        assert [k for k in t.by_weight[3] if k <= 30] == [30]
+        assert 7 in t.by_weight[1]
+        assert 30 not in t.by_weight[2]
 
     def test_cap(self):
         with pytest.raises(RangeTooLarge):
@@ -83,10 +106,9 @@ class TestMertens:
         assert mertens(10) == -1
 
     def test_brute_force(self):
-        t = squarefree_sieve(300)
         acc = 0
         for n in range(1, 300):
-            acc += t.mobius(n)
+            acc += brute_mobius(n)
             assert mertens(n) == acc
 
 
@@ -151,7 +173,14 @@ class TestPiWeight:
     def test_partition_of_squarefree(self):
         x = 1000
         total = sum(pi_weight(d, x) for d in range(1, 11))
-        assert total == len(squarefree_sieve(x).squarefree(x))
+        assert total == len(brute_squarefree(x))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(-5, 3000))
+    def test_random_against_brute_count(self, d, x):
+        weights = brute_weights(3000)
+        expected = sum(1 for k, w in weights.items() if k <= x and w == d)
+        assert pi_weight(d, x) == expected
 
     def test_edge_cases(self):
         assert pi_weight(1, 1) == 0
@@ -171,6 +200,7 @@ class TestTopChains:
         for n in [*range(2, 401), 2309, 2310, 4999, 5000]:
             cv = strict_chain_vector(build_Pn(n))
             assert top_chain_count(n) == cv[cv.dim], n
+            assert chi_Pn(n) == cv.euler_characteristic, n
 
     def test_factorial_bound(self):
         # Every maximal chain ends at an element of full weight, and a

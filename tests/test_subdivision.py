@@ -30,7 +30,12 @@ from posetzeta import (
     verify_similarity,
 )
 from posetzeta.zeta import g_from_chain_vector
-from helpers import chain_vectors, descents, flag_chain_count
+from helpers import (
+    chain_vectors,
+    descents,
+    flag_chain_count,
+    shift_by_composition,
+)
 from reference_tables import (
     DESCENT_MATRICES,
     F_BIG_TABLE,
@@ -99,6 +104,13 @@ class TestHNumbers:
             assert hv[0] == 0 and hv[d + 1] == 0
             for i in range(1, d + 1):
                 assert hv[i] == H_TABLE[(i, d)], (i, d)
+
+    def test_matches_polynomial_shift(self):
+        for d in range(1, 31):
+            shifted = shift_by_composition(F_polynomial(d), -1)
+            hv = H_vector(d)
+            assert hv == tuple(shifted[k] for k in range(d + 2)), d
+            assert all(type(h) is Fr for h in hv), d
 
     def test_d0_convention(self):
         assert H_vector(0) == (Fr(0), Fr(1))
