@@ -88,15 +88,20 @@ def fmt_float(x):
     return mp.nstr(mp.mpf(x), FLOAT_DIGITS, strip_zeros=False)
 
 
+def _write_json(doc, out):
+    # json.dump streams: a subdivision's document is never held as one
+    # string beside the output buffer.
+    json.dump(doc, out, indent=2)
+    out.write("\n")
+
+
 def _emit(header, rows, fmt, out):
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        doc = [dict(zip(header, row)) for row in rows]
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        _write_json([dict(zip(header, row)) for row in rows], out)
 
 
 def _cmd_tables(args, out):
@@ -124,8 +129,7 @@ def _cmd_zeta(args, out):
     num = [fmt_rational(c) for c in z.numerator.coeffs]
     den = [fmt_rational(c) for c in z.denominator.coeffs]
     if args.format == "json":
-        json.dump({"numerator": num, "denominator": den}, out, indent=2)
-        out.write("\n")
+        _write_json({"numerator": num, "denominator": den}, out)
         return
     rows = [["numerator", e, c] for e, c in enumerate(num)]
     rows += [["denominator", e, c] for e, c in enumerate(den)]
@@ -138,8 +142,7 @@ def _cmd_subdivide(args, out):
         p = barycentric_subdivision(p, cap=args.cap)
     doc = poset_to_dict(p)
     if args.format == "json":
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        _write_json(doc, out)
         return
     rows = [["element", lab, ""] for lab in doc["elements"]]
     rows += [["relation", a, b] for a, b in doc["relations"]]
@@ -201,8 +204,7 @@ def _cmd_theorem_check(args, out):
                 report.max_match_distance_final
             ),
         }
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+        _write_json(doc, out)
         return
     _emit(_TRAJECTORY_HEADER, rows, "csv", out)
 
@@ -391,21 +393,22 @@ def run_to_string(argv):
     return buf.getvalue()
 
 
+# Exit code per error class; the first class that matches wins, so a
+# subclass comes before its base.
+_EXIT_CODES = (
+    (ResourceCapExceeded, 4),
+    (InvalidConfig, 2),
+    (PosetZetaError, 3),
+    (OSError, 2),
+)
+
+
 def main(argv=None):
     try:
         run(argv)
-    except ResourceCapExceeded as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except InvalidConfig as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except PosetZetaError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     return 0
 
 

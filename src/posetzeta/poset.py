@@ -2,8 +2,13 @@
 
 The strict order is stored per element as a bitmask over element indices
 (a dense bit matrix), transitively closed at construction time so that
-relation tests and the chain-count dynamic program are O(1) per lookup.
-All values are immutable after construction.
+a relation test is one bit lookup.  Every walk over a mask goes through
+``_bits``.  The closure is taken inside Kahn's topological sort, which
+runs from the maximal elements down.  The chain-count dynamic program
+and ``dimension`` sum over the down-sets ``below_masks``, which are
+narrower than the up-sets on posets such as P_n.  Chains are enumerated
+by length and then lexicographically, the element order of the
+subdivision.  All values are immutable after construction.
 """
 
 import json
@@ -21,6 +26,14 @@ from .errors import (
 )
 
 DEFAULT_SUBDIVISION_CAP = 100_000
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Poset:
@@ -55,14 +68,10 @@ class Poset:
         return bool(self.above[self.index(a)] >> self.index(b) & 1)
 
     def below_masks(self):
-        n = len(self)
-        below = [0] * n
+        below = [0] * len(self)
         for i, mask in enumerate(self.above):
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
+            for j in _bits(mask):
                 below[j] |= 1 << i
-                m &= m - 1
         return below
 
     def __repr__(self):
@@ -108,6 +117,7 @@ def build_poset(labels, relations):
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     direct = [0] * n
+    lower = [0] * n
     for a, b in relations:
         if a not in index:
             raise UnknownLabel(f"unknown element {a!r}")
@@ -117,41 +127,28 @@ def build_poset(labels, relations):
         if i == j:
             raise CycleDetected(f"relation {a!r} < {a!r}")
         direct[i] |= 1 << j
+        lower[j] |= 1 << i
 
-    # Kahn topological order; leftover nodes mean a cycle.
-    indeg = [0] * n
-    for i in range(n):
-        m = direct[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            indeg[j] += 1
-            m &= m - 1
-    stack = [i for i in range(n) if indeg[i] == 0]
-    order = []
+    # Kahn's sort from the maximal elements down: an element is popped
+    # once all its direct successors are closed, so it closes in one pass.
+    # Elements never popped lie on or below a cycle.
+    pending = [m.bit_count() for m in direct]
+    stack = [i for i in range(n) if not pending[i]]
+    above = [0] * n
+    closed = 0
     while stack:
         i = stack.pop()
-        order.append(i)
-        m = direct[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                stack.append(j)
-            m &= m - 1
-    if len(order) != n:
-        raise CycleDetected("relations contain a cycle")
-
-    # Closure in reverse topological order: above[i] = direct | above of
-    # direct successors.
-    above = [0] * n
-    for i in reversed(order):
+        closed += 1
         acc = direct[i]
-        m = direct[i]
-        while m:
-            j = (m & -m).bit_length() - 1
+        for j in _bits(direct[i]):
             acc |= above[j]
-            m &= m - 1
         above[i] = acc
+        for j in _bits(lower[i]):
+            pending[j] -= 1
+            if not pending[j]:
+                stack.append(j)
+    if closed != n:
+        raise CycleDetected("relations contain a cycle")
     return Poset(labels, above)
 
 
@@ -168,15 +165,12 @@ def strict_chain_vector(p):
     cur = [1] * n
     counts = [n]
     while True:
-        nxt = [0] * n
-        for j in range(n):
-            m = below[j]
+        nxt = []
+        for m in below:
             total = 0
-            while m:
-                i = (m & -m).bit_length() - 1
+            for i in _bits(m):
                 total += cur[i]
-                m &= m - 1
-            nxt[j] = total
+            nxt.append(total)
         s = sum(nxt)
         if s == 0:
             break
@@ -195,13 +189,7 @@ def dimension(p):
     # Process in an order compatible with <: sort by popcount of below.
     order = sorted(range(n), key=lambda j: below[j].bit_count())
     for j in order:
-        m = below[j]
-        best = 0
-        while m:
-            i = (m & -m).bit_length() - 1
-            best = max(best, depth[i] + 1)
-            m &= m - 1
-        depth[j] = best
+        depth[j] = max((depth[i] + 1 for i in _bits(below[j])), default=0)
     return max(depth)
 
 
@@ -214,19 +202,12 @@ def weak_chain_count(p, i):
     _require_nonempty(p)
     if i < 0:
         raise ValueError("length must be >= 0")
-    n = len(p)
-    w = [1] * n
+    w = [1] * len(p)
     for _ in range(i):
-        nxt = [0] * n
-        for a in range(n):
-            total = w[a]
-            m = p.above[a]
-            while m:
-                b = (m & -m).bit_length() - 1
-                total += w[b]
-                m &= m - 1
-            nxt[a] = total
-        w = nxt
+        w = [
+            w[a] + sum(w[b] for b in _bits(mask))
+            for a, mask in enumerate(p.above)
+        ]
     return sum(w)
 
 
@@ -236,18 +217,17 @@ def euler_characteristic(p):
 
 
 def _all_chains(p):
-    """All nonempty strict chains as tuples of element indices."""
-    n = len(p)
+    """All nonempty strict chains as tuples of element indices.
+
+    They come sorted by (length, chain): each length is built by
+    extending the sorted chains one shorter, in order, by the elements
+    above their tops in increasing order.
+    """
+    level = [(i,) for i in range(len(p))]
     chains = []
-    stack = [(i,) for i in reversed(range(n))]
-    while stack:
-        chain = stack.pop()
-        chains.append(chain)
-        m = p.above[chain[-1]]
-        while m:
-            j = (m & -m).bit_length() - 1
-            stack.append(chain + (j,))
-            m &= m - 1
+    while level:
+        chains += level
+        level = [c + (j,) for c in level for j in _bits(p.above[c[-1]])]
     return chains
 
 
@@ -266,7 +246,7 @@ def barycentric_subdivision(p, cap=DEFAULT_SUBDIVISION_CAP):
         raise SubdivisionTooLarge(
             f"subdivision has {size} elements, cap is {cap}"
         )
-    chains = sorted(_all_chains(p), key=lambda c: (len(c), c))
+    chains = _all_chains(p)
     index = {chain: i for i, chain in enumerate(chains)}
     above = [0] * len(chains)
     for i, chain in enumerate(chains):
@@ -292,14 +272,11 @@ def simplex_face_poset(num_vertices):
 
 def poset_to_dict(p):
     """JSON-ready dict in the poset file format (all strict pairs)."""
-    relations = []
-    for i, mask in enumerate(p.above):
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            relations.append([p.labels[i], p.labels[j]])
-            m &= m - 1
-    relations.sort()
+    relations = sorted(
+        [p.labels[i], p.labels[j]]
+        for i, mask in enumerate(p.above)
+        for j in _bits(mask)
+    )
     return {"elements": list(p.labels), "relations": relations}
 
 

@@ -134,27 +134,24 @@ def chi_Pn(n):
 
 
 def dim_Pn(n):
-    """Largest d with the (d+1)-st primorial at most n."""
+    """Largest d with the (d+1)-st primorial at most n.
+
+    After the primes p_1..p_k, with product q, the next prime is the least
+    integer above p_k that is coprime to q: every integer between p_k and
+    the next prime has all its prime factors among p_1..p_k.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     d = -1
     q = 1
     p = 2
-    while True:
-        nxt = q * p
-        if nxt > n:
-            break
-        q = nxt
+    while q * p <= n:
+        q *= p
         d += 1
-        p = _next_prime(p)
+        p += 1
+        while math.gcd(p, q) != 1:
+            p += 1
     return d
-
-
-def _next_prime(p):
-    q = p + 1
-    while any(q % r == 0 for r in range(2, int(q ** 0.5) + 1)):
-        q += 1
-    return q
 
 
 def top_chain_count(n):

@@ -298,6 +298,11 @@ def _match(roots, targets, precision_bits):
     return matched, tuple(dist[i][j] for i, j in enumerate(picks))
 
 
+def _holds_from(flags, count):
+    """Least k < count with every flag from index k on true, or None."""
+    return next((k for k in range(count) if all(flags[k:])), None)
+
+
 def theorem_report(p, k_max, precision_bits=256):
     """Per-k diagnostics for the dominant and bounded roots."""
     cv = strict_chain_vector(p)
@@ -340,16 +345,17 @@ def theorem_report(p, k_max, precision_bits=256):
                 )
             )
         real_tol = mp.mpf(2) ** (-(precision_bits // 4))
-        real_flags = [abs(mp.im(r.beta1)) <= real_tol for r in records]
-        increasing_flags = [True] + [
-            records[k].beta1_abs > records[k - 1].beta1_abs
-            for k in range(1, len(records))
-        ]
+        real_from = _holds_from(
+            [abs(mp.im(r.beta1)) <= real_tol for r in records], len(records)
+        )
+        increasing_from = _holds_from(
+            [b.beta1_abs > a.beta1_abs for a, b in zip(records, records[1:])],
+            len(records),
+        )
+        # Both conditions are monotone in k, so both hold from the later.
         k0 = None
-        for k in range(len(records)):
-            if all(real_flags[k:]) and all(increasing_flags[k + 1:]):
-                k0 = k
-                break
+        if real_from is not None and increasing_from is not None:
+            k0 = max(real_from, increasing_from)
         final = records[-1]
         return TrajectoryReport(
             d=d,
@@ -362,6 +368,6 @@ def theorem_report(p, k_max, precision_bits=256):
             max_match_distance_final=(
                 max(final.matched_distances) if final.matched_distances else mp.mpf(0)
             ),
-            beta1_real_from_k0=k0 is not None,
-            modulus_increasing_from_k0=k0 is not None,
+            beta1_real_from_k0=real_from is not None,
+            modulus_increasing_from_k0=increasing_from is not None,
         )

@@ -20,7 +20,9 @@ from posetzeta import (
     strict_chain_vector,
     weak_chain_count,
 )
+from posetzeta.poset import _all_chains
 from helpers import (
+    brute_chains,
     brute_closure,
     brute_strict_chain_counts,
     brute_weak_chain_count,
@@ -129,6 +131,9 @@ class TestRandomOracle:
         brute = brute_strict_chain_counts(p)
         assert strict_chain_vector(p).counts == brute
         assert dimension(p) == len(brute) - 1
+        assert _all_chains(p) == sorted(
+            brute_chains(p), key=lambda c: (len(c), c)
+        )
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(dags())

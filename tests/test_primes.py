@@ -141,6 +141,14 @@ class TestDim:
         assert dim_Pn(209) == 2
         assert dim_Pn(210) == 3
         assert dim_Pn(2310) == 4
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+        q = 1
+        for k, p in enumerate(primes, start=1):
+            q *= p  # the k-th primorial
+            if q > 2:
+                assert dim_Pn(q - 1) == k - 2, k
+            assert dim_Pn(q) == dim_Pn(q + 1) == k - 1, k
 
     def test_matches_poset_dimension(self):
         for n in (6, 10, 29, 30, 100, 210, 500):

@@ -200,6 +200,20 @@ class TestTheoremReport:
         assert abs(final.es_ratio - expected) < mp.mpf(2) ** -100
         assert rep.max_match_distance_final == 0
 
+    def test_flags_before_and_after_burn_in(self):
+        # g_0 = 3 - 3s + s^2 has non-real roots, so beta1 is real only
+        # from k = 2 on, while its modulus increases from the start.
+        chain = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        for k_max in (0, 1):
+            rep = theorem_report(chain, k_max)
+            assert rep.burn_in_k0 is None
+            assert rep.beta1_real_from_k0 is False
+            assert rep.modulus_increasing_from_k0 is True
+        rep = theorem_report(chain, 2)
+        assert rep.burn_in_k0 == 2
+        assert rep.beta1_real_from_k0 is True
+        assert rep.modulus_increasing_from_k0 is True
+
     def test_p30(self):
         rep = theorem_report(build_Pn(30), k_max=8)
         assert rep.d == 2 and rep.chi == 4
