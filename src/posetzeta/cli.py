@@ -16,27 +16,32 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import InvalidConfig, PosetZetaError, ResourceCapExceeded
+from .errors import (
+    InvalidConfig,
+    PosetZetaError,
+    ResourceCapExceeded,
+    SubdivisionTooLarge,
+)
 from .poset import (
     barycentric_subdivision,
     load_poset,
     poset_to_dict,
+    strict_chain_vector,
 )
 from .primes import (
     alpha_record,
     chi_Pn,
     dim_asymptotic_report,
-    dim_Pn,
     mertens,
     pi_weight,
     squarefree_sieve,
-    top_chain_count,
 )
-from .roots import find_roots, theorem_report
+from .roots import theorem_report
 from .subdivision import (
     H_vector,
     big_F_number,
     f_number,
+    transfer_iterate,
 )
 from .zeta import zeta_rational
 
@@ -138,6 +143,16 @@ def _cmd_zeta(args, out):
 
 def _cmd_subdivide(args, out):
     p = load_poset(args.input)
+    # A subdivision's size is the chain sum of the poset it subdivides, so
+    # every iterate is checked against the cap before the first is built.
+    cv = strict_chain_vector(p) if args.times else None
+    for _ in range(args.times):
+        size = sum(cv.counts)
+        if size > args.cap:
+            raise SubdivisionTooLarge(
+                f"subdivision has {size} elements, cap is {args.cap}"
+            )
+        cv = transfer_iterate(cv, 1)
     for _ in range(args.times):
         p = barycentric_subdivision(p, cap=args.cap)
     doc = poset_to_dict(p)
@@ -147,27 +162,6 @@ def _cmd_subdivide(args, out):
     rows = [["element", lab, ""] for lab in doc["elements"]]
     rows += [["relation", a, b] for a, b in doc["relations"]]
     _emit(["kind", "a", "b"], rows, "csv", out)
-
-
-def _trajectory_rows(report):
-    rows = []
-    for rec in report.records:
-        rows.append(
-            [
-                rec.k,
-                fmt_float(mp.re(rec.beta1)),
-                fmt_float(mp.im(rec.beta1)),
-                fmt_float(rec.beta1_abs),
-                fmt_float(rec.es_ratio),
-                fmt_float(mp.re(rec.product_of_others)),
-                fmt_float(mp.im(rec.product_of_others)),
-                fmt_float(
-                    max(rec.matched_distances) if rec.matched_distances else 0
-                ),
-                report.precision_bits,
-            ]
-        )
-    return rows
 
 
 _TRAJECTORY_HEADER = [
@@ -183,16 +177,23 @@ _TRAJECTORY_HEADER = [
 ]
 
 
-def _cmd_zeros(args, out):
-    p = load_poset(args.input)
-    report = theorem_report(p, args.kmax, args.precision_bits)
-    _emit(_TRAJECTORY_HEADER, _trajectory_rows(report), args.format, out)
-
-
 def _cmd_theorem_check(args, out):
     p = load_poset(args.input)
     report = theorem_report(p, args.kmax, args.precision_bits)
-    rows = _trajectory_rows(report)
+    rows = [
+        [
+            rec.k,
+            fmt_float(mp.re(rec.beta1)),
+            fmt_float(mp.im(rec.beta1)),
+            fmt_float(rec.beta1_abs),
+            fmt_float(rec.es_ratio),
+            fmt_float(mp.re(rec.product_of_others)),
+            fmt_float(mp.im(rec.product_of_others)),
+            fmt_float(max(rec.matched_distances, default=0)),
+            report.precision_bits,
+        ]
+        for rec in report.records
+    ]
     if args.format == "json":
         doc = {
             "rows": [dict(zip(_TRAJECTORY_HEADER, row)) for row in rows],
@@ -230,20 +231,6 @@ def _cmd_pn(args, out):
         _emit(["n", "chi"], rows, args.format, out)
         return
     for n in range(lo, hi + 1):
-        if n < 6:
-            d = dim_Pn(n)
-            rows.append(
-                [
-                    n,
-                    chi_Pn(n),
-                    mertens(n),
-                    d,
-                    top_chain_count(n),
-                    fmt_rational(H_vector(d)[1]),
-                    "NA",
-                ]
-            )
-            continue
         rec = alpha_record(n)
         rows.append(
             [
@@ -319,15 +306,10 @@ def build_parser():
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=_cmd_subdivide)
 
-    sp = sub.add_parser("zeros", help="root trajectory under subdivision")
-    sp.add_argument("--input", required=True)
-    sp.add_argument("--kmax", type=int, default=8)
-    sp.add_argument("--precision-bits", type=int, default=256)
-    common(sp)
-    sp.set_defaults(func=_cmd_zeros)
-
     sp = sub.add_parser(
-        "theorem-check", help="trajectory plus convergence flags"
+        "theorem-check",
+        aliases=["zeros"],
+        help="root trajectory under subdivision, with convergence flags",
     )
     sp.add_argument("--input", required=True)
     sp.add_argument("--kmax", type=int, default=8)

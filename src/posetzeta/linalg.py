@@ -1,24 +1,23 @@
 """Dense exact matrices over the rationals, entries stored as given.
 
-ExactMatrix carries an index_offset so matrices that are naturally indexed
-from -1 (the f/H/T families) can be addressed with their natural indices.
+The f/H/T matrix families are naturally indexed from -1, so ``get``
+addresses rows and columns from -1: ``get(-1, -1)`` is the first entry.
 """
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "entries", "index_offset")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, index_offset=0):
+    def __init__(self, entries):
         self.entries = tuple(tuple(row) for row in entries)
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(r) != self.cols for r in self.entries):
             raise ValueError("ragged matrix")
-        self.index_offset = index_offset
 
     def get(self, i, j):
-        """Entry at natural indices (i, j), shifted by index_offset."""
-        return self.entries[i + self.index_offset][j + self.index_offset]
+        """Entry at natural indices (i, j), each counted from -1."""
+        return self.entries[i + 1][j + 1]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -42,7 +41,7 @@ class ExactMatrix:
                 ]
                 for i in range(self.rows)
             ]
-            return ExactMatrix(out, self.index_offset)
+            return ExactMatrix(out)
         # Column vector given as a plain sequence.
         if self.cols != len(other):
             raise ValueError("shape mismatch")
@@ -52,10 +51,9 @@ class ExactMatrix:
         ]
 
     @staticmethod
-    def identity(n, index_offset=0):
+    def identity(n):
         return ExactMatrix(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)],
-            index_offset,
+            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
     def __repr__(self):

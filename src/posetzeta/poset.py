@@ -309,6 +309,8 @@ def load_poset(path):
             data = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidConfig(f"{path}: {exc}") from None
+        except RecursionError:
+            raise InvalidConfig(f"{path}: JSON nested too deeply") from None
     return poset_from_dict(data)
 
 

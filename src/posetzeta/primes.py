@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 
-from .errors import ChiZero, RangeTooLarge
+from .errors import ChiZero, DimensionZero, RangeTooLarge
 from .poset import build_poset
 from .subdivision import H_vector
 
@@ -76,19 +76,21 @@ class SquarefreeTable:
 _table_cache = [None]
 
 
-def squarefree_sieve(n, cap=DEFAULT_SIEVE_CAP):
+def squarefree_sieve(n):
     """Sieve table for 2..n; cached monotonically across calls."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if n > cap:
-        raise RangeTooLarge(f"n={n} exceeds the sieve cap {cap}")
+    if n > DEFAULT_SIEVE_CAP:
+        raise RangeTooLarge(
+            f"n={n} exceeds the sieve cap {DEFAULT_SIEVE_CAP}"
+        )
     cached = _table_cache[0]
     if cached is None or cached.n < n:
         # Grow geometrically so sweeps over increasing n stay linear.
         target = max(n, 1000)
         if cached is not None:
             target = max(target, 2 * cached.n)
-        cached = SquarefreeTable(min(target, cap))
+        cached = SquarefreeTable(min(target, DEFAULT_SIEVE_CAP))
         _table_cache[0] = cached
     return cached
 
@@ -170,28 +172,33 @@ def top_chain_count(n):
 
 @dataclass(frozen=True)
 class AlphaRecord:
+    """Statistics of P_n; ``alpha`` = H1 * top_chains / chi, or None
+    where it is undefined: dimension d = 0 (n < 6) or chi = 0."""
+
     n: int
     d: int
     chi: int
     top_chains: int
     H1: Fraction
-    alpha: object  # Fraction, or None when chi == 0
+    alpha: object  # Fraction, or None when d == 0 or chi == 0
 
     def require_alpha(self):
-        if self.alpha is None:
+        if self.d == 0:
+            raise DimensionZero(f"P_{self.n} has dimension 0, alpha undefined")
+        if self.chi == 0:
             raise ChiZero(f"chi(P_{self.n}) = 0, alpha undefined")
         return self.alpha
 
 
 def alpha_record(n):
-    """Exact growth constant of the dominant root for the poset of [2, n]."""
-    if n < 6:
-        raise ValueError("n must be >= 6 so the dimension is >= 1")
+    """Growth record of the dominant root for the poset of [2, n], n >= 2."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     d = dim_Pn(n)
     chi = chi_Pn(n)
     top = top_chain_count(n)
     h1 = H_vector(d)[1]
-    alpha = Fraction(h1 * top, chi) if chi != 0 else None
+    alpha = Fraction(h1 * top, chi) if d and chi else None
     return AlphaRecord(n=n, d=d, chi=chi, top_chains=top, H1=h1, alpha=alpha)
 
 

@@ -210,22 +210,25 @@ class TrajectoryReport:
     modulus_increasing_from_k0: bool
 
 
+def _is_real(z, precision_bits):
+    """Numerically real: |im z| <= 2^-(precision_bits/4) |z|."""
+    return abs(mp.im(z)) <= mp.mpf(2) ** -(precision_bits // 4) * abs(z)
+
+
 def _pick_beta1(roots, precision_bits):
     """The root of largest modulus, picked the same way in any order.
 
     Moduli within relative 2^-(precision_bits/2) of the largest count as
     tied, since they differ by rounding only.  Among tied roots a
-    numerically real one (|im| <= 2^-(precision_bits/4) |z|) wins, then
-    a non-real one with im > 0; the smaller real part breaks what is
-    left.  The sign of a numerically real root's im is noise, so it is
-    not consulted.
+    numerically real one (`_is_real`) wins, then a non-real one with
+    im > 0; the smaller real part breaks what is left.  The sign of a
+    numerically real root's im is noise, so it is not consulted.
     """
     top = max(abs(z) for z in roots)
     floor = top * (1 - mp.mpf(2) ** -(precision_bits // 2))
-    real_tol = mp.mpf(2) ** -(precision_bits // 4)
 
     def key(z):
-        real = abs(mp.im(z)) <= real_tol * abs(z)
+        real = _is_real(z, precision_bits)
         return (not real, not real and mp.im(z) < 0, mp.re(z), mp.im(z))
 
     return min((z for z in roots if abs(z) >= floor), key=key)
@@ -344,9 +347,8 @@ def theorem_report(p, k_max, precision_bits=256):
                     product_of_others=product,
                 )
             )
-        real_tol = mp.mpf(2) ** (-(precision_bits // 4))
         real_from = _holds_from(
-            [abs(mp.im(r.beta1)) <= real_tol for r in records], len(records)
+            [_is_real(r.beta1, precision_bits) for r in records], len(records)
         )
         increasing_from = _holds_from(
             [b.beta1_abs > a.beta1_abs for a, b in zip(records, records[1:])],

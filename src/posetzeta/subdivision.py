@@ -168,7 +168,7 @@ def descent_matrix(d, method="recurrence"):
         entries = _descent_brute_force(d)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return ExactMatrix(entries, index_offset=1)
+    return ExactMatrix(entries)
 
 
 def f_matrix(d):
@@ -183,8 +183,7 @@ def f_matrix(d):
         [
             [f_number(i, j) for j in range(-1, d + 1)]
             for i in range(-1, d + 1)
-        ],
-        index_offset=1,
+        ]
     )
 
 
@@ -207,7 +206,7 @@ def taylor_matrix(d, inverse=False):
             ]
             for i in range(-1, d + 1)
         ]
-    return ExactMatrix(entries, index_offset=1)
+    return ExactMatrix(entries)
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,7 @@ def verify_similarity(d):
     t_inv = taylor_matrix(d, inverse=True)
     fm = f_matrix(d)
     hm = descent_matrix(d)
-    inverse_ok = (t * t_inv) == ExactMatrix.identity(d + 2, index_offset=1)
+    inverse_ok = (t * t_inv) == ExactMatrix.identity(d + 2)
     similarity_ok = (t * fm * t_inv) == hm
     lam = factorial(d + 1)
     f_vec = [big_F_number(i, d) for i in range(-1, d + 1)]

@@ -122,6 +122,29 @@ class TestSubdivideCommand:
             )
         )
 
+    def test_csv_rows_match_json(self, tmp_path):
+        argv = ["subdivide", "--input", write_p6(tmp_path), "--times", "2"]
+        doc = json.loads(run_to_string(argv))
+        header, rows = parse_csv(run_to_string(argv + ["--format", "csv"]))
+        assert header == ["kind", "a", "b"]
+        assert rows == [["element", lab, ""] for lab in doc["elements"]] + [
+            ["relation", a, b] for a, b in doc["relations"]
+        ]
+
+    def test_cap_checked_before_any_subdivision(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("subdivision built before the cap check")
+
+        monkeypatch.setattr("posetzeta.cli.barycentric_subdivision", fail)
+        chain = tmp_path / "chain.json"
+        save_poset(build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")]), chain)
+        # Iterate sizes 7, 25, 145: the second is the first over the cap.
+        argv = ["subdivide", "--input", str(chain), "--times", "3"]
+        assert main(argv + ["--cap", "10"]) == 4
+        assert "subdivision has 25 elements, cap is 10" in capsys.readouterr().err
+
 
 class TestZerosCommands:
     def test_zeros_csv(self, tmp_path):
@@ -250,6 +273,7 @@ class TestExitCodes:
         "content",
         [
             pytest.param(b"{", id="invalid-json"),
+            pytest.param(b"[" * 100000, id="nested-json"),
             pytest.param(b'{"elements": ["a"]}', id="no-relations"),
             pytest.param(b'["a"]', id="not-an-object"),
             pytest.param(

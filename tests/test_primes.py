@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from posetzeta import (
     ChiZero,
+    DimensionZero,
     RangeTooLarge,
     SquarefreeTable,
     alpha_record,
@@ -25,6 +26,7 @@ from posetzeta import (
     top_chain_count,
 )
 from helpers import FIXED_SEED
+from posetzeta.primes import DEFAULT_SIEVE_CAP
 from reference_tables import ALPHA_N, CHI_PN
 
 
@@ -92,7 +94,7 @@ class TestSieve:
 
     def test_cap(self):
         with pytest.raises(RangeTooLarge):
-            squarefree_sieve(100, cap=50)
+            squarefree_sieve(DEFAULT_SIEVE_CAP + 1)
         with pytest.raises(ValueError):
             squarefree_sieve(1)
 
@@ -247,8 +249,14 @@ class TestAlpha:
             rec.require_alpha()
 
     def test_small_n_rejected(self):
+        # Below 6 the dimension is 0: the record is filled, alpha is not.
+        rec = alpha_record(5)
+        assert rec.d == 0
+        assert rec.alpha is None
+        with pytest.raises(DimensionZero):
+            rec.require_alpha()
         with pytest.raises(ValueError):
-            alpha_record(5)
+            alpha_record(1)
 
 
 def test_build_Pn_relations_are_divisibility():

@@ -21,7 +21,7 @@ from posetzeta import (
     simplex_face_poset,
     theorem_report,
 )
-from posetzeta.roots import _match, _pick_beta1
+from posetzeta.roots import RootSet, _match, _pick_beta1
 
 
 def p6():
@@ -213,6 +213,23 @@ class TestTheoremReport:
         assert rep.burn_in_k0 == 2
         assert rep.beta1_real_from_k0 is True
         assert rep.modulus_increasing_from_k0 is True
+
+    def test_real_flag_is_relative_to_modulus(self, monkeypatch):
+        # beta1 = 10^(k+3) + 0.01i is real relative to its modulus at 53
+        # bits (0.01 <= 2^-13 * 10^3), though not within 2^-13 absolutely;
+        # the flag must use the same test as the choice of beta1.
+        calls = []
+
+        def fake_find_roots(poly, precision_bits):
+            k = len(calls)
+            calls.append(k)
+            return RootSet((mp.mpc(10 ** (k + 3), "0.01"),), (0,), 53)
+
+        monkeypatch.setattr("posetzeta.roots.find_roots", fake_find_roots)
+        chain = build_poset(["a", "b"], [("a", "b")])  # d = 1: no targets
+        rep = theorem_report(chain, 3, precision_bits=53)
+        assert len(calls) == 4
+        assert rep.beta1_real_from_k0 is True
 
     def test_p30(self):
         rep = theorem_report(build_Pn(30), k_max=8)
