@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 invalid configuration, 3 computation error,
 4 resource cap exceeded.  Exact rationals are always serialized as
-"p/q" strings (or a bare integer); floats appear only in root-tracking
-output and are printed with 20 significant digits alongside the
-precision used.
+"p/q" strings (or a bare integer).  Floats appear in root-tracking
+output, printed with 20 significant digits alongside the precision
+used, and in the dim-report estimate and ratio, printed by repr().
 """
 
 import argparse
@@ -23,6 +23,7 @@ from .errors import (
     SubdivisionTooLarge,
 )
 from .poset import (
+    DEFAULT_SUBDIVISION_CAP,
     barycentric_subdivision,
     load_poset,
     poset_to_dict,
@@ -301,10 +302,9 @@ def build_parser():
     sp = sub.add_parser("subdivide", help="explicit barycentric subdivision")
     sp.add_argument("--input", required=True)
     sp.add_argument("--times", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=100_000)
-    sp.add_argument("--format", choices=["csv", "json"], default="json")
-    sp.add_argument("--output", default=None)
-    sp.set_defaults(func=_cmd_subdivide)
+    sp.add_argument("--cap", type=int, default=DEFAULT_SUBDIVISION_CAP)
+    common(sp)
+    sp.set_defaults(func=_cmd_subdivide, format="json")
 
     sp = sub.add_parser(
         "theorem-check",

@@ -104,6 +104,14 @@ class ExactPolynomial:
             acc = acc * x + c
         return acc
 
+    def shifted(self, c):
+        """p(s + c), by repeated synthetic division by s - c."""
+        a = list(self.coeffs)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += c * a[j + 1]
+        return ExactPolynomial(a)
+
     def divmod(self, other):
         """Exact polynomial division over the rationals."""
         if other.is_zero:
@@ -223,18 +231,15 @@ def series_expand(f, K):
 
 
 def residue_at_infinity(f):
-    """-[coefficient of 1/s] in the Laurent expansion of f at infinity."""
-    n = f.numerator.degree
+    """-[coefficient of 1/s] in the Laurent expansion of f at infinity.
+
+    With f = q + r/den and deg r < m = deg den, only r/den reaches 1/s,
+    and its coefficient there is r[m-1] / lead(den).
+    """
     m = f.denominator.degree
-    if n > m + 1:
+    if f.numerator.degree > m + 1:
         raise DivergentAtInfinity(
             "numerator degree exceeds denominator degree + 1"
         )
-    # Substitute s = 1/u: f(1/u) = u^(m-n) * rev(num)(u) / rev(den)(u).
-    target = 1 - (m - n)
-    if target < 0:
-        return Fraction(0)
-    rev_num = ExactPolynomial(list(reversed(f.numerator.coeffs)))
-    rev_den = ExactPolynomial(list(reversed(f.denominator.coeffs)))
-    series = series_expand(ExactRationalFunction(rev_num, rev_den), target)
-    return -series[target]
+    r = f.numerator.divmod(f.denominator)[1]
+    return Fraction(-r[m - 1], f.denominator.leading)

@@ -301,9 +301,9 @@ def _match(roots, targets, precision_bits):
     return matched, tuple(dist[i][j] for i, j in enumerate(picks))
 
 
-def _holds_from(flags, count):
-    """Least k < count with every flag from index k on true, or None."""
-    return next((k for k in range(count) if all(flags[k:])), None)
+def _holds_from(flags):
+    """Least k with flags[k:] nonempty and all true, or None."""
+    return next((k for k in range(len(flags)) if all(flags[k:])), None)
 
 
 def theorem_report(p, k_max, precision_bits=256):
@@ -348,11 +348,10 @@ def theorem_report(p, k_max, precision_bits=256):
                 )
             )
         real_from = _holds_from(
-            [_is_real(r.beta1, precision_bits) for r in records], len(records)
+            [_is_real(r.beta1, precision_bits) for r in records]
         )
         increasing_from = _holds_from(
-            [b.beta1_abs > a.beta1_abs for a, b in zip(records, records[1:])],
-            len(records),
+            [b.beta1_abs > a.beta1_abs for a, b in zip(records, records[1:])]
         )
         # Both conditions are monotone in k, so both hold from the later.
         k0 = None

@@ -72,11 +72,9 @@ def F_polynomial(d):
 def H_vector(d):
     """Coefficients (H_0, ..., H_{d+1}) of the shift of F_d to s - 1.
 
-    With a_e = F_{d-e,d} = L_e / L over the common denominator L, the
-    shift is the integer Taylor shift
-    H_k = sum_{e>=k} (-1)^(e-k) C(e, k) L_e / L, so H_{d+1} = 0.
-    The d = 0 case follows the (0, 1) convention; the generic shift
-    degenerates there (see H_polynomial).
+    With a_e = F_{d-e,d} = L_e / L over the common denominator L, H is
+    the integer Taylor shift of sum_e L_e s^e to s - 1, over L, so
+    H_{d+1} = 0.  At d = 0, where the shift degenerates, H is (0, 1).
     """
     if d < 0:
         raise IndexOutOfRange("d must be >= 0")
@@ -87,16 +85,8 @@ def H_vector(d):
             a = [big_F_number(d - e, d) for e in range(d + 1)]
             den = lcm(*(x.denominator for x in a))
             num = [x.numerator * (den // x.denominator) for x in a]
-            _H_memo[d] = tuple(
-                Fraction(
-                    sum(
-                        (-1) ** (e - k) * comb(e, k) * num[e]
-                        for e in range(k, d + 1)
-                    ),
-                    den,
-                )
-                for k in range(d + 2)
-            )
+            shifted = ExactPolynomial(num).shifted(-1).coeffs + (0,)
+            _H_memo[d] = tuple(Fraction(h, den) for h in shifted)
     return _H_memo[d]
 
 

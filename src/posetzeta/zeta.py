@@ -7,8 +7,6 @@ chain vector (N_0, ..., N_d).  The quotient is already reduced, because
 g(1) = N_d > 0.
 """
 
-from math import comb
-
 from .polynomial import ExactPolynomial, ExactRationalFunction
 from .poset import strict_chain_vector
 
@@ -33,12 +31,10 @@ def g_polynomial(p):
 
 
 def g_from_chain_vector(cv):
-    """Integer h-transform: h_j = sum_{i<=j} (-1)^(j-i) C(d-i, j-i) N_i."""
-    d = cv.dim
-    return ExactPolynomial(
-        sum(
-            (-1) ** (j - i) * comb(d - i, j - i) * n
-            for i, n in enumerate(cv.counts[: j + 1])
-        )
-        for j in range(d + 1)
-    )
+    """Integer h-transform of the chain vector.
+
+    The reversed numerator s^d g(1/s) = sum_i N_i (s-1)^(d-i) is the
+    chain polynomial sum_i N_i s^(d-i) taken at s - 1, one Taylor shift.
+    """
+    shifted = ExactPolynomial(reversed(cv.counts)).shifted(-1)
+    return ExactPolynomial(reversed(shifted.coeffs))

@@ -5,15 +5,18 @@ of the code path it cross-checks.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
 from posetzeta import (
+    DivergentAtInfinity,
     ExactMatrix,
     ExactPolynomial,
     ExactRationalFunction,
     build_poset,
+    series_expand,
 )
 from posetzeta.poset import ChainVector, _require_nonempty
 
@@ -285,11 +288,33 @@ def g_by_powers(cv):
 def shift_by_composition(p, a):
     """p(s + a) by Horner-style composition with s + a.
 
-    The former ExactPolynomial.shifted; the oracle for the integer Taylor
-    shift in subdivision.H_vector.
+    The oracle for the synthetic-division Taylor shift
+    ExactPolynomial.shifted, which g_from_chain_vector and H_vector use.
     """
     out = ExactPolynomial()
     s_plus_a = ExactPolynomial([a, 1])
     for c in reversed(p.coeffs):
         out = out * s_plus_a + c
     return out
+
+
+def residue_by_series(f):
+    """-[coefficient of 1/s] of f at infinity, by a reversed series.
+
+    The oracle for polynomial.residue_at_infinity, which reads the same
+    coefficient off one polynomial division.
+    """
+    n = f.numerator.degree
+    m = f.denominator.degree
+    if n > m + 1:
+        raise DivergentAtInfinity(
+            "numerator degree exceeds denominator degree + 1"
+        )
+    # Substitute s = 1/u: f(1/u) = u^(m-n) * rev(num)(u) / rev(den)(u).
+    target = 1 - (m - n)
+    if target < 0:
+        return Fraction(0)
+    rev_num = ExactPolynomial(list(reversed(f.numerator.coeffs)))
+    rev_den = ExactPolynomial(list(reversed(f.denominator.coeffs)))
+    series = series_expand(ExactRationalFunction(rev_num, rev_den), target)
+    return -series[target]

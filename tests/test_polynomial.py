@@ -1,7 +1,7 @@
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posetzeta import (
@@ -12,6 +12,7 @@ from posetzeta import (
     residue_at_infinity,
     series_expand,
 )
+from helpers import residue_by_series, shift_by_composition
 
 
 def test_arithmetic():
@@ -30,6 +31,24 @@ def test_arithmetic():
 def test_eval_and_shift():
     p = ExactPolynomial([1, 0, 1])  # 1 + s^2
     assert p(2) == 5
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0), st.integers(-2**64, 2**64)),
+        min_size=1,
+        max_size=26,
+    ),
+    st.sampled_from([-3, -1, 1, 2]),
+)
+@example([1, 0, 1], -1)  # 1 + (s-1)^2 = 2 - 2s + s^2
+@example([0, 0], 2)
+def test_shift_matches_composition(coeffs, c):
+    p = ExactPolynomial(coeffs)
+    shifted = p.shifted(c)
+    assert shifted == shift_by_composition(p, c)
+    assert all(type(v) is int for v in shifted.coeffs)
 
 
 def _exact(values):
@@ -112,6 +131,32 @@ def test_residue_at_infinity():
         residue_at_infinity(ExactRationalFunction([2, -1], [1, -2, 1])) == 1
     )
     # Numerator degree = denominator degree + 1 is still finite.
-    assert residue_at_infinity(ExactRationalFunction([0, 0, 1], [1, 1])) != 0
+    # s^2/(1+s) = s - 1 + 1/(1+s), whose 1/s coefficient is 1.
+    assert residue_at_infinity(ExactRationalFunction([0, 0, 1], [1, 1])) == -1
     with pytest.raises(DivergentAtInfinity):
         residue_at_infinity(ExactRationalFunction([0, 0, 0, 1], [1, 1]))
+
+
+@st.composite
+def rational_functions(draw):
+    coeff = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=9))
+    den = draw(st.lists(coeff, min_size=1, max_size=5).filter(any))
+    num = draw(st.lists(coeff, max_size=len(den) + 2))
+    return ExactRationalFunction(num, den)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rational_functions())
+@example(ExactRationalFunction([3, 2], [5]))  # constant denominator
+@example(ExactRationalFunction([1, 2, 3], [5]))  # divergent
+@example(ExactRationalFunction([1, 0, 2, 7], [1, 0, 1]))  # deg + 1
+@example(ExactRationalFunction([0], [1, 1]))
+def test_residue_matches_series(f):
+    try:
+        expected = residue_by_series(f)
+    except DivergentAtInfinity:
+        with pytest.raises(DivergentAtInfinity):
+            residue_at_infinity(f)
+        return
+    got = residue_at_infinity(f)
+    assert got == expected and type(got) is Fr

@@ -203,12 +203,13 @@ class TestTheoremReport:
     def test_flags_before_and_after_burn_in(self):
         # g_0 = 3 - 3s + s^2 has non-real roots, so beta1 is real only
         # from k = 2 on, while its modulus increases from the start.
+        # At k_max = 0 there is no step, so no increase to speak of.
         chain = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
         for k_max in (0, 1):
             rep = theorem_report(chain, k_max)
             assert rep.burn_in_k0 is None
             assert rep.beta1_real_from_k0 is False
-            assert rep.modulus_increasing_from_k0 is True
+            assert rep.modulus_increasing_from_k0 is (k_max == 1)
         rep = theorem_report(chain, 2)
         assert rep.burn_in_k0 == 2
         assert rep.beta1_real_from_k0 is True
@@ -230,6 +231,23 @@ class TestTheoremReport:
         rep = theorem_report(chain, 3, precision_bits=53)
         assert len(calls) == 4
         assert rep.beta1_real_from_k0 is True
+
+    def test_modulus_flag_false_when_it_never_increases(self, monkeypatch):
+        # |beta1| falls at every step (0.1, 0.01, ..., 1e-6), so the
+        # modulus increases from no k on; an empty tail must not count.
+        def fake_find_roots(poly, precision_bits):
+            k = len(calls)
+            calls.append(k)
+            return RootSet((mp.mpc(mp.mpf(10) ** -(k + 1)),), (0,), 53)
+
+        calls = []
+        monkeypatch.setattr("posetzeta.roots.find_roots", fake_find_roots)
+        chain = build_poset(["a", "b"], [("a", "b")])  # d = 1: no targets
+        rep = theorem_report(chain, 5, precision_bits=53)
+        assert len(calls) == 6
+        assert rep.beta1_real_from_k0 is True
+        assert rep.modulus_increasing_from_k0 is False
+        assert rep.burn_in_k0 is None
 
     def test_p30(self):
         rep = theorem_report(build_Pn(30), k_max=8)

@@ -72,6 +72,12 @@ def test_g_polynomial_examples():
     assert g_polynomial(p6()) == ExactPolynomial([4, -2])
     antichain = build_poset(["a", "b", "c"], [])
     assert g_polynomial(antichain) == ExactPolynomial([3])
+    # The crown a, b < c, d is a circle: chi = 0, so g drops to degree 0.
+    crown = build_poset(
+        ["a", "b", "c", "d"],
+        [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")],
+    )
+    assert g_polynomial(crown) == ExactPolynomial([4])
 
 
 def test_residue_examples():
