@@ -78,6 +78,6 @@ from .subdivision import (
     transfer_iterate,
     verify_similarity,
 )
-from .zeta import g_polynomial, zeta_rational
+from .zeta import zeta_rational
 
 __version__ = "0.1.0"

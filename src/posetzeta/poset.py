@@ -1,14 +1,13 @@
 """Finite posets, chain counting, and explicit barycentric subdivision.
 
-The strict order is stored per element as a bitmask over element indices
-(a dense bit matrix), transitively closed at construction time so that
-a relation test is one bit lookup.  Every walk over a mask goes through
-``_bits``.  The closure is taken inside Kahn's topological sort, which
-runs from the maximal elements down.  The chain-count dynamic program
-and ``dimension`` sum over the down-sets ``below_masks``, which are
-narrower than the up-sets on posets such as P_n.  Chains are enumerated
-by length and then lexicographically, the element order of the
-subdivision.  All values are immutable after construction.
+The strict order is stored per element as its up-set: the ascending
+tuple of the indices above it, transitively closed at construction time.
+Every walk over "the elements above this one" loops over that row, so
+each costs one step per relation.  The closure is taken inside Kahn's
+topological sort, which runs from the maximal elements down.  The
+chain-count dynamic program counts chains by their least element.
+Chains are enumerated by length and then lexicographically, the element
+order of the subdivision.  All values are immutable after construction.
 """
 
 import json
@@ -28,27 +27,19 @@ from .errors import (
 DEFAULT_SUBDIVISION_CAP = 100_000
 
 
-def _bits(mask):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class Poset:
     """Finite strict partial order over labeled elements.
 
-    ``above[i]`` is the bitmask of indices j with element i < element j;
-    it is always the full transitive closure.  Labels are unique; a
-    repeated label raises DuplicateLabel.
+    ``above[i]`` is the ascending tuple of the indices j with element
+    i < element j; it is always the full transitive closure.  Labels are
+    unique; a repeated label raises DuplicateLabel.
     """
 
     __slots__ = ("labels", "above", "_index")
 
     def __init__(self, labels, above):
         self.labels = tuple(labels)
-        self.above = tuple(above)
+        self.above = tuple(map(tuple, above))
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             dup = Counter(self.labels).most_common(1)[0][0]
@@ -65,14 +56,7 @@ class Poset:
 
     def less(self, a, b):
         """True iff a < b (labels)."""
-        return bool(self.above[self.index(a)] >> self.index(b) & 1)
-
-    def below_masks(self):
-        below = [0] * len(self)
-        for i, mask in enumerate(self.above):
-            for j in _bits(mask):
-                below[j] |= 1 << i
-        return below
+        return self.index(b) in self.above[self.index(a)]
 
     def __repr__(self):
         return f"Poset({len(self)} elements)"
@@ -87,9 +71,11 @@ class ChainVector:
     def __post_init__(self):
         if not self.counts:
             raise ValueError("empty chain vector")
+        if not all(isinstance(c, int) for c in self.counts):
+            raise ValueError("chain counts must be integers")
         if any(c < 1 for c in self.counts):
             raise ValueError("chain counts must be positive")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(self.counts))
 
     @property
     def dim(self):
@@ -116,8 +102,8 @@ def build_poset(labels, relations):
     labels = list(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    direct = [0] * n
-    lower = [0] * n
+    direct = [set() for _ in range(n)]
+    lower = [set() for _ in range(n)]
     for a, b in relations:
         if a not in index:
             raise UnknownLabel(f"unknown element {a!r}")
@@ -126,24 +112,24 @@ def build_poset(labels, relations):
         i, j = index[a], index[b]
         if i == j:
             raise CycleDetected(f"relation {a!r} < {a!r}")
-        direct[i] |= 1 << j
-        lower[j] |= 1 << i
+        direct[i].add(j)
+        lower[j].add(i)
 
     # Kahn's sort from the maximal elements down: an element is popped
     # once all its direct successors are closed, so it closes in one pass.
     # Elements never popped lie on or below a cycle.
-    pending = [m.bit_count() for m in direct]
+    pending = [len(d) for d in direct]
     stack = [i for i in range(n) if not pending[i]]
-    above = [0] * n
+    above = [()] * n
     closed = 0
     while stack:
         i = stack.pop()
         closed += 1
-        acc = direct[i]
-        for j in _bits(direct[i]):
-            acc |= above[j]
-        above[i] = acc
-        for j in _bits(lower[i]):
+        acc = set(direct[i])
+        for j in direct[i]:
+            acc.update(above[j])
+        above[i] = sorted(acc)
+        for j in lower[i]:
             pending[j] -= 1
             if not pending[j]:
                 stack.append(j)
@@ -158,19 +144,17 @@ def _require_nonempty(p):
 
 
 def strict_chain_vector(p):
-    """Counts of strictly increasing sequences of each length."""
+    """Counts of strictly increasing sequences of each length.
+
+    ``cur[i]`` counts the chains of the current length with least
+    element i; one step puts an element below each chain.
+    """
     _require_nonempty(p)
     n = len(p)
-    below = p.below_masks()
     cur = [1] * n
     counts = [n]
     while True:
-        nxt = []
-        for m in below:
-            total = 0
-            for i in _bits(m):
-                total += cur[i]
-            nxt.append(total)
+        nxt = [sum(map(cur.__getitem__, row)) for row in p.above]
         s = sum(nxt)
         if s == 0:
             break
@@ -182,15 +166,13 @@ def strict_chain_vector(p):
 def dimension(p):
     """Length of the longest strict chain."""
     _require_nonempty(p)
-    # Longest-path DP over the closed relation.
-    n = len(p)
-    below = p.below_masks()
-    depth = [0] * n
-    # Process in an order compatible with <: sort by popcount of below.
-    order = sorted(range(n), key=lambda j: below[j].bit_count())
-    for j in order:
-        depth[j] = max((depth[i] + 1 for i in _bits(below[j])), default=0)
-    return max(depth)
+    # Longest-path DP over the closed relation.  An element above i has
+    # a strictly smaller up-set, so rising up-set size is a valid order.
+    above = p.above
+    height = [0] * len(p)
+    for i in sorted(range(len(p)), key=lambda i: len(above[i])):
+        height[i] = max((height[j] + 1 for j in above[i]), default=0)
+    return max(height)
 
 
 def weak_chain_count(p, i):
@@ -202,12 +184,10 @@ def weak_chain_count(p, i):
     _require_nonempty(p)
     if i < 0:
         raise ValueError("length must be >= 0")
+    rows = p.above
     w = [1] * len(p)
     for _ in range(i):
-        w = [
-            w[a] + sum(w[b] for b in _bits(mask))
-            for a, mask in enumerate(p.above)
-        ]
+        w = [w[a] + sum(map(w.__getitem__, row)) for a, row in enumerate(rows)]
     return sum(w)
 
 
@@ -227,7 +207,7 @@ def _all_chains(p):
     chains = []
     while level:
         chains += level
-        level = [c + (j,) for c in level for j in _bits(p.above[c[-1]])]
+        level = [c + (j,) for c in level for j in p.above[c[-1]]]
     return chains
 
 
@@ -237,8 +217,9 @@ def barycentric_subdivision(p, cap=DEFAULT_SUBDIVISION_CAP):
     Chain elements are labeled by joining the original labels along the
     chain with "|", which makes iterated subdivision deterministic; joined
     labels that collide raise DuplicateLabel.  Inclusion is transitive, so
-    each chain's bit goes straight into the masks of its proper sub-chains.
-    ``cap`` is checked before any chain is enumerated.
+    each chain's index goes straight into the rows of its proper
+    sub-chains; chains are visited in index order, so every row comes
+    out ascending.  ``cap`` is checked before any chain is enumerated.
     """
     _require_nonempty(p)
     size = sum(strict_chain_vector(p).counts)
@@ -248,12 +229,11 @@ def barycentric_subdivision(p, cap=DEFAULT_SUBDIVISION_CAP):
         )
     chains = _all_chains(p)
     index = {chain: i for i, chain in enumerate(chains)}
-    above = [0] * len(chains)
+    above = [[] for _ in chains]
     for i, chain in enumerate(chains):
-        bit = 1 << i
         for k in range(1, len(chain)):
             for sub in combinations(chain, k):
-                above[index[sub]] |= bit
+                above[index[sub]].append(i)
     labels = ["|".join(p.labels[j] for j in chain) for chain in chains]
     return Poset(labels, above)
 
@@ -272,12 +252,11 @@ def simplex_face_poset(num_vertices):
 
 def poset_to_dict(p):
     """JSON-ready dict in the poset file format (all strict pairs)."""
+    labels = p.labels
     relations = sorted(
-        [p.labels[i], p.labels[j]]
-        for i, mask in enumerate(p.above)
-        for j in _bits(mask)
+        [labels[i], labels[j]] for i, row in enumerate(p.above) for j in row
     )
-    return {"elements": list(p.labels), "relations": relations}
+    return {"elements": list(labels), "relations": relations}
 
 
 def _is_string_list(value):

@@ -20,16 +20,6 @@ def zeta_rational(p):
     )
 
 
-def g_polynomial(p):
-    """Numerator polynomial sharing its zeros with the chain series.
-
-    Built directly from the strict chain vector as
-    sum_i N_i s^i (1-s)^(d-i); integer coefficients, degree <= d.
-    """
-    cv = strict_chain_vector(p)
-    return g_from_chain_vector(cv)
-
-
 def g_from_chain_vector(cv):
     """Integer h-transform of the chain vector.
 

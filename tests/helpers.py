@@ -205,7 +205,7 @@ def adjacency_matrix(p):
     return ExactMatrix(
         [
             [
-                1 if i == j or (p.above[i] >> j & 1) else 0
+                1 if i == j or j in p.above[i] else 0
                 for j in range(n)
             ]
             for i in range(n)

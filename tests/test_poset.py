@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,15 @@ class TestChainCounts:
         with pytest.raises(ValueError):
             ChainVector((3, 0))
 
+    def test_chain_vector_rejects_non_integers(self):
+        for count in (2.5, Fraction(3, 2)):
+            with pytest.raises(ValueError):
+                ChainVector((count,))
+
+    def test_repeated_relation_pairs(self):
+        p = build_poset(["a", "b", "c"], [("a", "b"), ("a", "b"), ("b", "c")])
+        assert p.above == ((1, 2), (2,), ())
+
 
 class TestRandomOracle:
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -120,9 +130,19 @@ class TestRandomOracle:
         less = brute_closure(relations)
         assert p.labels == tuple(labels)
         assert p.above == tuple(
-            sum(1 << j for j, b in enumerate(labels) if (a, b) in less)
+            tuple(j for j, b in enumerate(labels) if (a, b) in less)
             for a in labels
         )
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dags())
+    def test_rows_are_ascending_index_tuples(self, dag):
+        p = build_poset(*dag)
+        for q in (p, barycentric_subdivision(p)):
+            for row in q.above:
+                assert isinstance(row, tuple)
+                assert all(type(j) is int for j in row)
+                assert all(a < b for a, b in zip(row, row[1:]))
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(dags())

@@ -17,11 +17,12 @@ from posetzeta import (
     build_Pn,
     find_roots,
     g_k_polynomial,
-    g_polynomial,
     simplex_face_poset,
+    strict_chain_vector,
     theorem_report,
 )
 from posetzeta.roots import RootSet, _match, _pick_beta1
+from posetzeta.zeta import g_from_chain_vector
 
 
 def p6():
@@ -65,7 +66,10 @@ class TestFindRoots:
         assert abs(abs(a) - 1) < mp.mpf(2) ** -120
 
     def test_residuals_bounded(self):
-        rs = find_roots(g_polynomial(build_Pn(210)), precision_bits=128)
+        rs = find_roots(
+            g_from_chain_vector(strict_chain_vector(build_Pn(210))),
+            precision_bits=128,
+        )
         assert all(r <= mp.mpf(2) ** -64 for r in rs.residuals)
         assert rs.precision_bits == 128
 
