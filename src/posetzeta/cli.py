@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import mpmath as mp
 
@@ -23,7 +24,6 @@ from .errors import (
     SubdivisionTooLarge,
 )
 from .poset import (
-    DEFAULT_SUBDIVISION_CAP,
     barycentric_subdivision,
     load_poset,
     poset_to_dict,
@@ -47,6 +47,7 @@ from .subdivision import (
 from .zeta import zeta_rational
 
 FLOAT_DIGITS = 20
+DEFAULT_SUBDIVISION_CAP = 100_000
 
 
 # Decimal digits that str() and int() convert in one call; Python caps
@@ -155,13 +156,15 @@ def _cmd_subdivide(args, out):
             )
         cv = transfer_iterate(cv, 1)
     for _ in range(args.times):
-        p = barycentric_subdivision(p, cap=args.cap)
+        p = barycentric_subdivision(p)
     doc = poset_to_dict(p)
     if args.format == "json":
         _write_json(doc, out)
         return
-    rows = [["element", lab, ""] for lab in doc["elements"]]
-    rows += [["relation", a, b] for a, b in doc["relations"]]
+    rows = chain(
+        (["element", lab, ""] for lab in doc["elements"]),
+        (["relation", a, b] for a, b in doc["relations"]),
+    )
     _emit(["kind", "a", "b"], rows, "csv", out)
 
 

@@ -1,12 +1,13 @@
-"""Dense exact polynomials and reduced rational functions.
+"""Dense exact polynomials and their quotients.
 
 Coefficients are kept as given (int or fractions.Fraction); division
 yields Fraction, never float.  Coefficient lists are stored lowest
-degree first and the zero polynomial has degree -1.
+degree first and the zero polynomial has degree -1.  A rational
+function holds its two parts as given, without reduction.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DivergentAtInfinity, PoleAtOrigin
 
@@ -129,90 +130,32 @@ class ExactPolynomial:
                 rem[k - d + j] -= f * b
         return ExactPolynomial(q), ExactPolynomial(rem)
 
-    def exact_div(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        lead = self.leading
-        return ExactPolynomial([Fraction(c, lead) for c in self.coeffs])
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero else a
-
     def __repr__(self):
         return f"ExactPolynomial({[str(c) for c in self.coeffs]})"
 
 
+@dataclass(frozen=True)
 class ExactRationalFunction:
-    """Quotient of integer polynomials, kept reduced.
+    """Quotient of two exact polynomials, held exactly as given.
 
-    The reduced form is normalized so that both parts have integer
-    coefficients with content 1 and the denominator is positive at 0
-    (or has positive leading coefficient when it vanishes there).
+    No common factor is cancelled and no scalar is moved between the
+    parts, so equality and hashing compare the parts as written.  The
+    zeta series needs no reduction: its closed form is already reduced.
     """
 
-    __slots__ = ("numerator", "denominator")
+    numerator: ExactPolynomial
+    denominator: ExactPolynomial
 
-    def __init__(self, numerator, denominator):
-        if not isinstance(numerator, ExactPolynomial):
-            numerator = ExactPolynomial(numerator)
-        if not isinstance(denominator, ExactPolynomial):
-            denominator = ExactPolynomial(denominator)
-        if denominator.is_zero:
+    def __post_init__(self):
+        for name in ("numerator", "denominator"):
+            part = getattr(self, name)
+            if not isinstance(part, ExactPolynomial):
+                object.__setattr__(self, name, ExactPolynomial(part))
+        if self.denominator.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if numerator.is_zero:
-            self.numerator = numerator
-            self.denominator = ExactPolynomial([1])
-            return
-        g = numerator.gcd(denominator)
-        if g.degree > 0:
-            numerator = numerator.exact_div(g)
-            denominator = denominator.exact_div(g)
-        # Clear denominators and strip the common content with a single
-        # scalar so the value of the quotient is unchanged.
-        den = 1
-        for c in numerator.coeffs + denominator.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        num_ints = [int(c * den) for c in numerator.coeffs]
-        den_ints = [int(c * den) for c in denominator.coeffs]
-        content = 0
-        for v in num_ints + den_ints:
-            content = gcd(content, v)
-        numerator = ExactPolynomial([v // content for v in num_ints])
-        denominator = ExactPolynomial([v // content for v in den_ints])
-        anchor = denominator[0] if denominator[0] != 0 else denominator.leading
-        if anchor < 0:
-            numerator = -numerator
-            denominator = -denominator
-        self.numerator = numerator
-        self.denominator = denominator
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactRationalFunction):
-            return NotImplemented
-        return (
-            self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator))
 
     def __call__(self, x):
         return Fraction(self.numerator(x)) / self.denominator(x)
-
-    def __repr__(self):
-        return (
-            f"ExactRationalFunction({self.numerator!r}, {self.denominator!r})"
-        )
 
 
 def series_expand(f, K):

@@ -20,11 +20,8 @@ from .errors import (
     DuplicateLabel,
     EmptyPoset,
     InvalidConfig,
-    SubdivisionTooLarge,
     UnknownLabel,
 )
-
-DEFAULT_SUBDIVISION_CAP = 100_000
 
 
 class Poset:
@@ -211,7 +208,7 @@ def _all_chains(p):
     return chains
 
 
-def barycentric_subdivision(p, cap=DEFAULT_SUBDIVISION_CAP):
+def barycentric_subdivision(p):
     """Poset of all nonempty chains of p, ordered by strict inclusion.
 
     Chain elements are labeled by joining the original labels along the
@@ -219,14 +216,10 @@ def barycentric_subdivision(p, cap=DEFAULT_SUBDIVISION_CAP):
     labels that collide raise DuplicateLabel.  Inclusion is transitive, so
     each chain's index goes straight into the rows of its proper
     sub-chains; chains are visited in index order, so every row comes
-    out ascending.  ``cap`` is checked before any chain is enumerated.
+    out ascending.  It has one element per chain of p, so a caller can
+    bound its size from ``strict_chain_vector(p)`` before building it.
     """
     _require_nonempty(p)
-    size = sum(strict_chain_vector(p).counts)
-    if size > cap:
-        raise SubdivisionTooLarge(
-            f"subdivision has {size} elements, cap is {cap}"
-        )
     chains = _all_chains(p)
     index = {chain: i for i, chain in enumerate(chains)}
     above = [[] for _ in chains]
@@ -247,7 +240,7 @@ def simplex_face_poset(num_vertices):
         raise ValueError("need at least one vertex")
     verts = [f"v{i}" for i in range(1, num_vertices + 1)]
     chain = build_poset(verts, zip(verts, verts[1:]))
-    return barycentric_subdivision(chain, cap=2**num_vertices)
+    return barycentric_subdivision(chain)
 
 
 def poset_to_dict(p):

@@ -12,7 +12,7 @@ from .poset import strict_chain_vector
 
 
 def zeta_rational(p):
-    """Reduced rational form of the weak-chain generating series."""
+    """Rational form of the weak-chain generating series, reduced as built."""
     cv = strict_chain_vector(p)
     return ExactRationalFunction(
         g_from_chain_vector(cv),

@@ -237,7 +237,10 @@ def poly_determinant(m):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is one else num.exact_div(prev)
+                if prev is not one:
+                    num, rem = num.divmod(prev)
+                    assert rem.is_zero, "inexact Bareiss division"
+                a[i][j] = num
             a[i][k] = ExactPolynomial()
         prev = a[k][k]
     det = a[n - 1][n - 1]
@@ -245,7 +248,7 @@ def poly_determinant(m):
 
 
 def determinant_zeta(p):
-    """Reduced chain series as sum{adj(I - A s)} / det(I - A s).
+    """Chain series as sum{adj(I - A s)} / det(I - A s), not reduced.
 
     A is the reflexive adjacency matrix.  The cofactor sum uses the
     rank-one identity sum{adj(M)} = det(M + J) - det(M), J the all-ones

@@ -9,7 +9,6 @@ from posetzeta import (
     CycleDetected,
     DuplicateLabel,
     EmptyPoset,
-    SubdivisionTooLarge,
     UnknownLabel,
     barycentric_subdivision,
     build_poset,
@@ -197,10 +196,6 @@ class TestSubdivision:
             sd = barycentric_subdivision(p)
             assert euler_characteristic(sd) == euler_characteristic(p)
             assert dimension(sd) == dimension(p)
-
-    def test_cap(self):
-        with pytest.raises(SubdivisionTooLarge):
-            barycentric_subdivision(p30_explicit(), cap=10)
 
     def test_label_collision(self):
         p = build_poset(["a", "b", "a|b"], [("a", "b")])
