@@ -33,7 +33,6 @@ from .primes import (
     alpha_record,
     chi_Pn,
     dim_asymptotic_report,
-    mertens,
     pi_weight,
     squarefree_sieve,
 )
@@ -240,7 +239,7 @@ def _cmd_pn(args, out):
             [
                 rec.n,
                 rec.chi,
-                mertens(n),
+                1 - rec.chi,
                 rec.d,
                 rec.top_chains,
                 fmt_rational(rec.H1),

@@ -279,7 +279,7 @@ def load_poset(path):
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or a too-long integer
             raise InvalidConfig(f"{path}: {exc}") from None
         except RecursionError:
             raise InvalidConfig(f"{path}: JSON nested too deeply") from None

@@ -9,8 +9,9 @@ zeros of the chain series.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd
 from operator import mul
 
 from .errors import BruteForceTooLarge, DimensionZero, IndexOutOfRange
@@ -20,74 +21,78 @@ from .poset import ChainVector, strict_chain_vector
 
 BRUTE_FORCE_MAX_D = 8
 
-# Process-global memo tables; fills are idempotent, so concurrent readers
-# are safe.
-_f_memo = {(-1, -1): 1}
-_F_memo = {}
-_H_memo = {}
+
+@cache
+def _f(i, d):
+    # Ordered partitions of d + 1 vertices into i + 1 blocks, (i+1)!
+    # S(d+1, i+1), by inclusion-exclusion over the blocks left empty.
+    # The sum is 0 for i > d too; the guard only skips its terms.
+    n = i + 1
+    terms = ((-1) ** m * comb(n, m) * (n - m) ** (d + 1) for m in range(n + 1))
+    return sum(terms) if i <= d else 0
 
 
 def f_number(i, d):
     """Chains of length i in the subdivision ending at a fixed d-chain."""
     if i < -1 or d < -1:
         raise ValueError("indices must be >= -1")
-    if i == -1:
-        return 1 if d == -1 else 0
-    if d == -1 or i > d:
-        return 0
-    key = (i, d)
-    if key not in _f_memo:
-        _f_memo[key] = sum(
-            comb(d + 1, j) * f_number(i - 1, j - 1) for j in range(i, d + 1)
-        )
-    return _f_memo[key]
+    return _f(i, d)
+
+
+@cache
+def _F_column(d):
+    # Integers a_0..a_d and den with F_{i,d} = a_i / den, by integer
+    # back-substitution of f F = (d+1)! F from a_d = den = 1.
+    a = [0] * d + [1]
+    den = 1
+    for i in range(d - 1, -1, -1):
+        s = sum(_f(i, j) * a[j] for j in range(i + 1, d + 1))
+        m = factorial(d + 1) - factorial(i + 1)
+        g = gcd(s, m)
+        m //= g
+        a[i + 1:] = [x * m for x in a[i + 1:]]
+        den *= m
+        a[i] = s // g
+    return tuple(a), den
 
 
 def big_F_number(i, d):
     """Eigenvector component for the top eigenvalue of the f-matrix."""
     if d < 0 or i < -1 or i > d:
         raise IndexOutOfRange(f"F_{{{i},{d}}} undefined")
-    if i == d:
-        return Fraction(1)
     if i == -1:
         return Fraction(0)
-    key = (i, d)
-    if key not in _F_memo:
-        total = sum(
-            f_number(i, j) * big_F_number(j, d) for j in range(i + 1, d + 1)
-        )
-        _F_memo[key] = Fraction(total, factorial(d + 1) - factorial(i + 1))
-    return _F_memo[key]
+    a, den = _F_column(d)
+    return Fraction(a[i], den)
 
 
 def F_polynomial(d):
     """Polynomial with coefficient of s^(d-i) equal to F_{i,d}."""
     if d < 0:
         raise IndexOutOfRange("d must be >= 0")
-    return ExactPolynomial(
-        [big_F_number(d - e, d) for e in range(d + 2)]
-    )
+    a, den = _F_column(d)
+    return ExactPolynomial([Fraction(x, den) for x in reversed(a)])
 
 
 def H_vector(d):
     """Coefficients (H_0, ..., H_{d+1}) of the shift of F_d to s - 1.
 
-    With a_e = F_{d-e,d} = L_e / L over the common denominator L, H is
-    the integer Taylor shift of sum_e L_e s^e to s - 1, over L, so
-    H_{d+1} = 0.  At d = 0, where the shift degenerates, H is (0, 1).
+    With F_{i,d} = a_i / den, H is the integer Taylor shift of
+    sum_i a_i s^(d-i) to s - 1, over den, so H_{d+1} = 0.  At d = 0,
+    where the shift degenerates, H is (0, 1).
     """
     if d < 0:
         raise IndexOutOfRange("d must be >= 0")
-    if d not in _H_memo:
-        if d == 0:
-            _H_memo[d] = (Fraction(0), Fraction(1))
-        else:
-            a = [big_F_number(d - e, d) for e in range(d + 1)]
-            den = lcm(*(x.denominator for x in a))
-            num = [x.numerator * (den // x.denominator) for x in a]
-            shifted = ExactPolynomial(num).shifted(-1).coeffs + (0,)
-            _H_memo[d] = tuple(Fraction(h, den) for h in shifted)
-    return _H_memo[d]
+    return _H_vector(d)
+
+
+@cache
+def _H_vector(d):
+    if d == 0:
+        return (Fraction(0), Fraction(1))
+    a, den = _F_column(d)
+    shifted = ExactPolynomial(reversed(a)).shifted(-1).coeffs + (0,)
+    return tuple(Fraction(h, den) for h in shifted)
 
 
 def H_polynomial(d):
@@ -171,7 +176,7 @@ def f_matrix(d):
         raise IndexOutOfRange("d must be >= 0")
     return ExactMatrix(
         [
-            [f_number(i, j) for j in range(-1, d + 1)]
+            [_f(i, j) for j in range(-1, d + 1)]
             for i in range(-1, d + 1)
         ]
     )
@@ -238,7 +243,7 @@ def transfer_iterate(start, k):
     if k < 0:
         raise ValueError("k must be >= 0")
     d = start.dim
-    rows = [[f_number(i, j) for j in range(i, d + 1)] for i in range(d + 1)]
+    rows = [[_f(i, j) for j in range(i, d + 1)] for i in range(d + 1)]
     counts = start.counts
     for _ in range(k):
         counts = [sum(map(mul, r, counts[i:])) for i, r in enumerate(rows)]

@@ -6,7 +6,9 @@ of the code path it cross-checks.
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
+from math import comb, factorial
 
 from hypothesis import strategies as st
 
@@ -321,3 +323,37 @@ def residue_by_series(f):
     rev_den = ExactPolynomial(list(reversed(f.denominator.coeffs)))
     series = series_expand(ExactRationalFunction(rev_num, rev_den), target)
     return -series[target]
+
+
+@cache
+def f_by_recursion(i, d):
+    """f_{i,d} by the recursion over the last block's size.
+
+    The former body of subdivision.f_number; the oracle for its closed
+    form (i+1)! S(d+1, i+1).
+    """
+    if i == -1:
+        return 1 if d == -1 else 0
+    if d == -1 or i > d:
+        return 0
+    return sum(
+        comb(d + 1, j) * f_by_recursion(i - 1, j - 1) for j in range(i, d + 1)
+    )
+
+
+@cache
+def big_F_by_recurrence(i, d):
+    """F_{i,d} by the Fraction recurrence, reduced once per term.
+
+    The former body of subdivision.big_F_number; the oracle for its
+    integer column over one denominator.
+    """
+    if i == d:
+        return Fraction(1)
+    if i == -1:
+        return Fraction(0)
+    total = sum(
+        f_by_recursion(i, j) * big_F_by_recurrence(j, d)
+        for j in range(i + 1, d + 1)
+    )
+    return Fraction(total, factorial(d + 1) - factorial(i + 1))

@@ -288,6 +288,10 @@ class TestExitCodes:
                 b'{"elements": ["\xff"], "relations": []}', id="invalid-utf8"
             ),
             pytest.param(
+                b'{"elements": [' + b"9" * 5000 + b'], "relations": []}',
+                id="huge-integer",
+            ),
+            pytest.param(
                 b'{"elements": ["a", "a"], "relations": []}',
                 id="duplicate-label",
             ),

@@ -31,8 +31,10 @@ from posetzeta import (
 )
 from posetzeta.zeta import g_from_chain_vector
 from helpers import (
+    big_F_by_recurrence,
     chain_vectors,
     descents,
+    f_by_recursion,
     flag_chain_count,
     shift_by_composition,
 )
@@ -129,6 +131,20 @@ class TestHNumbers:
             # Equivalent statements through the two polynomials.
             assert H_polynomial(d)(1) == 1
             assert F_polynomial(d)(0) == 1
+
+
+def test_numbers_match_slow_routes():
+    for i in range(-1, 61):
+        for d in range(-1, 61):
+            assert f_number(i, d) == f_by_recursion(i, d), (i, d)
+    for d in range(41):
+        column = [big_F_by_recurrence(i, d) for i in range(-1, d + 1)]
+        assert [big_F_number(i, d) for i in range(-1, d + 1)] == column, d
+        oracle = ExactPolynomial(reversed(column))
+        assert F_polynomial(d) == oracle, d
+        if d:
+            shifted = shift_by_composition(oracle, -1)
+            assert H_vector(d) == tuple(shifted[k] for k in range(d + 2)), d
 
 
 class TestDescentMatrix:
