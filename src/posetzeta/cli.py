@@ -20,6 +20,7 @@ import mpmath as mp
 from .errors import (
     InvalidConfig,
     PosetZetaError,
+    RangeTooLarge,
     ResourceCapExceeded,
     SubdivisionTooLarge,
 )
@@ -47,6 +48,8 @@ from .zeta import zeta_rational
 
 FLOAT_DIGITS = 20
 DEFAULT_SUBDIVISION_CAP = 100_000
+# The F and H triangles cost about d^6: --dmax 140 takes 7x as long as 100.
+TABLES_DMAX_CAP = 100
 
 
 # Decimal digits that str() and int() convert in one call; Python caps
@@ -102,6 +105,8 @@ def _write_json(doc, out):
 
 
 def _emit(header, rows, fmt, out):
+    # CSV writes each row as it is made, so every check that can fail runs
+    # before a command makes its first row: no error leaves half a document.
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -111,21 +116,16 @@ def _emit(header, rows, fmt, out):
 
 
 def _cmd_tables(args, out):
-    kind = args.kind
-    rows = []
-    if kind == "f":
-        for i in range(args.dmax + 1):
-            for d in range(args.dmax + 1):
-                rows.append([i, d, fmt_rational(f_number(i, d))])
-    elif kind == "F":
-        for d in range(args.dmax + 1):
-            for i in range(d + 1):
-                rows.append([i, d, fmt_rational(big_F_number(i, d))])
+    if args.dmax > TABLES_DMAX_CAP:
+        raise RangeTooLarge(f"--dmax {args.dmax} exceeds {TABLES_DMAX_CAP}")
+    ds = range(args.dmax + 1)
+    if args.kind == "f":
+        cells = ((i, d, f_number(i, d)) for i in ds for d in ds)
+    elif args.kind == "F":
+        cells = ((i, d, big_F_number(i, d)) for d in ds for i in range(d + 1))
     else:  # H
-        for d in range(args.dmax + 1):
-            hv = H_vector(d)
-            for i in range(d + 2):
-                rows.append([i, d, fmt_rational(hv[i])])
+        cells = ((i, d, h) for d in ds for i, h in enumerate(H_vector(d)))
+    rows = ([i, d, fmt_rational(v)] for i, d, v in cells)
     _emit(["i", "d", "value"], rows, args.format, out)
 
 
@@ -137,8 +137,10 @@ def _cmd_zeta(args, out):
     if args.format == "json":
         _write_json({"numerator": num, "denominator": den}, out)
         return
-    rows = [["numerator", e, c] for e, c in enumerate(num)]
-    rows += [["denominator", e, c] for e, c in enumerate(den)]
+    rows = chain(
+        (["numerator", e, c] for e, c in enumerate(num)),
+        (["denominator", e, c] for e, c in enumerate(den)),
+    )
     _emit(["part", "exponent", "coefficient"], rows, "csv", out)
 
 
@@ -183,7 +185,7 @@ _TRAJECTORY_HEADER = [
 def _cmd_theorem_check(args, out):
     p = load_poset(args.input)
     report = theorem_report(p, args.kmax, args.precision_bits)
-    rows = [
+    rows = (
         [
             rec.k,
             fmt_float(mp.re(rec.beta1)),
@@ -196,7 +198,7 @@ def _cmd_theorem_check(args, out):
             report.precision_bits,
         ]
         for rec in report.records
-    ]
+    )
     if args.format == "json":
         doc = {
             "rows": [dict(zip(_TRAJECTORY_HEADER, row)) for row in rows],
@@ -213,65 +215,65 @@ def _cmd_theorem_check(args, out):
     _emit(_TRAJECTORY_HEADER, rows, "csv", out)
 
 
+def _at_least(lo):
+    # argparse type for an int >= lo.  It raises InvalidConfig, not the
+    # ValueError argparse would catch, so main can map it to exit 2.
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise InvalidConfig(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise InvalidConfig(f"expected an integer >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def _n_list(text):
+    return [_at_least(16)(v) for v in text.split(",")]
+
+
 def _parse_range(text):
-    try:
-        lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise InvalidConfig(f"bad range {text!r}, expected lo:hi") from None
-    if lo > hi or lo < 2:
-        raise InvalidConfig(f"bad range {text!r}")
-    return lo, hi
+    lo, _, hi = text.partition(":")
+    lo, hi = _at_least(2)(lo), _at_least(2)(hi)
+    if lo > hi:
+        raise InvalidConfig(f"bad range {text!r}, expected lo <= hi")
+    return range(lo, hi + 1)
 
 
 def _cmd_pn(args, out):
-    lo, hi = _parse_range(args.range)
-    squarefree_sieve(hi)  # raises RangeTooLarge before any row is computed
-    rows = []
+    ns = args.range
+    squarefree_sieve(ns[-1])  # raises RangeTooLarge before any row is made
     if args.pn_command == "chi":
-        for n in range(lo, hi + 1):
-            rows.append([n, chi_Pn(n)])
-        _emit(["n", "chi"], rows, args.format, out)
+        _emit(["n", "chi"], ([n, chi_Pn(n)] for n in ns), args.format, out)
         return
-    for n in range(lo, hi + 1):
-        rec = alpha_record(n)
-        rows.append(
-            [
-                rec.n,
-                rec.chi,
-                1 - rec.chi,
-                rec.d,
-                rec.top_chains,
-                fmt_rational(rec.H1),
-                fmt_rational(rec.alpha),
-            ]
-        )
-    _emit(
-        ["n", "chi", "mertens", "dim", "top_chains", "H1", "alpha"],
-        rows,
-        args.format,
-        out,
+    rows = (
+        [
+            rec.n,
+            rec.chi,
+            1 - rec.chi,
+            rec.d,
+            rec.top_chains,
+            fmt_rational(rec.H1),
+            fmt_rational(rec.alpha),
+        ]
+        for rec in map(alpha_record, ns)
     )
+    header = ["n", "chi", "mertens", "dim", "top_chains", "H1", "alpha"]
+    _emit(header, rows, args.format, out)
 
 
 def _cmd_pi_weight(args, out):
-    if args.d < 1:
-        raise InvalidConfig("--d must be at least 1")
     rows = [[args.d, args.x, pi_weight(args.d, args.x)]]
     _emit(["d", "x", "count"], rows, args.format, out)
 
 
 def _cmd_dim_report(args, out):
-    try:
-        n_list = [int(v) for v in args.n.split(",")]
-    except ValueError:
-        raise InvalidConfig(f"bad --n {args.n!r}, expected integers") from None
-    if any(n < 16 for n in n_list):
-        raise InvalidConfig("--n values must be at least 16")
-    rows = [
+    rows = (
         [r.n, r.d, repr(r.estimate), repr(r.ratio), int(r.in_band)]
-        for r in dim_asymptotic_report(n_list)
-    ]
+        for r in dim_asymptotic_report(args.n)
+    )
     _emit(["n", "dim", "estimate", "ratio", "in_band"], rows, args.format, out)
 
 
@@ -292,7 +294,7 @@ def build_parser():
 
     sp = sub.add_parser("tables", help="emit the f/F/H number triangles")
     sp.add_argument("--kind", choices=["f", "F", "H"], required=True)
-    sp.add_argument("--dmax", type=int, default=7)
+    sp.add_argument("--dmax", type=_at_least(0), default=7)
     common(sp)
     sp.set_defaults(func=_cmd_tables)
 
@@ -303,8 +305,10 @@ def build_parser():
 
     sp = sub.add_parser("subdivide", help="explicit barycentric subdivision")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--times", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=DEFAULT_SUBDIVISION_CAP)
+    sp.add_argument("--times", type=_at_least(0), default=1)
+    sp.add_argument(
+        "--cap", type=_at_least(0), default=DEFAULT_SUBDIVISION_CAP
+    )
     common(sp)
     sp.set_defaults(func=_cmd_subdivide, format="json")
 
@@ -314,8 +318,8 @@ def build_parser():
         help="root trajectory under subdivision, with convergence flags",
     )
     sp.add_argument("--input", required=True)
-    sp.add_argument("--kmax", type=int, default=8)
-    sp.add_argument("--precision-bits", type=int, default=256)
+    sp.add_argument("--kmax", type=_at_least(0), default=8)
+    sp.add_argument("--precision-bits", type=_at_least(53), default=256)
     common(sp)
     sp.set_defaults(func=_cmd_theorem_check)
 
@@ -323,18 +327,22 @@ def build_parser():
     pn_sub = sp.add_subparsers(dest="pn_command", required=True)
     for name in ("chi", "alpha"):
         psp = pn_sub.add_parser(name)
-        psp.add_argument("--range", required=True, help="lo:hi inclusive")
+        psp.add_argument(
+            "--range", type=_parse_range, required=True, help="lo:hi inclusive"
+        )
         common(psp)
         psp.set_defaults(func=_cmd_pn)
 
     sp = sub.add_parser("pi-weight", help="count squarefree by prime weight")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=_at_least(1), required=True)
     sp.add_argument("--x", type=int, required=True)
     common(sp)
     sp.set_defaults(func=_cmd_pi_weight)
 
     sp = sub.add_parser("dim-report", help="dimension growth diagnostics")
-    sp.add_argument("--n", required=True, help="comma-separated n values")
+    sp.add_argument(
+        "--n", type=_n_list, required=True, help="comma-separated n values"
+    )
     common(sp)
     sp.set_defaults(func=_cmd_dim_report)
 
@@ -342,32 +350,12 @@ def build_parser():
 
 
 def run(argv=None, out=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    numeric = [
-        v
-        for v in (
-            getattr(args, "dmax", None),
-            getattr(args, "times", None),
-            getattr(args, "kmax", None),
-            getattr(args, "precision_bits", None),
-            getattr(args, "cap", None),
-        )
-        if v is not None
-    ]
-    if any(v < 0 for v in numeric):
-        raise InvalidConfig("numeric options must be nonnegative")
-    bits = getattr(args, "precision_bits", None)
-    if bits is not None and bits < 53:
-        raise InvalidConfig("precision-bits must be at least 53")
-    if out is not None:
-        args.func(args, out)
-        return
-    if args.output:
+    args = build_parser().parse_args(argv)
+    if out is None and args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             args.func(args, fh)
     else:
-        args.func(args, sys.stdout)
+        args.func(args, sys.stdout if out is None else out)
 
 
 def run_to_string(argv):

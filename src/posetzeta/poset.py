@@ -260,7 +260,8 @@ def poset_from_dict(data):
     """Poset from a document in the file format, checked before building.
 
     A document that is not an object with a list of string "elements"
-    and a list of [a, b] string "relations" raises InvalidConfig.
+    and a list of [a, b] string "relations" raises InvalidConfig, and one
+    with no elements raises EmptyPoset.
     """
     if not isinstance(data, dict):
         raise InvalidConfig("poset document must be a JSON object")
@@ -272,6 +273,8 @@ def poset_from_dict(data):
         _is_string_list(r) and len(r) == 2 for r in relations
     ):
         raise InvalidConfig('"relations" must be a list of string pairs')
+    if not elements:
+        raise EmptyPoset("poset document has no elements")
     return build_poset(elements, relations)
 
 

@@ -308,6 +308,8 @@ def _holds_from(flags):
 
 def theorem_report(p, k_max, precision_bits=256):
     """Per-k diagnostics for the dominant and bounded roots."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     cv = strict_chain_vector(p)
     d = cv.dim
     if d < 1:

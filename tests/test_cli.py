@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -18,7 +20,14 @@ from posetzeta import (
     save_poset,
     strict_chain_vector,
 )
-from posetzeta.cli import fmt_rational, main, parse_rational, run_to_string
+from posetzeta.cli import (
+    fmt_rational,
+    main,
+    parse_rational,
+    run,
+    run_to_string,
+)
+from posetzeta.primes import squarefree_sieve
 
 
 # A well-formed poset whose subdivision joins "a" and "b" into a second "a|b".
@@ -216,6 +225,20 @@ class TestPnCommands:
         assert main(["pn", "chi", "--range", "10:2"]) == 2
         assert main(["pn", "chi", "--range", "nope"]) == 2
 
+    def test_chi_rows_are_streamed(self):
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        squarefree_sieve(50000)  # the sieve is not what this measures
+        tracemalloc.start()
+        try:
+            run(["pn", "chi", "--range", "2:50000"], out=Sink())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 def test_pi_weight_and_dim_report():
     header, rows = parse_csv(
@@ -238,6 +261,10 @@ class TestExitCodes:
 
     def test_invalid_config(self):
         assert main(["tables", "--kind", "f", "--dmax", "-1"]) == 2
+        assert main(["tables", "--kind", "f", "--dmax", "abc"]) == 2
+        assert main(["subdivide", "--input", "x", "--times", "-1"]) == 2
+        assert main(["subdivide", "--input", "x", "--cap", "-1"]) == 2
+        assert main(["zeros", "--input", "x", "--kmax", "-1"]) == 2
         assert main(["zeros", "--input", "x", "--precision-bits", "40"]) == 2
         for d in ("0", "-2"):
             assert main(["pi-weight", "--d", d, "--x", "30"]) == 2
@@ -264,6 +291,17 @@ class TestExitCodes:
                 "10",
             ]
         ) == 4
+
+    def test_tables_dmax_cap(self):
+        # The cap is checked before any row: at the cap, H takes seconds.
+        start = time.perf_counter()
+        assert main(["tables", "--kind", "H", "--dmax", "101"]) == 4
+        assert time.perf_counter() - start < 1
+
+    def test_empty_document_subdivided_zero_times(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_bytes(b'{"elements": [], "relations": []}')
+        assert main(["subdivide", "--input", str(path), "--times", "0"]) == 2
 
     def test_missing_file(self, tmp_path):
         assert main(["zeta", "--input", str(tmp_path / "absent.json")]) == 2

@@ -283,3 +283,11 @@ class TestTheoremReport:
         )
         with pytest.raises(ZeroEulerCharacteristic):
             theorem_report(circle, 2)
+
+    def test_negative_k_max(self, monkeypatch):
+        def fail(p):
+            raise AssertionError("chain vector computed before the k_max check")
+
+        monkeypatch.setattr("posetzeta.roots.strict_chain_vector", fail)
+        with pytest.raises(ValueError, match="k_max must be >= 0"):
+            theorem_report(build_Pn(30), -1)
