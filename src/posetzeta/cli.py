@@ -1,17 +1,20 @@
 """Command-line surface: deterministic CSV/JSON table and report emitters.
 
-Exit codes: 0 success, 2 invalid configuration, 3 computation error,
-4 resource cap exceeded.  Exact rationals are always serialized as
+Exit codes: 0 success, 2 invalid configuration (argparse's usage errors
+included: a missing or unknown option or command, a bad choice), 3
+computation error, 4 resource cap exceeded.  A refused run writes
+nothing: every check runs before ``--output`` is opened, so that file is
+neither created nor truncated.  Exact rationals are always serialized as
 "p/q" strings (or a bare integer).  Floats appear in root-tracking
 output, printed with 20 significant digits alongside the precision
 used, and in the dim-report estimate and ratio, printed by repr().
 """
 
-import argparse
 import csv
 import io
 import json
 import sys
+from argparse import ArgumentParser, ArgumentTypeError
 from fractions import Fraction
 from itertools import chain
 
@@ -97,25 +100,22 @@ def fmt_float(x):
     return mp.nstr(mp.mpf(x), FLOAT_DIGITS, strip_zeros=False)
 
 
-def _write_json(doc, out):
-    # json.dump streams: a subdivision's document is never held as one
-    # string beside the output buffer.
-    json.dump(doc, out, indent=2)
-    out.write("\n")
-
-
-def _emit(header, rows, fmt, out):
-    # CSV writes each row as it is made, so every check that can fail runs
-    # before a command makes its first row: no error leaves half a document.
+def _emit(header, rows, doc, fmt, out):
+    # CSV writes each row as it is made.  JSON writes `doc`, or the rows as
+    # a list of objects when it is None; json.dump streams, so a
+    # subdivision's document is never held as one string beside `out`.
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    else:
-        _write_json([dict(zip(header, row)) for row in rows], out)
+        return
+    if doc is None:
+        doc = [dict(zip(header, row)) for row in rows]
+    json.dump(doc, out, indent=2)
+    out.write("\n")
 
 
-def _cmd_tables(args, out):
+def _cmd_tables(args):
     if args.dmax > TABLES_DMAX_CAP:
         raise RangeTooLarge(f"--dmax {args.dmax} exceeds {TABLES_DMAX_CAP}")
     ds = range(args.dmax + 1)
@@ -126,25 +126,23 @@ def _cmd_tables(args, out):
     else:  # H
         cells = ((i, d, h) for d in ds for i, h in enumerate(H_vector(d)))
     rows = ([i, d, fmt_rational(v)] for i, d, v in cells)
-    _emit(["i", "d", "value"], rows, args.format, out)
+    return ["i", "d", "value"], rows, None
 
 
-def _cmd_zeta(args, out):
+def _cmd_zeta(args):
     p = load_poset(args.input)
     z = zeta_rational(p)
     num = [fmt_rational(c) for c in z.numerator.coeffs]
     den = [fmt_rational(c) for c in z.denominator.coeffs]
-    if args.format == "json":
-        _write_json({"numerator": num, "denominator": den}, out)
-        return
     rows = chain(
         (["numerator", e, c] for e, c in enumerate(num)),
         (["denominator", e, c] for e, c in enumerate(den)),
     )
-    _emit(["part", "exponent", "coefficient"], rows, "csv", out)
+    doc = {"numerator": num, "denominator": den}
+    return ["part", "exponent", "coefficient"], rows, doc
 
 
-def _cmd_subdivide(args, out):
+def _cmd_subdivide(args):
     p = load_poset(args.input)
     # A subdivision's size is the chain sum of the poset it subdivides, so
     # every iterate is checked against the cap before the first is built.
@@ -159,33 +157,23 @@ def _cmd_subdivide(args, out):
     for _ in range(args.times):
         p = barycentric_subdivision(p)
     doc = poset_to_dict(p)
-    if args.format == "json":
-        _write_json(doc, out)
-        return
     rows = chain(
         (["element", lab, ""] for lab in doc["elements"]),
         (["relation", a, b] for a, b in doc["relations"]),
     )
-    _emit(["kind", "a", "b"], rows, "csv", out)
+    return ["kind", "a", "b"], rows, doc
 
 
 _TRAJECTORY_HEADER = [
-    "k",
-    "beta1_re",
-    "beta1_im",
-    "beta1_abs",
-    "es_ratio",
-    "product_re",
-    "product_im",
-    "max_match_distance",
-    "precision_bits",
+    "k", "beta1_re", "beta1_im", "beta1_abs", "es_ratio", "product_re",
+    "product_im", "max_match_distance", "precision_bits",
 ]
 
 
-def _cmd_theorem_check(args, out):
+def _cmd_theorem_check(args):
     p = load_poset(args.input)
     report = theorem_report(p, args.kmax, args.precision_bits)
-    rows = (
+    rows = [
         [
             rec.k,
             fmt_float(mp.re(rec.beta1)),
@@ -198,36 +186,29 @@ def _cmd_theorem_check(args, out):
             report.precision_bits,
         ]
         for rec in report.records
-    )
-    if args.format == "json":
-        doc = {
-            "rows": [dict(zip(_TRAJECTORY_HEADER, row)) for row in rows],
-            "burn_in_k0": report.burn_in_k0,
-            "beta1_real_from_k0": report.beta1_real_from_k0,
-            "modulus_increasing_from_k0": report.modulus_increasing_from_k0,
-            "es_ratio_final": fmt_float(report.es_ratio_final),
-            "max_match_distance_final": fmt_float(
-                report.max_match_distance_final
-            ),
-        }
-        _write_json(doc, out)
-        return
-    _emit(_TRAJECTORY_HEADER, rows, "csv", out)
+    ]
+    doc = {
+        "rows": [dict(zip(_TRAJECTORY_HEADER, row)) for row in rows],
+        "burn_in_k0": report.burn_in_k0,
+        "beta1_real_from_k0": report.beta1_real_from_k0,
+        "modulus_increasing_from_k0": report.modulus_increasing_from_k0,
+        "es_ratio_final": fmt_float(report.es_ratio_final),
+        "max_match_distance_final": fmt_float(report.max_match_distance_final),
+    }
+    return _TRAJECTORY_HEADER, rows, doc
 
 
 def _at_least(lo):
-    # argparse type for an int >= lo.  It raises InvalidConfig, not the
-    # ValueError argparse would catch, so main can map it to exit 2.
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise InvalidConfig(f"expected an integer, got {text!r}") from None
+    # argparse type for an int >= lo; argparse reports int()'s ValueError.
+    def integer(text):
+        value = int(text)
         if value < lo:
-            raise InvalidConfig(f"expected an integer >= {lo}, got {value}")
+            raise ArgumentTypeError(
+                f"expected an integer >= {lo}, got {value}"
+            )
         return value
 
-    return parse
+    return integer
 
 
 def _n_list(text):
@@ -238,16 +219,15 @@ def _parse_range(text):
     lo, _, hi = text.partition(":")
     lo, hi = _at_least(2)(lo), _at_least(2)(hi)
     if lo > hi:
-        raise InvalidConfig(f"bad range {text!r}, expected lo <= hi")
+        raise ArgumentTypeError(f"bad range {text!r}, expected lo <= hi")
     return range(lo, hi + 1)
 
 
-def _cmd_pn(args, out):
+def _cmd_pn(args):
     ns = args.range
     squarefree_sieve(ns[-1])  # raises RangeTooLarge before any row is made
     if args.pn_command == "chi":
-        _emit(["n", "chi"], ([n, chi_Pn(n)] for n in ns), args.format, out)
-        return
+        return ["n", "chi"], ([n, chi_Pn(n)] for n in ns), None
     rows = (
         [
             rec.n,
@@ -261,24 +241,31 @@ def _cmd_pn(args, out):
         for rec in map(alpha_record, ns)
     )
     header = ["n", "chi", "mertens", "dim", "top_chains", "H1", "alpha"]
-    _emit(header, rows, args.format, out)
+    return header, rows, None
 
 
-def _cmd_pi_weight(args, out):
+def _cmd_pi_weight(args):
     rows = [[args.d, args.x, pi_weight(args.d, args.x)]]
-    _emit(["d", "x", "count"], rows, args.format, out)
+    return ["d", "x", "count"], rows, None
 
 
-def _cmd_dim_report(args, out):
+def _cmd_dim_report(args):
     rows = (
         [r.n, r.d, repr(r.estimate), repr(r.ratio), int(r.in_band)]
         for r in dim_asymptotic_report(args.n)
     )
-    _emit(["n", "dim", "estimate", "ratio", "in_band"], rows, args.format, out)
+    return ["n", "dim", "estimate", "ratio", "in_band"], rows, None
+
+
+class _Parser(ArgumentParser):
+    # A usage error is a bad configuration like any other: main returns 2
+    # for it instead of argparse printing usage and raising SystemExit.
+    def error(self, message):
+        raise InvalidConfig(message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posetzeta",
         description=(
             "Exact chain-count tables, subdivision dynamics, and "
@@ -350,12 +337,16 @@ def build_parser():
 
 
 def run(argv=None, out=None):
+    # Each _cmd_* runs all its checks before it returns (header, rows, doc)
+    # and only then is a sink chosen: a refused run writes no byte and
+    # opens no file, so --output is neither created nor truncated.
     args = build_parser().parse_args(argv)
+    result = args.func(args)
     if out is None and args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            args.func(args, fh)
+            _emit(*result, args.format, fh)
     else:
-        args.func(args, sys.stdout if out is None else out)
+        _emit(*result, args.format, sys.stdout if out is None else out)
 
 
 def run_to_string(argv):

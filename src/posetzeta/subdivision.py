@@ -98,15 +98,10 @@ def _H_vector(d):
 def H_polynomial(d):
     """Self-reciprocal limit polynomial; effective degree d - 1.
 
-    Coefficient of s^(d-i) is H_{i,d}.  For d = 0 the convention is the
-    constant polynomial 1.
+    Coefficient of s^(d-i) is H_{i,d}, which is H_{d+1-i,d}, so this is
+    H_vector(d) without H_0; at d = 0 it is the constant polynomial 1.
     """
-    if d < 0:
-        raise IndexOutOfRange("d must be >= 0")
-    if d == 0:
-        return ExactPolynomial([1])
-    hv = H_vector(d)
-    return ExactPolynomial([hv[d - e] for e in range(d + 1)])
+    return ExactPolynomial(H_vector(d)[1:])
 
 
 def _descent_recurrence(d):

@@ -270,6 +270,31 @@ class TestExitCodes:
             assert main(["pi-weight", "--d", d, "--x", "30"]) == 2
         for n in ("10", "abc", "30,,210"):
             assert main(["dim-report", "--n", n]) == 2
+        # argparse's own usage errors are returned, not raised as SystemExit.
+        assert main(["pi-weight", "--d", "2", "--x", "abc"]) == 2
+        assert main(["tables"]) == 2
+        assert main(["tables", "--kind", "Q"]) == 2
+        assert main(["tables", "--kind", "f", "--bogus"]) == 2
+        assert main(["bogus"]) == 2
+
+    def test_refused_run_leaves_output_intact(self, tmp_path):
+        cyclic = tmp_path / "cyclic.json"
+        cyclic.write_text(
+            '{"elements": ["a", "b"], "relations": [["a", "b"], ["b", "a"]]}'
+        )
+        cases = [
+            (["tables", "--kind", "H", "--dmax", "101"], 4),
+            (["zeta", "--input", str(tmp_path / "absent.json")], 2),
+            (["theorem-check", "--input", str(cyclic)], 2),
+            (["pn", "chi", "--range", "6:100000000"], 4),
+        ]
+        kept, absent = tmp_path / "kept.txt", tmp_path / "absent.txt"
+        kept.write_text("sentinel\n")
+        for argv, code in cases:
+            assert main(argv + ["--output", str(kept)]) == code
+            assert kept.read_bytes() == b"sentinel\n"
+            assert main(argv + ["--output", str(absent)]) == code
+            assert not absent.exists()
 
     def test_computation_error(self, tmp_path):
         antichain = tmp_path / "anti.json"
