@@ -41,6 +41,7 @@ from .poset import (
     simplex_face_poset,
     strict_chain_vector,
     weak_chain_count,
+    write_poset,
 )
 from .primes import (
     AlphaRecord,

@@ -2,17 +2,20 @@
 
 Exit codes: 0 success, 2 invalid configuration (argparse's usage errors
 included: a missing or unknown option or command, a bad choice), 3
-computation error, 4 resource cap exceeded.  A refused run writes
-nothing: every check runs before ``--output`` is opened, so that file is
-neither created nor truncated.  Exact rationals are always serialized as
-"p/q" strings (or a bare integer).  Floats appear in root-tracking
-output, printed with 20 significant digits alongside the precision
-used, and in the dim-report estimate and ratio, printed by repr().
+computation error, 4 resource cap exceeded, and 141 (128 + SIGPIPE),
+with nothing printed, when the reader of stdout closes it early, as
+``| head`` does.  A refused run writes nothing: every check runs before
+``--output`` is opened, so that file is neither created nor truncated.
+Exact rationals are always serialized as "p/q" strings (or a bare
+integer).  Floats appear in root-tracking output, printed with 20
+significant digits alongside the precision used, and in the dim-report
+estimate and ratio, printed by repr().
 """
 
 import csv
 import io
 import json
+import os
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
 from fractions import Fraction
@@ -28,10 +31,12 @@ from .errors import (
     SubdivisionTooLarge,
 )
 from .poset import (
+    Poset,
     barycentric_subdivision,
     load_poset,
-    poset_to_dict,
+    relation_pairs,
     strict_chain_vector,
+    write_poset,
 )
 from .primes import (
     alpha_record,
@@ -102,16 +107,20 @@ def fmt_float(x):
 
 def _emit(header, rows, doc, fmt, out):
     # CSV writes each row as it is made.  JSON writes `doc`, or the rows as
-    # a list of objects when it is None; json.dump streams, so a
-    # subdivision's document is never held as one string beside `out`.
+    # a list of objects when it is None.  A Poset goes through the poset
+    # file writer, in chunks, so a subdivision is never held as one
+    # document or one string beside `out`.
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return
-    if doc is None:
-        doc = [dict(zip(header, row)) for row in rows]
-    json.dump(doc, out, indent=2)
+    if isinstance(doc, Poset):
+        write_poset(doc, out)
+    else:
+        if doc is None:
+            doc = [dict(zip(header, row)) for row in rows]
+        json.dump(doc, out, indent=2)
     out.write("\n")
 
 
@@ -156,12 +165,11 @@ def _cmd_subdivide(args):
         cv = transfer_iterate(cv, 1)
     for _ in range(args.times):
         p = barycentric_subdivision(p)
-    doc = poset_to_dict(p)
     rows = chain(
-        (["element", lab, ""] for lab in doc["elements"]),
-        (["relation", a, b] for a, b in doc["relations"]),
+        (["element", lab, ""] for lab in p.labels),
+        (["relation", a, b] for a, b in relation_pairs(p)),
     )
-    return ["kind", "a", "b"], rows, doc
+    return ["kind", "a", "b"], rows, p
 
 
 _TRAJECTORY_HEADER = [
@@ -270,7 +278,8 @@ def build_parser():
         description=(
             "Exact chain-count tables, subdivision dynamics, and "
             "squarefree-poset statistics.  Exit codes: 0 ok, 2 bad "
-            "configuration, 3 computation error, 4 resource cap exceeded."
+            "configuration, 3 computation error, 4 resource cap exceeded, "
+            "141 stdout closed early."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -369,6 +378,13 @@ _EXIT_CODES = (
 def main(argv=None):
     try:
         run(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # The reader of stdout left early, as `| head` does.  Point stdout
+        # at devnull so the flush at exit cannot fail again, and return
+        # 128 + SIGPIPE quietly, as shell tools do.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

@@ -8,12 +8,14 @@ topological sort, which runs from the maximal elements down.  The
 chain-count dynamic program counts chains by their least element.
 Chains are enumerated by length and then lexicographically, the element
 order of the subdivision.  All values are immutable after construction.
+A poset file has one writer, ``write_poset``, which lays the document
+out as ``json.dump(..., indent=2)`` would, in chunks.
 """
 
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .errors import (
     CycleDetected,
@@ -243,13 +245,82 @@ def simplex_face_poset(num_vertices):
     return barycentric_subdivision(chain)
 
 
+def _label_rows(p):
+    """Each element's up-set in the file's pair order.
+
+    Yields (i, js) for the elements i in label order, with js the indices
+    above i, also in label order.  Labels are unique, so this is the order
+    of sorting the pairs [a, b] themselves; the labels are ranked once,
+    and the rows are sorted by rank, so no string is compared again.
+    """
+    labels = p.labels
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = [0] * len(labels)
+    for r, i in enumerate(order):
+        rank[i] = r
+    for i in order:
+        yield i, sorted(p.above[i], key=rank.__getitem__)
+
+
+def relation_pairs(p):
+    """All strict pairs (a, b) of labels, a < b, in the file's order."""
+    labels = p.labels
+    for i, js in _label_rows(p):
+        a = labels[i]
+        for j in js:
+            yield a, labels[j]
+
+
 def poset_to_dict(p):
     """JSON-ready dict in the poset file format (all strict pairs)."""
-    labels = p.labels
-    relations = sorted(
-        [labels[i], labels[j]] for i, row in enumerate(p.above) for j in row
-    )
-    return {"elements": list(labels), "relations": relations}
+    relations = [[a, b] for a, b in relation_pairs(p)]
+    return {"elements": list(p.labels), "relations": relations}
+
+
+# Items per write: a few thousand keep the writes few and the pieces small.
+_CHUNK = 4096
+
+
+def _write_list(out, items, depth):
+    # A list of encoded items as json.dump(indent=2) lays it out at this
+    # depth, written one chunk at a time.
+    items = iter(items)
+    chunk = list(islice(items, _CHUNK))
+    if not chunk:
+        out.write("[]")
+        return
+    sep = ",\n" + "  " * (depth + 1)
+    out.write("[" + sep[1:])
+    while True:
+        out.write(sep.join(chunk))
+        chunk = list(islice(items, _CHUNK))
+        if not chunk:
+            break
+        out.write(sep)
+    out.write("\n" + "  " * depth + "]")
+
+
+def write_poset(p, out):
+    """Write p to a text stream in the poset file format.
+
+    The bytes are those of ``json.dump(poset_to_dict(p), out, indent=2)``,
+    written in chunks without building that dict: each label is encoded
+    once, and each pair is laid out from the encoded labels.
+    """
+    enc = list(map(json.dumps, p.labels))
+    out.write('{\n  "elements": ')
+    _write_list(out, enc, 1)
+    out.write(',\n  "relations": ')
+    _write_list(out, _pair_blocks(p, enc), 1)
+    out.write("\n}")
+
+
+def _pair_blocks(p, enc):
+    # Each pair [a, b] as json.dump(indent=2) lays it out in the relations.
+    for i, js in _label_rows(p):
+        head = "[\n      " + enc[i] + ",\n      "
+        for j in js:
+            yield head + enc[j] + "\n    ]"
 
 
 def _is_string_list(value):
@@ -291,5 +362,5 @@ def load_poset(path):
 
 def save_poset(p, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(poset_to_dict(p), fh, indent=2)
+        write_poset(p, fh)
         fh.write("\n")

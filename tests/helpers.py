@@ -4,6 +4,8 @@ Each oracle recomputes its quantity by plain enumeration, independently
 of the code path it cross-checks.
 """
 
+import io
+import json
 import random
 from fractions import Fraction
 from functools import cache
@@ -18,6 +20,7 @@ from posetzeta import (
     ExactPolynomial,
     ExactRationalFunction,
     build_poset,
+    poset_to_dict,
     series_expand,
 )
 from posetzeta.poset import ChainVector, _require_nonempty
@@ -76,6 +79,17 @@ def brute_closure(relations):
         if not more:
             return less
         less |= more
+
+
+def dumped_poset(p):
+    """The poset file text by json.dump of the dict form, indent 2.
+
+    The former body of save_poset; the oracle for the fixed-layout
+    writer poset.write_poset.
+    """
+    buf = io.StringIO()
+    json.dump(poset_to_dict(p), buf, indent=2)
+    return buf.getvalue()
 
 
 def brute_chains(p):

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction as Fr
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,16 @@ from posetzeta.primes import squarefree_sieve
 
 # A well-formed poset whose subdivision joins "a" and "b" into a second "a|b".
 LABEL_COLLISION = b'{"elements": ["a", "b", "a|b"], "relations": [["a", "b"]]}'
+
+
+def checkout_env():
+    # Run the checkout under test, not whatever copy is installed.
+    src = str(Path(posetzeta.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
 
 
 def write_p6(tmp_path):
@@ -132,13 +143,24 @@ class TestSubdivideCommand:
         )
 
     def test_csv_rows_match_json(self, tmp_path):
-        argv = ["subdivide", "--input", write_p6(tmp_path), "--times", "2"]
-        doc = json.loads(run_to_string(argv))
-        header, rows = parse_csv(run_to_string(argv + ["--format", "csv"]))
-        assert header == ["kind", "a", "b"]
-        assert rows == [["element", lab, ""] for lab in doc["elements"]] + [
-            ["relation", a, b] for a, b in doc["relations"]
-        ]
+        # In index order "b" comes before "a" and "10" before "9", against
+        # label order, so a CSV pair order of its own would differ from JSON's.
+        mixed = tmp_path / "mixed.json"
+        save_poset(
+            build_poset(
+                ["b", "a", "10", "9"], [("b", "a"), ("b", "10"), ("9", "10")]
+            ),
+            mixed,
+        )
+        for path, times in product((write_p6(tmp_path), str(mixed)), "012"):
+            argv = ["subdivide", "--input", path, "--times", times]
+            doc = json.loads(run_to_string(argv))
+            assert doc["relations"] == sorted(doc["relations"])
+            header, rows = parse_csv(run_to_string(argv + ["--format", "csv"]))
+            assert header == ["kind", "a", "b"]
+            assert rows == [["element", lab, ""] for lab in doc["elements"]] + [
+                ["relation", a, b] for a, b in doc["relations"]
+            ]
 
     def test_cap_checked_before_any_subdivision(
         self, tmp_path, monkeypatch, capsys
@@ -394,20 +416,30 @@ class TestDeterminism:
         assert run_to_string(argv) == run_to_string(argv)
 
     def test_installed_entry_point(self, tmp_path):
-        # Run the checkout under test, not whatever copy is installed.
-        src = str(Path(posetzeta.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
         res = subprocess.run(
             [sys.executable, "-m", "posetzeta.cli", "tables", "--kind", "H",
              "--dmax", "2"],
             capture_output=True,
             text=True,
-            env=env,
+            env=checkout_env(),
         )
         assert res.returncode == 0
         assert res.stdout == run_to_string(
             ["tables", "--kind", "H", "--dmax", "2"]
         )
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # The H triangle to d = 60 is 2.4 MB, far beyond a pipe's buffer,
+        # so writes are still going on when the reader closes its end.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "posetzeta.cli", "tables", "--kind", "H",
+             "--dmax", "60"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=checkout_env(),
+        )
+        assert proc.stdout.readline() == b"i,d,value\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == b""

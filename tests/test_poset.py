@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from posetzeta import (
     simplex_face_poset,
     strict_chain_vector,
     weak_chain_count,
+    write_poset,
 )
 from posetzeta.poset import _all_chains
 from helpers import (
@@ -27,6 +29,7 @@ from helpers import (
     brute_strict_chain_counts,
     brute_weak_chain_count,
     dags,
+    dumped_poset,
     random_posets,
     subdivision_via_relations,
 )
@@ -156,6 +159,14 @@ class TestRandomOracle:
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(dags())
+    def test_dict_pairs_vs_brute_force(self, dag):
+        labels, relations = dag
+        doc = poset_to_dict(build_poset(labels, relations))
+        assert doc["elements"] == labels
+        assert doc["relations"] == sorted(map(list, brute_closure(relations)))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dags())
     def test_dict_round_trip(self, dag):
         p = build_poset(*dag)
         q = poset_from_dict(json.loads(json.dumps(poset_to_dict(p))))
@@ -224,6 +235,73 @@ class TestJsonFormat:
     def test_format_shape(self):
         doc = poset_to_dict(chain2())
         assert doc == {"elements": ["x", "y"], "relations": [["x", "y"]]}
+
+
+def written(p):
+    buf = io.StringIO()
+    write_poset(p, buf)
+    return buf.getvalue()
+
+
+class TestWritePoset:
+    # write_poset must give the bytes of json.dump(poset_to_dict(p),
+    # indent=2), the oracle in helpers.dumped_poset.
+    def test_antichain(self):
+        p = build_poset(["a", "b", "c"], [])
+        assert written(p) == dumped_poset(p)
+        assert json.loads(written(p))["relations"] == []
+
+    def test_single_element(self):
+        p = build_poset(["p"], [])
+        assert written(p) == dumped_poset(p)
+
+    def test_empty(self):
+        p = build_poset([], [])
+        assert written(p) == dumped_poset(p)
+
+    def test_escaped_labels(self):
+        labels = ['q"uote', "back\\slash", "\u00e9t\u00e9", "\u732b", "\ud800"]
+        p = build_poset(labels, list(zip(labels, labels[1:])))
+        assert written(p) == dumped_poset(p)
+        assert json.loads(written(p))["elements"] == labels
+
+    def test_label_order_differs_from_index_order(self):
+        p = build_poset(
+            ["b", "a", "10", "9"], [("b", "a"), ("b", "10"), ("9", "10")]
+        )
+        assert written(p) == dumped_poset(p)
+        assert json.loads(written(p))["relations"] == [
+            ["9", "10"], ["b", "10"], ["b", "a"]
+        ]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    def test_twice_subdivided_p30(self, chunk, monkeypatch):
+        monkeypatch.setattr("posetzeta.poset._CHUNK", chunk)
+        p = barycentric_subdivision(barycentric_subdivision(p30_explicit()))
+        assert written(p) == dumped_poset(p)
+
+    def test_writes_in_chunks(self, monkeypatch):
+        monkeypatch.setattr("posetzeta.poset._CHUNK", 8)
+        p = barycentric_subdivision(barycentric_subdivision(p30_explicit()))
+        writes = []
+
+        class Sink:
+            write = writes.append
+
+        write_poset(p, Sink())
+        text = "".join(writes)
+        assert text == dumped_poset(p)
+        # No write holds more than 8 pair blocks, each two labels and
+        # their 28 characters of layout and separator.
+        block = 2 * max(len(json.dumps(lab)) for lab in p.labels) + 28
+        assert max(map(len, writes)) <= 8 * block < len(text) // 10
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dags())
+    def test_random_posets(self, dag):
+        p = build_poset(*dag)
+        for q in (p, barycentric_subdivision(p)):
+            assert written(q) == dumped_poset(q)
 
 
 def test_simplex_face_poset():
