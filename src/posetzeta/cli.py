@@ -8,8 +8,9 @@ with nothing printed, when the reader of stdout closes it early, as
 ``--output`` is opened, so that file is neither created nor truncated.
 Exact rationals are always serialized as "p/q" strings (or a bare
 integer).  Floats appear in root-tracking output, printed with 20
-significant digits alongside the precision used, and in the dim-report
-estimate and ratio, printed by repr().
+significant digits alongside the precision used (an imaginary part
+proved zero prints as 0.0), and in the dim-report estimate and ratio,
+printed by repr().
 """
 
 import csv
@@ -58,6 +59,10 @@ FLOAT_DIGITS = 20
 DEFAULT_SUBDIVISION_CAP = 100_000
 # The F and H triangles cost about d^6: --dmax 140 takes 7x as long as 100.
 TABLES_DMAX_CAP = 100
+# theorem-check grows with both: the chain with d = 8 takes about 3 s at
+# --kmax 100 and about 6 s at --kmax 24 with --precision-bits 4096.
+THEOREM_KMAX_CAP = 100
+THEOREM_PRECISION_BITS_CAP = 4096
 
 
 # Decimal digits that str() and int() convert in one call; Python caps
@@ -179,6 +184,13 @@ _TRAJECTORY_HEADER = [
 
 
 def _cmd_theorem_check(args):
+    if args.kmax > THEOREM_KMAX_CAP:
+        raise RangeTooLarge(f"--kmax {args.kmax} exceeds {THEOREM_KMAX_CAP}")
+    if args.precision_bits > THEOREM_PRECISION_BITS_CAP:
+        raise RangeTooLarge(
+            f"--precision-bits {args.precision_bits} exceeds "
+            f"{THEOREM_PRECISION_BITS_CAP}"
+        )
     p = load_poset(args.input)
     report = theorem_report(p, args.kmax, args.precision_bits)
     rows = [

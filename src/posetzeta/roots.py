@@ -1,18 +1,29 @@
 """High-precision root finding and convergence diagnostics.
 
-Roots are found by simultaneous Aberth-Ehrlich iteration in mpmath
-arbitrary precision, started and stopped as in Bini, "Numerical
-computation of polynomial zeros by means of Aberth's method" (1996):
-the starting points lie on one circle per edge of the Newton polygon,
-and a root is accepted once its backward error is at most
+Roots are found in two routes.  The fast route proves them real:
+Aberth-Ehrlich iteration in complex doubles gives approximations, the
+exact integer polynomial changes sign between each pair of neighbouring
+approximations (and beyond each end), so every root is real and alone
+in its own bracket, and fixed-point Newton on Python integers refines
+each root inside its bracket.  Barycentric subdivision makes the
+numerators real-rooted (Brenti and Welker, "f-vectors of barycentric
+subdivisions", 2008), so this route carries nearly every step.  When a
+double does not hold the polynomial, the signs do not prove it, or a
+Newton step leaves its bracket, the roots come from the same Aberth
+iteration in mpmath arbitrary precision, warm-started from the doubles
+when there are any.  Aberth is started and stopped as in Bini,
+"Numerical computation of polynomial zeros by means of Aberth's method"
+(1996): the starting points lie on one circle per edge of the Newton
+polygon, and a root is accepted once its backward error is at most
 2^-(bits/2).  The trajectory report tracks, per subdivision step, the
 dominant root against its predicted growth and the remaining roots
 against the fixed roots of the limit polynomial.
 """
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, frexp, lcm
 
 import mpmath as mp
 
@@ -27,6 +38,14 @@ from .subdivision import H_polynomial, H_vector, transfer_iterate
 from .zeta import g_from_chain_vector
 
 MAX_SWEEPS = 1000
+# The double-precision sweeps stop at this backward error.  Horner's
+# rounding error in doubles is about n 2^-53, well below it at the
+# degrees met here; the exact certificate and the final backward-error
+# test judge the result anyway.
+FLOAT_TOL = 2.0 ** -40
+# Integer Newton from a double start needs about log2(bits / 53) + 2
+# steps; a root that takes this many is left to the Aberth route.
+MAX_NEWTON = 64
 # Bini's rotation of the starting circles: it keeps the starts of a
 # real polynomial off the real axis and out of conjugate-symmetric
 # positions, which the iteration of a real polynomial would preserve.
@@ -45,7 +64,8 @@ def _to_mpf(fr):
 
 
 def _horner(coeffs, z):
-    acc = mp.mpc(0)
+    # Any number type: mpc or complex roots, exact integers in Newton.
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
@@ -57,23 +77,23 @@ def _backward_error(coeffs, abs_coeffs, z, value=None):
     if value is None:
         value = _horner(coeffs, z)
     if not value:
-        return mp.mpf(0)
-    r = abs(z)
-    scale = mp.mpf(0)
-    for c in reversed(abs_coeffs):
-        scale = scale * r + c
-    return abs(value) / scale
+        return abs(value)
+    return abs(value) / _horner(abs_coeffs, abs(z))
 
 
 def find_roots(p, precision_bits=256):
     """All complex roots of an exact polynomial, deterministically.
 
-    Exactly zero low coefficients give exact zero roots; the rest are
-    found by `_aberth` at `precision_bits + 64` working bits.  Every
-    root's backward error |p(z)| / sum |c_i| |z|^i must be at most
-    2^-(precision_bits/2), else NoConvergence is raised; those errors
-    are returned as the residuals.  Roots are sorted by real part, then
-    imaginary part.
+    Exactly zero low coefficients give exact zero roots.  The rest come
+    from `_certified_real_roots` when it can prove them all real and
+    simple: those roots are accurate to about `precision_bits + 64`
+    bits and have an imaginary part of exactly 0.  Otherwise `_aberth`
+    finds them at `precision_bits + 64` working bits, warm-started from
+    the double-precision approximations when there are any.  Either
+    way, every root's backward error |p(z)| / sum |c_i| |z|^i must be
+    at most 2^-(precision_bits/2), else NoConvergence is raised; those
+    errors are returned as the residuals.  Roots are sorted by real
+    part, then imaginary part.
     """
     if p.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
@@ -90,16 +110,41 @@ def find_roots(p, precision_bits=256):
         elif n == 1:
             roots = [mp.mpc(-coeffs[zeros] / coeffs[zeros + 1])]
         else:
-            roots = _aberth(coeffs[zeros:], n, tol)
+            roots = _nonzero_roots(
+                p.coeffs[zeros:], coeffs[zeros:], tol, precision_bits + 64
+            )
         roots += [mp.mpc(0) for _ in range(zeros)]
         roots.sort(key=lambda z: (mp.re(z), mp.im(z)))
-        residuals = [_backward_error(coeffs, abs_coeffs, z) for z in roots]
+        # A root with im exactly 0 gives the same error in real arithmetic.
+        residuals = [
+            _backward_error(coeffs, abs_coeffs, z if z.imag else z.real)
+            for z in roots
+        ]
         if any(r > tol for r in residuals):
             raise NoConvergence(
                 f"backward error above 2^-{precision_bits // 2}; "
                 "raise precision"
             )
         return RootSet(tuple(roots), tuple(residuals), precision_bits)
+
+
+def _nonzero_roots(exact, coeffs, tol, bits):
+    """The roots of a polynomial of degree >= 2 with a nonzero constant
+    term, given exactly and as mpf: certified real to about `bits` bits
+    when they can be, else by `_aberth` at the working precision,
+    warm-started from the double approximations when there are any."""
+    with mp.workprec(53):  # starting points need no more
+        starts = _newton_polygon_starts(coeffs)
+    approx = _float_aberth(exact, starts)
+    if approx is not None:
+        roots = _certified_real_roots(exact, approx, bits)
+        if roots is not None:
+            return roots
+        # Starts all on the real axis would keep the sweeps of a real
+        # polynomial there (see START_ANGLE), away from any complex root.
+        if any(z.imag for z in approx):
+            starts = [mp.mpc(z) for z in approx]
+    return _aberth(coeffs, tol, starts)
 
 
 def _newton_polygon_starts(coeffs):
@@ -134,20 +179,24 @@ def _newton_polygon_starts(coeffs):
     return starts
 
 
-def _aberth(coeffs, n, tol):
-    """Aberth-Ehrlich sweeps over the n roots of a polynomial with a
-    nonzero constant term, started and stopped as in Bini (1996).
+def _aberth(coeffs, tol, starts):
+    """Aberth-Ehrlich sweeps over the roots of a polynomial with a
+    nonzero constant term, one per start, started and stopped as in
+    Bini (1996).
 
-    The starts come from `_newton_polygon_starts`.  Each sweep updates
-    every root in turn by the Aberth correction.  The stop is relative:
-    iteration ends after the first sweep that began with every root's
-    backward error |p(z)| / sum |c_i| |z|^i at most `tol`, a test that
-    holds at any root size, where an absolute |p(z)| < tol does not.
-    That last sweep still updates each root, which polishes it to near
-    working precision.  Raises NoConvergence after MAX_SWEEPS sweeps.
+    The arithmetic is that of the coefficients and starts: mpmath at
+    the working precision, or complex doubles.  The starts are the
+    `_newton_polygon_starts`, or earlier approximations of the roots.
+    Each sweep updates every root in turn by the Aberth correction.  The
+    stop is relative: iteration ends after the first sweep that began
+    with every root's backward error |p(z)| / sum |c_i| |z|^i at most
+    `tol`, a test that holds at any root size, where an absolute
+    |p(z)| < tol does not.  That last sweep still updates each root,
+    which polishes it to near working precision.  Raises NoConvergence
+    after MAX_SWEEPS sweeps.
     """
-    with mp.workprec(53):  # starting points need no more
-        z = _newton_polygon_starts(coeffs)
+    z = list(starts)
+    n = len(z)
     abs_coeffs = [abs(c) for c in coeffs]
     dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
     for _ in range(MAX_SWEEPS):
@@ -158,11 +207,11 @@ def _aberth(coeffs, n, tol):
                 converged = False
             dv = _horner(dcoeffs, z[i])
             if dv == 0:
-                z[i] += tol + mp.mpf(1) / 1024
+                z[i] += tol + 1 / 1024
                 converged = False
                 continue
             newton = pv / dv
-            s = mp.mpc(0)
+            s = 0
             for j in range(n):
                 if j != i:
                     s += 1 / (z[i] - z[j])
@@ -174,6 +223,101 @@ def _aberth(coeffs, n, tol):
         if converged:
             return z
     raise NoConvergence(f"no convergence within {MAX_SWEEPS} sweeps")
+
+
+def _float_aberth(exact, starts):
+    """`_aberth` in complex doubles from the given starts, or None.
+
+    None when a coefficient or start is not a finite double, when the
+    sweeps overflow or do not converge, or when two approximations
+    coincide, so that they could neither be told apart nor warm-start
+    the full-precision sweeps.
+    """
+    try:
+        coeffs = [float(c) for c in exact]
+        z = [complex(s) for s in starts]
+        if all(map(cmath.isfinite, coeffs + z)):
+            z = _aberth(coeffs, FLOAT_TOL, z)
+            if all(map(cmath.isfinite, z)) and len(set(z)) == len(z):
+                return z
+    except (OverflowError, ZeroDivisionError, NoConvergence):
+        pass
+    return None
+
+
+def _certified_real_roots(exact, approx, bits):
+    """The roots as exactly real mpc to about `bits` bits, or None.
+
+    `exact` are the coefficients, with a nonzero constant term, and
+    `approx` one double approximation per root.  The integer-scaled
+    polynomial is evaluated exactly at a dyadic point between each pair
+    of neighbouring sorted real parts and at one point beyond each end.
+    If its sign changes n times over those n + 1 points, each of the n
+    brackets holds one real root, and `_newton_in_bracket` refines it.
+    None when the signs change fewer times or a refinement fails.
+    """
+    scale = lcm(*(Fraction(c).denominator for c in exact))
+    a = [int(c * scale) for c in exact]
+    xs = sorted(z.real for z in approx)
+    mids = [x / 2 + y / 2 for x, y in zip(xs, xs[1:])]
+    points = [2 * xs[0] - mids[0], *mids, 2 * xs[-1] - mids[-1]]
+    if not all(map(cmath.isfinite, points)):
+        return None
+    signs = []
+    for x in points:
+        num, den = x.as_integer_ratio()
+        value = _horner(_scaled(a, den.bit_length() - 1), num)
+        signs.append((value > 0) - (value < 0))
+    # Equal neighbouring points give equal signs, so n changes also
+    # prove that the points increase strictly.
+    if not all(s * t < 0 for s, t in zip(signs, signs[1:])):
+        return None
+    roots = []
+    for x, lo, hi in zip(xs, points, points[1:]):
+        root = _newton_in_bracket(a, x, lo, hi, bits)
+        if root is None:
+            return None
+        roots.append(mp.mpc(root))
+    return roots
+
+
+def _scaled(a, e):
+    """Coefficients of 2^(e n) p(X / 2^e) as a polynomial in X."""
+    n = len(a) - 1
+    return [c << (e * (n - j)) for j, c in enumerate(a)]
+
+
+def _newton_in_bracket(a, x, lo, hi, bits):
+    """The root of the integer polynomial `a` in (lo, hi), to about
+    `bits` bits, by Newton in fixed point from the double `x`.
+
+    The root is held as X / 2^f with f chosen so that X has about
+    `bits` bits, and each step subtracts P(X) // P'(X), with P the
+    polynomial `_scaled` by f: that is p(x) / p'(x) in units of 2^-f.
+    Iteration ends at a step of at most one unit.  None when a step
+    leaves the bracket, the derivative vanishes, MAX_NEWTON steps do
+    not settle, or the root has fewer than bits - 1 bits in this fixed
+    point: far smaller than `x`, as when the double underflowed.
+    """
+    f = max(bits - frexp(x)[1], 0)
+    c = _scaled(a, f)
+    dc = [j * cj for j, cj in enumerate(c)][1:]
+    lo, hi = Fraction(lo) * 2**f, Fraction(hi) * 2**f
+    num, den = x.as_integer_ratio()
+    fixed = (num << f) // den
+    for _ in range(MAX_NEWTON):
+        slope = _horner(dc, fixed)
+        if not slope:
+            return None
+        step = _horner(c, fixed) // slope
+        fixed -= step
+        if not lo < fixed < hi:
+            return None
+        if abs(step) <= 1:
+            if fixed.bit_length() < bits - 1:
+                return None
+            return mp.ldexp(fixed, -f)
+    return None
 
 
 def g_k_polynomial(p, k):
@@ -284,10 +428,17 @@ def _match(roots, targets, precision_bits):
     2^-(precision_bits/2) of the largest distance count as tied, and the
     tie goes to the lexicographically least one (earliest target for the
     first root, and so on), so rounding noise never decides it.
+
+    When as many real roots as real targets come in ascending order, as
+    `theorem_report` passes them, pairing them in that order is optimal
+    (on a line, crossing pairs never cost less than uncrossed ones) and
+    is the least assignment of all, so the Hungarian search is skipped.
     """
     if not targets:
         return (), ()
     rows, cols = len(roots), len(targets)
+    if rows == cols and _ascending_reals(roots) and _ascending_reals(targets):
+        return tuple(targets), tuple(abs(r - t) for r, t in zip(roots, targets))
     dist = [[abs(r - t) for t in targets] for r in roots]
     unit = max(map(max, dist)) * mp.mpf(2) ** -(precision_bits // 2)
     unit /= cols ** rows
@@ -299,6 +450,12 @@ def _match(roots, targets, precision_bits):
     )
     matched = tuple(targets[j] for j in picks)
     return matched, tuple(dist[i][j] for i, j in enumerate(picks))
+
+
+def _ascending_reals(zs):
+    return all(not z.imag for z in zs) and all(
+        a.real <= b.real for a, b in zip(zs, zs[1:])
+    )
 
 
 def _holds_from(flags):

@@ -210,6 +210,25 @@ def match_by_permutations(roots, targets):
     return matched, dists
 
 
+def sign_scan_root_count(coeffs, lo, hi, steps):
+    """Real roots of an integer polynomial in (lo, hi), counted by brute
+    force: the sign changes of p, evaluated exactly, over the midpoints
+    of `steps` equal cells of [lo, hi], with lo and hi integers.
+
+    A root on a midpoint is skipped, so the count is exact once no cell
+    holds two roots and no multiple root lies in the range.
+    """
+    den = 2 * steps
+    n = len(coeffs) - 1
+    signs = []
+    for j in range(steps):
+        num = lo * den + (hi - lo) * (2 * j + 1)  # the point num / den
+        value = sum(c * num**i * den ** (n - i) for i, c in enumerate(coeffs))
+        if value:
+            signs.append(value > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def descents(seq):
     return sum(1 for a, b in zip(seq, seq[1:]) if a > b)
 

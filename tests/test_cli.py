@@ -345,6 +345,18 @@ class TestExitCodes:
         assert main(["tables", "--kind", "H", "--dmax", "101"]) == 4
         assert time.perf_counter() - start < 1
 
+    def test_theorem_kmax_cap(self, tmp_path):
+        # Checked before the poset is loaded: the input does not exist.
+        absent = str(tmp_path / "absent.json")
+        assert main(["theorem-check", "--input", absent, "--kmax", "101"]) == 4
+        assert main(["theorem-check", "--input", absent, "--kmax", "100"]) == 2
+
+    def test_theorem_precision_bits_cap(self, tmp_path):
+        absent = str(tmp_path / "absent.json")
+        argv = ["theorem-check", "--input", absent, "--precision-bits"]
+        assert main(argv + ["4097"]) == 4
+        assert main(argv + ["4096"]) == 2
+
     def test_empty_document_subdivided_zero_times(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_bytes(b'{"elements": [], "relations": []}')

@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 from itertools import permutations
+from math import lcm
+from unittest import mock
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import match_by_permutations
+from helpers import match_by_permutations, sign_scan_root_count
 from posetzeta import (
     DegreeZero,
     DimensionZero,
@@ -21,7 +24,14 @@ from posetzeta import (
     strict_chain_vector,
     theorem_report,
 )
-from posetzeta.roots import RootSet, _match, _pick_beta1
+from posetzeta.roots import (
+    RootSet,
+    _aberth,
+    _match,
+    _newton_polygon_starts,
+    _pick_beta1,
+    _to_mpf,
+)
 from posetzeta.zeta import g_from_chain_vector
 
 
@@ -38,6 +48,112 @@ def assert_backward_errors(poly, roots, bits):
             value = abs(mp.polyval(coeffs[::-1], z))
             scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
             assert value <= mp.mpf(2) ** -(bits // 2) * scale, z
+
+
+def aberth_oracle(poly, bits=256):
+    """The roots by full-precision `_aberth` from the Newton-polygon
+    starts alone, exact zero roots apart, sorted as find_roots sorts."""
+    zeros = next(i for i, c in enumerate(poly.coeffs) if c)
+    with mp.workprec(bits + 64):
+        coeffs = [_to_mpf(c) for c in poly.coeffs[zeros:]]
+        with mp.workprec(53):
+            starts = _newton_polygon_starts(coeffs)
+        tol = mp.mpf(2) ** -(bits // 2)
+        roots = _aberth(coeffs, tol, starts)
+        roots += [mp.mpc(0)] * zeros
+        return sorted(roots, key=lambda z: (mp.re(z), mp.im(z)))
+
+
+def assert_agree(got, want, rel_bits, bits=256):
+    assert len(got) == len(want)
+    with mp.workprec(bits + 64):
+        for a, b in zip(got, want):
+            assert abs(a - b) <= mp.mpf(2) ** -rel_bits * abs(b), (a, b)
+
+
+def integer_coeffs(poly):
+    den = lcm(*(Fraction(c).denominator for c in poly.coeffs))
+    return [int(c * den) for c in poly.coeffs]
+
+
+def product(factors):
+    poly = ExactPolynomial([1])
+    for f in factors:
+        poly = poly * ExactPolynomial(f)
+    return poly
+
+
+S = ExactPolynomial([0, 1])
+
+
+class TestCertifiedRoots:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 6), st.integers(-6, 6)),
+            min_size=2,
+            max_size=7,
+            unique_by=lambda f: Fraction(-f[1], f[0]),
+        )
+    )
+    def test_distinct_linear_factors(self, factors):
+        # The roots -b/a of the factors a s + b lie in [-6, 6], at least
+        # 1/30 apart, so cells of 1/120 isolate every one of them.
+        poly = product([(b, a) for a, b in factors])
+        rs = find_roots(poly)
+        assert all(mp.im(z) == 0 for z in rs.roots)
+        assert sign_scan_root_count(poly.coeffs, -7, 7, 1680) == poly.degree
+        assert_agree(rs.roots, aberth_oracle(poly), 128)
+
+    def test_sign_scan_confirms_certified_count(self):
+        # Cells of 0.01 are finer than the gaps between these roots.
+        cases = [(H_polynomial(d), -30) for d in range(2, 7)] + [
+            (g_k_polynomial(build_Pn(30), k), -200) for k in (2, 3)
+        ]
+        for poly, lo in cases:
+            rs = find_roots(poly)
+            assert all(mp.im(z) == 0 for z in rs.roots)
+            count = sign_scan_root_count(integer_coeffs(poly), lo, 0, -lo * 100)
+            assert count == len(rs.roots) == poly.degree
+
+    @pytest.mark.parametrize(
+        "poly, rel_bits",
+        [
+            (1 + S * S, 128),
+            # A backward error of 2^-128 moves a double root by about
+            # 2^-64, and a pair 2^-60 apart by up to 2^-68.
+            ((S + 1) * (S + 1) * (S + 2), 64),
+            # No double lies between 1 + 2^-60 and 1 + 2^-59.
+            (
+                (S - 1 - Fraction(1, 2**60))
+                * (S - 1 - Fraction(1, 2**59))
+                * (S + 2),
+                64,
+            ),
+            ((S + 10**400) * (S + 1) * (S + 2), 128),
+            # The root -10^-400 is 0.0 as a double.
+            ((S + Fraction(1, 10**400)) * (S + 1) * (S + 2), 128),
+        ],
+        ids=[
+            "conjugate-pair",
+            "double-root",
+            "close-pair",
+            "above-1e308",
+            "below-1e-308",
+        ],
+    )
+    def test_fallback_matches_oracle(self, poly, rel_bits):
+        kinds = []
+
+        def aberth(coeffs, *rest):
+            kinds.append(type(coeffs[0]))
+            return _aberth(coeffs, *rest)
+
+        with mock.patch("posetzeta.roots._aberth", aberth):
+            rs = find_roots(poly)
+        assert mp.mpf in kinds  # the full-precision route ran
+        assert_agree(rs.roots, aberth_oracle(poly), rel_bits)
+        assert all(r <= mp.mpf(2) ** -128 for r in rs.residuals)
 
 
 class TestFindRoots:
@@ -164,6 +280,24 @@ class TestMatch:
             assert _match(roots, targets, 256) == match_by_permutations(
                 roots, targets
             )
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+                min_size=2,
+                max_size=2,
+            )
+        )
+    )
+    def test_sorted_reals_pair_in_order(self, pair):
+        # Whole numbers make ties exact, as the oracle needs them; with
+        # both sides ascending the Hungarian search is never entered.
+        roots, targets = (tuple(complex(x) for x in sorted(v)) for v in pair)
+        with mock.patch("posetzeta.roots._assign", side_effect=AssertionError):
+            got = _match(roots, targets, 256)
+        assert got == match_by_permutations(roots, targets)
 
     def test_tie_goes_to_earliest_target(self):
         # On one line both assignments of two roots to two targets cost
