@@ -32,11 +32,11 @@ from .poset import (
     Poset,
     barycentric_subdivision,
     build_poset,
+    chain_vector,
     dimension,
     euler_characteristic,
     load_poset,
     poset_from_dict,
-    poset_to_dict,
     save_poset,
     simplex_face_poset,
     strict_chain_vector,

@@ -86,10 +86,10 @@ class ChainVector:
     def __len__(self):
         return len(self.counts)
 
-    @property
-    def euler_characteristic(self):
-        """Alternating sum of the counts."""
-        return sum((-1) ** i * c for i, c in enumerate(self.counts))
+
+def chain_vector(x):
+    """x if it is a ChainVector, else the strict chain vector of poset x."""
+    return x if isinstance(x, ChainVector) else strict_chain_vector(x)
 
 
 def build_poset(labels, relations):
@@ -191,8 +191,8 @@ def weak_chain_count(p, i):
 
 
 def euler_characteristic(p):
-    """Alternating sum of the strict chain counts."""
-    return strict_chain_vector(p).euler_characteristic
+    """Alternating sum of the strict chain counts of p or its ChainVector."""
+    return sum((-1) ** i * c for i, c in enumerate(chain_vector(p).counts))
 
 
 def _all_chains(p):
@@ -271,12 +271,6 @@ def relation_pairs(p):
             yield a, labels[j]
 
 
-def poset_to_dict(p):
-    """JSON-ready dict in the poset file format (all strict pairs)."""
-    relations = [[a, b] for a, b in relation_pairs(p)]
-    return {"elements": list(p.labels), "relations": relations}
-
-
 # Items per write: a few thousand keep the writes few and the pieces small.
 _CHUNK = 4096
 
@@ -303,9 +297,9 @@ def _write_list(out, items, depth):
 def write_poset(p, out):
     """Write p to a text stream in the poset file format.
 
-    The bytes are those of ``json.dump(poset_to_dict(p), out, indent=2)``,
-    written in chunks without building that dict: each label is encoded
-    once, and each pair is laid out from the encoded labels.
+    The bytes are those of ``json.dump(..., indent=2)`` of the labels and
+    the ``relation_pairs``, written in chunks without building that
+    document: each label is encoded once, and the pairs reuse the codes.
     """
     enc = list(map(json.dumps, p.labels))
     out.write('{\n  "elements": ')

@@ -33,7 +33,7 @@ from .errors import (
     NoConvergence,
     ZeroEulerCharacteristic,
 )
-from .poset import strict_chain_vector
+from .poset import chain_vector, euler_characteristic
 from .subdivision import H_polynomial, H_vector, transfer_iterate
 from .zeta import g_from_chain_vector
 
@@ -321,8 +321,8 @@ def _newton_in_bracket(a, x, lo, hi, bits):
 
 
 def g_k_polynomial(p, k):
-    """Exact numerator polynomial after k subdivisions."""
-    cv = strict_chain_vector(p)
+    """Exact numerator after k subdivisions of a poset or its ChainVector."""
+    cv = chain_vector(p)
     if cv.dim < 1:
         raise DimensionZero("needs dimension >= 1")
     return g_from_chain_vector(transfer_iterate(cv, k))
@@ -330,6 +330,10 @@ def g_k_polynomial(p, k):
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
+    """The roots of g_k.  es_ratio is |beta1| chi / (H_1 N_d (d+1)!^k), N_d
+    read before subdividing.  |beta1| grows like |alpha| (d+1)!^k, alpha =
+    H_1 N_d / chi, so es_ratio tends to sign(chi): to -1 for P_95."""
+
     k: int
     beta1: object
     beta1_abs: object
@@ -464,14 +468,14 @@ def _holds_from(flags):
 
 
 def theorem_report(p, k_max, precision_bits=256):
-    """Per-k diagnostics for the dominant and bounded roots."""
+    """Per-k dominant and bounded roots of g_k, for p or its ChainVector."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    cv = strict_chain_vector(p)
+    cv = chain_vector(p)
     d = cv.dim
     if d < 1:
         raise DimensionZero("needs dimension >= 1")
-    chi = cv.euler_characteristic
+    chi = euler_characteristic(cv)
     if chi == 0:
         raise ZeroEulerCharacteristic("the growth law requires chi != 0")
     h1 = H_vector(d)[1]

@@ -17,7 +17,7 @@ from operator import mul
 from .errors import BruteForceTooLarge, DimensionZero, IndexOutOfRange
 from .linalg import ExactMatrix
 from .polynomial import ExactPolynomial
-from .poset import ChainVector, strict_chain_vector
+from .poset import ChainVector, chain_vector
 
 BRUTE_FORCE_MAX_D = 8
 
@@ -270,26 +270,23 @@ class SpectralConstants:
 
 
 def spectral_constants(p):
-    """Exact eigendecomposition of the transfer recurrence for p."""
-    start = strict_chain_vector(p)
+    """Exact transfer eigendecomposition for a poset or its ChainVector."""
+    start = chain_vector(p)
     d = start.dim
     if d < 1:
         raise DimensionZero("spectral constants need dimension >= 1")
-    # The eigenvector v_m of the transfer step for eigenvalue
-    # (m+1)! is supported on indices 0..m, with v_m[i] = F_{i,m}, so the
-    # expansion of the start vector over the eigenbasis is triangular.
-    coeffs = [Fraction(0)] * (d + 1)
+    # The eigenvector of the transfer step for eigenvalue (m+1)! is
+    # F_{i,m} = a_i / den, (a, den) = _F_column(m), on indices i = 0..m,
+    # with F_{m,m} = 1, so the expansion of the start vector over the
+    # eigenbasis is triangular.  C[j] is mode (d+1-j)!, that is m = d - j.
     residual = [Fraction(c) for c in start.counts]
+    C = []
     for m in range(d, -1, -1):
-        coeffs[m] = residual[m]
-        for i in range(m + 1):
-            residual[i] -= coeffs[m] * big_F_number(i, m)
-    # C[j][i] pairs mode (d+1-j)! with eigenindex m = d - j.
-    C = tuple(
-        tuple(coeffs[d - j] * big_F_number(i, d - j) for i in range(d - j + 1))
-        for j in range(d + 1)
-    )
-    return SpectralConstants(d, C)
+        a, den = _F_column(m)
+        scale = residual[m] / den
+        C.append(tuple(scale * x for x in a))
+        residual[:m] = [r - c for r, c in zip(residual[:m], C[-1])]
+    return SpectralConstants(d, tuple(C))
 
 
 @dataclass(frozen=True)

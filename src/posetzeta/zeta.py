@@ -3,17 +3,17 @@
 The series with i-th coefficient equal to the number of weak chains of
 length i is g(s) / (1-s)^(d+1), where d is the dimension and the
 numerator g(s) = sum_i N_i s^i (1-s)^(d-i) is built from the strict
-chain vector (N_0, ..., N_d).  The quotient is already reduced, because
-g(1) = N_d > 0.
+chain vector (N_0, ..., N_d) alone, so it takes a poset or its
+ChainVector.  The quotient is already reduced, because g(1) = N_d > 0.
 """
 
 from .polynomial import ExactPolynomial, ExactRationalFunction
-from .poset import strict_chain_vector
+from .poset import chain_vector
 
 
 def zeta_rational(p):
-    """Rational form of the weak-chain generating series, reduced as built."""
-    cv = strict_chain_vector(p)
+    """Weak-chain series of a poset or its ChainVector, reduced as built."""
+    cv = chain_vector(p)
     return ExactRationalFunction(
         g_from_chain_vector(cv),
         ExactPolynomial([1, -1]) ** (cv.dim + 1),

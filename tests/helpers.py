@@ -20,10 +20,10 @@ from posetzeta import (
     ExactPolynomial,
     ExactRationalFunction,
     build_poset,
-    poset_to_dict,
     series_expand,
 )
-from posetzeta.poset import ChainVector, _require_nonempty
+from posetzeta.poset import ChainVector, _require_nonempty, relation_pairs
+from posetzeta.subdivision import SpectralConstants, big_F_number
 
 FIXED_SEED = 20240823
 
@@ -79,6 +79,16 @@ def brute_closure(relations):
         if not more:
             return less
         less |= more
+
+
+def poset_to_dict(p):
+    """JSON-ready dict in the poset file format (all strict pairs).
+
+    The former poset.poset_to_dict; the document the fixed-layout writer
+    poset.write_poset lays out.
+    """
+    relations = [[a, b] for a, b in relation_pairs(p)]
+    return {"elements": list(p.labels), "relations": relations}
 
 
 def dumped_poset(p):
@@ -390,3 +400,23 @@ def big_F_by_recurrence(i, d):
         for j in range(i + 1, d + 1)
     )
     return Fraction(total, factorial(d + 1) - factorial(i + 1))
+
+
+def spectral_constants_by_big_F(start):
+    """Spectral constants, one big_F_number Fraction at a time.
+
+    The former body of subdivision.spectral_constants; the oracle for its
+    reading of the integer F columns.
+    """
+    d = start.dim
+    coeffs = [Fraction(0)] * (d + 1)
+    residual = [Fraction(c) for c in start.counts]
+    for m in range(d, -1, -1):
+        coeffs[m] = residual[m]
+        for i in range(m + 1):
+            residual[i] -= coeffs[m] * big_F_number(i, m)
+    C = tuple(
+        tuple(coeffs[d - j] * big_F_number(i, d - j) for i in range(d - j + 1))
+        for j in range(d + 1)
+    )
+    return SpectralConstants(d, C)

@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 import posetzeta
+from helpers import poset_to_dict
 from posetzeta import (
     build_poset,
     build_Pn,
     poset_from_dict,
-    poset_to_dict,
     save_poset,
     strict_chain_vector,
 )

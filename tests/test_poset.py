@@ -16,7 +16,6 @@ from posetzeta import (
     dimension,
     euler_characteristic,
     poset_from_dict,
-    poset_to_dict,
     simplex_face_poset,
     strict_chain_vector,
     weak_chain_count,
@@ -30,6 +29,7 @@ from helpers import (
     brute_weak_chain_count,
     dags,
     dumped_poset,
+    poset_to_dict,
     random_posets,
     subdivision_via_relations,
 )

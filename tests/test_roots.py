@@ -398,6 +398,12 @@ class TestTheoremReport:
         mods = [rec.beta1_abs for rec in rep.records[2:]]
         assert all(a < b for a, b in zip(mods, mods[1:]))
 
+    def test_es_ratio_tends_to_sign_of_chi(self):
+        # chi(P_95) = -1: es_ratio tends to sign(chi) = -1, not to 1.
+        rep = theorem_report(strict_chain_vector(build_Pn(95)), 8)
+        assert rep.d == 2 and rep.chi == -1
+        assert abs(rep.es_ratio_final + 1) < mp.mpf("0.01")
+
     @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
     def test_simplex_converges(self, n):
         # d = n - 1; the dominant root grows like ((d+1)!)^k.
@@ -422,6 +428,6 @@ class TestTheoremReport:
         def fail(p):
             raise AssertionError("chain vector computed before the k_max check")
 
-        monkeypatch.setattr("posetzeta.roots.strict_chain_vector", fail)
+        monkeypatch.setattr("posetzeta.roots.chain_vector", fail)
         with pytest.raises(ValueError, match="k_max must be >= 0"):
             theorem_report(build_Pn(30), -1)

@@ -37,6 +37,7 @@ from helpers import (
     f_by_recursion,
     flag_chain_count,
     shift_by_composition,
+    spectral_constants_by_big_F,
 )
 from reference_tables import (
     DESCENT_MATRICES,
@@ -312,6 +313,16 @@ class TestSpectralConstants:
         antichain = build_poset(["a", "b"], [])
         with pytest.raises(DimensionZero):
             spectral_constants(antichain)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(chain_vectors().filter(lambda cv: cv.dim >= 1))
+    def test_integer_columns_match_big_F_oracle(self, cv):
+        sc = spectral_constants(cv)
+        assert sc.C == spectral_constants_by_big_F(cv).C
+        for k in range(4):
+            iterated = transfer_iterate(cv, k)
+            for i in range(cv.dim + 1):
+                assert sc.reconstruct(i, k) == iterated[i]
 
 
 class TestRowProperties:

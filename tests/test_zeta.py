@@ -14,7 +14,9 @@ from posetzeta import (
     residue_at_infinity,
     series_expand,
     simplex_face_poset,
+    spectral_constants,
     strict_chain_vector,
+    theorem_report,
     weak_chain_count,
     zeta_rational,
 )
@@ -132,6 +134,22 @@ def test_h_transform_matches_power_oracle(cv):
     g = g_from_chain_vector(cv)
     assert g == g_by_powers(cv)
     assert _all_int(g.coeffs)
+
+
+def test_entry_points_take_a_chain_vector():
+    # Everything past the chain vector reads it alone, so a poset and its
+    # ChainVector give equal results at every entry point.
+    for p in _suite() + random_posets(20):
+        cv = strict_chain_vector(p)
+        assert zeta_rational(cv) == zeta_rational(p)
+        assert euler_characteristic(cv) == euler_characteristic(p)
+        if cv.dim < 1:
+            continue
+        for k in range(4):
+            assert g_k_polynomial(cv, k) == g_k_polynomial(p, k)
+        assert spectral_constants(cv) == spectral_constants(p)
+        if euler_characteristic(cv):
+            assert theorem_report(cv, 3) == theorem_report(p, 3)
 
 
 def test_integer_coefficients():
