@@ -69,9 +69,9 @@ class ZeroEulerCharacteristic(PosetZetaError):
     pass
 
 
+# chi = 0, under the name the P_n growth records raise it by.
+ChiZero = ZeroEulerCharacteristic
+
+
 class RangeTooLarge(ResourceCapExceeded):
-    pass
-
-
-class ChiZero(PosetZetaError):
     pass

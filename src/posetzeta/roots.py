@@ -1,29 +1,29 @@
 """High-precision root finding and convergence diagnostics.
 
-Roots are found in two routes.  The fast route proves them real:
-Aberth-Ehrlich iteration in complex doubles gives approximations, the
-exact integer polynomial changes sign between each pair of neighbouring
-approximations (and beyond each end), so every root is real and alone
-in its own bracket, and fixed-point Newton on Python integers refines
-each root inside its bracket.  Barycentric subdivision makes the
-numerators real-rooted (Brenti and Welker, "f-vectors of barycentric
-subdivisions", 2008), so this route carries nearly every step.  When a
-double does not hold the polynomial, the signs do not prove it, or a
-Newton step leaves its bracket, the roots come from the same Aberth
-iteration in mpmath arbitrary precision, warm-started from the doubles
-when there are any.  Aberth is started and stopped as in Bini,
-"Numerical computation of polynomial zeros by means of Aberth's method"
-(1996): the starting points lie on one circle per edge of the Newton
-polygon, and a root is accepted once its backward error is at most
-2^-(bits/2).  The trajectory report tracks, per subdivision step, the
-dominant root against its predicted growth and the remaining roots
-against the fixed roots of the limit polynomial.
+Roots are found in two routes, both started on one circle per edge of
+the Newton polygon (Bini, "Numerical computation of polynomial zeros by
+means of Aberth's method", 1996), read in doubles from the exact
+coefficients.  The fast route proves them real: Aberth-Ehrlich
+iteration in complex doubles gives approximations, the exact integer
+polynomial changes sign between each pair of neighbouring ones (and
+beyond each end), so every root is real and alone in its own bracket,
+and fixed-point Newton on Python integers refines each root inside its
+bracket.  Barycentric subdivision makes the numerators real-rooted
+(Brenti and Welker, "f-vectors of barycentric subdivisions", 2008), so
+this route carries nearly every step.  When a double does not hold the
+polynomial or a start, the signs do not prove it, or a Newton step
+leaves its bracket, the same Aberth iteration runs in mpmath at the
+working precision, warm-started from the doubles when there are any.
+Every root must have a backward error of at most 2^-(bits/2).  The
+trajectory report tracks, per subdivision step, the dominant root
+against its predicted growth and the others against the fixed roots of
+the limit polynomial.
 """
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, frexp, lcm
+from math import exp, factorial, frexp, lcm, log, pi
 
 import mpmath as mp
 
@@ -49,7 +49,7 @@ MAX_NEWTON = 64
 # Bini's rotation of the starting circles: it keeps the starts of a
 # real polynomial off the real axis and out of conjugate-symmetric
 # positions, which the iteration of a real polynomial would preserve.
-START_ANGLE = mp.mpf("0.7")
+START_ANGLE = 0.7
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,9 @@ def find_roots(p, precision_bits=256):
 def _nonzero_roots(exact, coeffs, tol, bits):
     """The roots of a polynomial of degree >= 2 with a nonzero constant
     term, given exactly and as mpf: certified real to about `bits` bits
-    when they can be, else by `_aberth` at the working precision,
-    warm-started from the double approximations when there are any."""
-    with mp.workprec(53):  # starting points need no more
-        starts = _newton_polygon_starts(coeffs)
+    when they can be, else by `_aberth` at the working precision from
+    the double approximations if any, else the Newton-polygon starts."""
+    starts = _newton_polygon_starts(exact)
     approx = _float_aberth(exact, starts)
     if approx is not None:
         roots = _certified_real_roots(exact, approx, bits)
@@ -143,22 +142,25 @@ def _nonzero_roots(exact, coeffs, tol, bits):
         # Starts all on the real axis would keep the sweeps of a real
         # polynomial there (see START_ANGLE), away from any complex root.
         if any(z.imag for z in approx):
-            starts = [mp.mpc(z) for z in approx]
-    return _aberth(coeffs, tol, starts)
+            return _aberth(coeffs, tol, [mp.mpc(z) for z in approx])
+    return _aberth(coeffs, tol, [mp.exp(r) * mp.expj(t) for r, t in starts])
 
 
-def _newton_polygon_starts(coeffs):
+def _newton_polygon_starts(exact):
     """One circle of starts per edge of the upper convex hull of the
-    points (i, log|c_i|), c_i != 0 (Bini 1996).
+    points (i, log|c_i|), c_i != 0 (Bini 1996), as (log radius, angle)
+    pairs of doubles.
 
     An edge from i to j carries j - i starts, evenly spaced on the
     circle of radius (|c_i| / |c_j|)^(1/(j-i)) and rotated by
     2 pi i / n + START_ANGLE, n the degree.  About j - i roots have
     modulus near that radius, so roots of very different sizes each
-    start near their own circle.
+    start near their own circle.  log|c| is taken as log|numerator| -
+    log(denominator), which is finite at any coefficient size.
     """
-    n = len(coeffs) - 1
-    logs = {i: mp.log(abs(c)) for i, c in enumerate(coeffs) if c}
+    n = len(exact) - 1
+    logs = {i: log(abs(c.numerator)) - log(c.denominator)
+            for i, c in enumerate(exact) if c}
     hull = []
     for j in sorted(logs):
         # Drop the last vertex while it lies on or below the chord
@@ -171,11 +173,9 @@ def _newton_polygon_starts(coeffs):
     starts = []
     for i, j in zip(hull, hull[1:]):
         m = j - i
-        radius = mp.exp((logs[i] - logs[j]) / m)
-        offset = 2 * mp.pi * i / n + START_ANGLE
-        starts.extend(
-            radius * mp.expj(2 * mp.pi * k / m + offset) for k in range(m)
-        )
+        log_radius = (logs[i] - logs[j]) / m
+        offset = 2 * pi * i / n + START_ANGLE
+        starts.extend((log_radius, 2 * pi * k / m + offset) for k in range(m))
     return starts
 
 
@@ -185,8 +185,8 @@ def _aberth(coeffs, tol, starts):
     Bini (1996).
 
     The arithmetic is that of the coefficients and starts: mpmath at
-    the working precision, or complex doubles.  The starts are the
-    `_newton_polygon_starts`, or earlier approximations of the roots.
+    the working precision, or complex doubles.  The starts lie on the
+    `_newton_polygon_starts` circles, or are earlier approximations.
     Each sweep updates every root in turn by the Aberth correction.  The
     stop is relative: iteration ends after the first sweep that began
     with every root's backward error |p(z)| / sum |c_i| |z|^i at most
@@ -226,20 +226,20 @@ def _aberth(coeffs, tol, starts):
 
 
 def _float_aberth(exact, starts):
-    """`_aberth` in complex doubles from the given starts, or None.
+    """`_aberth` in doubles from (log radius, angle) starts, or None.
 
-    None when a coefficient or start is not a finite double, when the
-    sweeps overflow or do not converge, or when two approximations
+    None when a coefficient or start overflows a double (float and exp
+    raise OverflowError rather than return inf), when the sweeps do not
+    converge or leave a non-finite value, or when two approximations
     coincide, so that they could neither be told apart nor warm-start
     the full-precision sweeps.
     """
     try:
         coeffs = [float(c) for c in exact]
-        z = [complex(s) for s in starts]
-        if all(map(cmath.isfinite, coeffs + z)):
-            z = _aberth(coeffs, FLOAT_TOL, z)
-            if all(map(cmath.isfinite, z)) and len(set(z)) == len(z):
-                return z
+        z = [cmath.rect(exp(r), t) for r, t in starts]
+        z = _aberth(coeffs, FLOAT_TOL, z)
+        if all(map(cmath.isfinite, z)) and len(set(z)) == len(z):
+            return z
     except (OverflowError, ZeroDivisionError, NoConvergence):
         pass
     return None

@@ -12,6 +12,7 @@ from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
+import mpmath as mp
 from hypothesis import strategies as st
 
 from posetzeta import (
@@ -23,6 +24,7 @@ from posetzeta import (
     series_expand,
 )
 from posetzeta.poset import ChainVector, _require_nonempty, relation_pairs
+from posetzeta.roots import START_ANGLE
 from posetzeta.subdivision import SpectralConstants, big_F_number
 
 FIXED_SEED = 20240823
@@ -218,6 +220,41 @@ def match_by_permutations(roots, targets):
         abs(roots[i] - targets[perm[i]]) for i in range(len(roots))
     )
     return matched, dists
+
+
+def mp_newton_polygon_starts(coeffs):
+    """One circle of starts per edge of the upper convex hull of the
+    points (i, log|c_i|), c_i != 0 (Bini 1996).
+
+    An edge from i to j carries j - i starts, evenly spaced on the
+    circle of radius (|c_i| / |c_j|)^(1/(j-i)) and rotated by
+    2 pi i / n + START_ANGLE, n the degree.  About j - i roots have
+    modulus near that radius, so roots of very different sizes each
+    start near their own circle.
+
+    The former body of roots._newton_polygon_starts, in mpmath on mpf
+    coefficients, run at 53 bits; the oracle for its double starts.
+    """
+    n = len(coeffs) - 1
+    logs = {i: mp.log(abs(c)) for i, c in enumerate(coeffs) if c}
+    hull = []
+    for j in sorted(logs):
+        # Drop the last vertex while it lies on or below the chord
+        # from the one before it to j.
+        while len(hull) >= 2 and (logs[hull[-1]] - logs[hull[-2]]) * (
+            j - hull[-2]
+        ) <= (logs[j] - logs[hull[-2]]) * (hull[-1] - hull[-2]):
+            hull.pop()
+        hull.append(j)
+    starts = []
+    for i, j in zip(hull, hull[1:]):
+        m = j - i
+        radius = mp.exp((logs[i] - logs[j]) / m)
+        offset = 2 * mp.pi * i / n + START_ANGLE
+        starts.extend(
+            radius * mp.expj(2 * mp.pi * k / m + offset) for k in range(m)
+        )
+    return starts
 
 
 def sign_scan_root_count(coeffs, lo, hi, steps):

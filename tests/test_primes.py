@@ -12,6 +12,7 @@ from posetzeta import (
     DimensionZero,
     RangeTooLarge,
     SquarefreeTable,
+    ZeroEulerCharacteristic,
     alpha_record,
     build_Pn,
     chi_Pn,
@@ -246,6 +247,9 @@ class TestAlpha:
         assert rec.chi == 0
         assert rec.alpha is None
         with pytest.raises(ChiZero):
+            rec.require_alpha()
+        # One condition, one class: theorem_report raises the same one.
+        with pytest.raises(ZeroEulerCharacteristic):
             rec.require_alpha()
 
     def test_small_n_rejected(self):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import isfinite, lcm
 from unittest import mock
 
 import mpmath as mp
@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import match_by_permutations, sign_scan_root_count
+from helpers import (
+    FIXED_SEED,
+    match_by_permutations,
+    mp_newton_polygon_starts,
+    sign_scan_root_count,
+)
 from posetzeta import (
     DegreeZero,
     DimensionZero,
@@ -27,6 +32,7 @@ from posetzeta import (
 from posetzeta.roots import (
     RootSet,
     _aberth,
+    _float_aberth,
     _match,
     _newton_polygon_starts,
     _pick_beta1,
@@ -51,13 +57,14 @@ def assert_backward_errors(poly, roots, bits):
 
 
 def aberth_oracle(poly, bits=256):
-    """The roots by full-precision `_aberth` from the Newton-polygon
-    starts alone, exact zero roots apart, sorted as find_roots sorts."""
+    """The roots by full-precision `_aberth` from the mpmath
+    Newton-polygon starts alone, exact zero roots apart, sorted as
+    find_roots sorts."""
     zeros = next(i for i, c in enumerate(poly.coeffs) if c)
     with mp.workprec(bits + 64):
         coeffs = [_to_mpf(c) for c in poly.coeffs[zeros:]]
         with mp.workprec(53):
-            starts = _newton_polygon_starts(coeffs)
+            starts = mp_newton_polygon_starts(coeffs)
         tol = mp.mpf(2) ** -(bits // 2)
         roots = _aberth(coeffs, tol, starts)
         roots += [mp.mpc(0)] * zeros
@@ -154,6 +161,53 @@ class TestCertifiedRoots:
         assert mp.mpf in kinds  # the full-precision route ran
         assert_agree(rs.roots, aberth_oracle(poly), rel_bits)
         assert all(r <= mp.mpf(2) ** -128 for r in rs.residuals)
+
+
+def random_coefficients(rng, count):
+    """`count` coefficient lists of degree 2..12, half int and half
+    Fraction, with nonzero ends and sizes from 2^10 to 2^60."""
+    lists = []
+    for k in range(count):
+        bits = rng.choice((10, 30, 60))
+
+        def coeff():
+            num = rng.randint(-(2**bits), 2**bits)
+            return Fraction(num, rng.randint(1, 2**bits)) if k % 2 else num
+
+        coeffs = [coeff() for _ in range(rng.randint(3, 13))]
+        coeffs[0] = coeffs[0] or 1
+        coeffs[-1] = coeffs[-1] or 1
+        lists.append(coeffs)
+    return lists
+
+
+class TestNewtonPolygonStarts:
+    def test_double_starts_match_mpmath_oracle(self):
+        cases = random_coefficients(random.Random(FIXED_SEED), 200) + [
+            list(H_polynomial(d).coeffs) for d in range(2, 13)
+        ]
+        for coeffs in cases:
+            got = _newton_polygon_starts(coeffs)
+            with mp.workprec(53):
+                want = mp_newton_polygon_starts([_to_mpf(c) for c in coeffs])
+            assert len(got) == len(want) == len(coeffs) - 1
+            with mp.workprec(128):
+                for (r, t), w in zip(got, want):
+                    z = mp.exp(r) * mp.expj(t)
+                    assert abs(z - w) <= mp.mpf(2) ** -45 * abs(w), coeffs
+
+    @pytest.mark.parametrize(
+        "poly",
+        [S * S - 10**700, Fraction(1, 10**320) * S * S - 10**308],
+        ids=["coefficient", "radius"],
+    )
+    def test_beyond_double_range(self, poly):
+        # A double holds neither 10^700 nor the start radii 10^350 and
+        # 10^314; 10^-320 is a subnormal double.
+        starts = _newton_polygon_starts(poly.coeffs)
+        assert all(isfinite(r) and isfinite(t) for r, t in starts)
+        assert _float_aberth(poly.coeffs, starts) is None
+        assert_agree(find_roots(poly).roots, aberth_oracle(poly), 128)
 
 
 class TestFindRoots:
