@@ -1,10 +1,10 @@
 """Squarefree divisibility posets and their number-theoretic statistics.
 
-One linear-sieve pass records the Mobius function, its Mertens prefix
-sums and the squarefree integers grouped by their number of prime
-factors.  The Euler characteristic is chi(P_n) = 1 - M(n), pi_weight is a
-bisection into one weight's list, and the top-chain counts and alpha
-records are derived from those.
+One sieve over byte slices records the Mobius function, its Mertens
+prefix sums and the squarefree integers grouped by their number of
+prime factors.  The Euler characteristic is chi(P_n) = 1 - M(n),
+pi_weight is a bisection into one weight's list, and the top-chain
+counts and alpha records are derived from those.
 """
 
 import math
@@ -29,10 +29,13 @@ DIM_RATIO_BAND = (0.3, 3.0)
 _NOT_SQUAREFREE = 255
 # Maps a sieve code to mu as a signed byte (255 reads as -1).
 _MU_OF_CODE = bytes((1, 255)[w % 2] for w in range(255)) + b"\0"
+# Adds one to a sieve code, keeping _NOT_SQUAREFREE fixed.
+_PLUS_ONE = bytes(range(1, 256)) + bytes([_NOT_SQUAREFREE])
 
 
 class SquarefreeTable:
-    """Sieve results up to n, in typed arrays (no Python int per integer).
+    """Sieve results up to n, built by slice operations over bytes with no
+    Python step per integer, and kept in typed arrays.
 
     ``mu[k]`` is the Mobius function, ``mertens[k]`` its prefix sum
     M(k), and ``by_weight[w]`` lists the squarefree k <= n with exactly w
@@ -43,28 +46,18 @@ class SquarefreeTable:
 
     def __init__(self, n):
         self.n = n
-        # code[1] = 0 is the weight of 1; any k > 1 still 0 at its turn
-        # was never reached as a multiple, so it is prime.
+        # Eratosthenes over slices, marking the multiples of each square
+        # p^2 on the way; then each prime adds one to the code of its
+        # multiples, which leaves a squarefree k coded by its weight.
+        is_prime = bytearray([1]) * (n + 1)
+        is_prime[:2] = b"\0\0"
         code = bytearray(n + 1)
         code[0] = _NOT_SQUAREFREE
-        primes = []
-        # Linear sieve: each composite is reached once, as i * p with p its
-        # smallest prime factor, so p runs up to the first prime dividing
-        # i.  Then i * p is squarefree iff i is and p does not divide i.
-        for i in range(2, n + 1):
-            c = code[i]
-            if c == 0:
-                code[i] = c = 1
-                primes.append(i)
-            next_code = _NOT_SQUAREFREE if c == _NOT_SQUAREFREE else c + 1
-            lim = n // i
-            for p in primes:
-                if p > lim:
-                    break
-                if i % p == 0:
-                    code[i * p] = _NOT_SQUAREFREE
-                    break
-                code[i * p] = next_code
+        for p in compress(range(math.isqrt(n) + 1), is_prime):
+            is_prime[p * p::p] = bytes(n // p - p + 1)
+            code[p * p::p * p] = bytes([_NOT_SQUAREFREE]) * (n // (p * p))
+        for p in compress(range(n + 1), is_prime):
+            code[p::p] = code[p::p].translate(_PLUS_ONE)
         self.mu = array("b", code.translate(_MU_OF_CODE))
         self.mertens = array("i", accumulate(self.mu))
         top = max(set(code) - {_NOT_SQUAREFREE})

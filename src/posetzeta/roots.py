@@ -93,7 +93,8 @@ def find_roots(p, precision_bits=256):
     way, every root's backward error |p(z)| / sum |c_i| |z|^i must be
     at most 2^-(precision_bits/2), else NoConvergence is raised; those
     errors are returned as the residuals.  Roots are sorted by real
-    part, then imaginary part.
+    part, then imaginary part, and each conjugate pair, whose real parts
+    differ by rounding only, puts its member with im < 0 first.
     """
     if p.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
@@ -115,6 +116,11 @@ def find_roots(p, precision_bits=256):
             )
         roots += [mp.mpc(0) for _ in range(zeros)]
         roots.sort(key=lambda z: (mp.re(z), mp.im(z)))
+        # Neighbours a, b within tol |a| of conj(a) are a conjugate pair.
+        for i in range(len(roots) - 1):
+            a, b = roots[i:i + 2]
+            if a.imag > 0 and abs(b - mp.conj(a)) <= tol * abs(a):
+                roots[i:i + 2] = b, a
         # A root with im exactly 0 gives the same error in real arithmetic.
         residuals = [
             _backward_error(coeffs, abs_coeffs, z if z.imag else z.real)

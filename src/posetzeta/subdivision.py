@@ -10,7 +10,7 @@ zeros of the chain series.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb, factorial, gcd
 from operator import mul
 
@@ -105,25 +105,18 @@ def H_polynomial(d):
 
 
 def _descent_recurrence(d):
-    # Rows indexed -1..d stored with offset 1.
-    if d == 0:
-        return [[1, 0], [0, 1]]
-    prev = _descent_recurrence(d - 1)
-
-    def h_prev(i, j):
-        if i < -1 or i > d - 1 or j < -1 or j > d - 1:
-            return 0
-        return prev[i + 1][j + 1]
-
-    out = []
-    for i in range(-1, d + 1):
-        row = []
-        for j in range(-1, d + 1):
-            v = sum(h_prev(i - 1, l) for l in range(-1, j))
-            v += sum(h_prev(i, l) for l in range(j, d))
-            row.append(v)
-        out.append(row)
-    return out
+    # Indices -1..m stored with offset 1, from m = -1.  Entry (i, j) sums
+    # row i - 1 of m - 1 below column j and row i from j on, read off the
+    # prefix sums of the previous rows with a zero row added at each end.
+    h = [[1]]
+    for m in range(d + 1):
+        zero = [0] * (m + 1)
+        pre = [list(accumulate(row, initial=0)) for row in (zero, *h, zero)]
+        h = [
+            [a[j] + b[-1] - b[j] for j in range(m + 2)]
+            for a, b in zip(pre, pre[1:])
+        ]
+    return h
 
 
 def _descents(seq):
@@ -139,8 +132,7 @@ def _descent_brute_force(d):
             i = _descents((j,) + perm)
             # A(n, i, j) contributes to entry (i - 1, j - 2) in natural
             # indices, i.e. offset storage (i, j - 1).
-            if 0 <= i <= d + 1:
-                counts[i][j - 1] += 1
+            counts[i][j - 1] += 1
     return counts
 
 
@@ -190,8 +182,6 @@ def taylor_matrix(d, inverse=False):
         entries = [
             [
                 (-1) ** (d + 1 + i + j) * comb(d - j, i + 1)
-                if 0 <= i + 1 <= d - j
-                else 0
                 for j in range(-1, d + 1)
             ]
             for i in range(-1, d + 1)

@@ -24,6 +24,7 @@ from posetzeta import (
     series_expand,
 )
 from posetzeta.poset import ChainVector, _require_nonempty, relation_pairs
+from posetzeta.primes import _NOT_SQUAREFREE
 from posetzeta.roots import START_ANGLE
 from posetzeta.subdivision import SpectralConstants, big_F_number
 
@@ -457,3 +458,94 @@ def spectral_constants_by_big_F(start):
         for j in range(d + 1)
     )
     return SpectralConstants(d, C)
+
+
+def linear_sieve_codes(n):
+    """Sieve codes of 0..n: 255 for an integer with a square factor, else
+    its number of prime factors.
+
+    The former body of primes.SquarefreeTable, a linear sieve with one
+    Python step per integer; the oracle for its sieve over slices.
+    """
+    # code[1] = 0 is the weight of 1; any k > 1 still 0 at its turn
+    # was never reached as a multiple, so it is prime.
+    code = bytearray(n + 1)
+    code[0] = _NOT_SQUAREFREE
+    primes = []
+    # Linear sieve: each composite is reached once, as i * p with p its
+    # smallest prime factor, so p runs up to the first prime dividing
+    # i.  Then i * p is squarefree iff i is and p does not divide i.
+    for i in range(2, n + 1):
+        c = code[i]
+        if c == 0:
+            code[i] = c = 1
+            primes.append(i)
+        next_code = _NOT_SQUAREFREE if c == _NOT_SQUAREFREE else c + 1
+        lim = n // i
+        for p in primes:
+            if p > lim:
+                break
+            if i % p == 0:
+                code[i * p] = _NOT_SQUAREFREE
+                break
+            code[i * p] = next_code
+    return code
+
+
+def descent_by_recursion(d):
+    """Descent matrix entries, indices -1..d with offset 1, by recursion
+    on d with a bounds-checked lookup into the previous matrix.
+
+    The former body of subdivision._descent_recurrence; the oracle for
+    its prefix-sum loop.
+    """
+    if d == 0:
+        return [[1, 0], [0, 1]]
+    prev = descent_by_recursion(d - 1)
+
+    def h_prev(i, j):
+        if i < -1 or i > d - 1 or j < -1 or j > d - 1:
+            return 0
+        return prev[i + 1][j + 1]
+
+    out = []
+    for i in range(-1, d + 1):
+        row = []
+        for j in range(-1, d + 1):
+            v = sum(h_prev(i - 1, l) for l in range(-1, j))
+            v += sum(h_prev(i, l) for l in range(j, d))
+            row.append(v)
+        out.append(row)
+    return out
+
+
+def taylor_by_guarded_entries(d):
+    """Entries of the shift to s = -1 with the binomial guarded by hand.
+
+    The former body of subdivision.taylor_matrix(d); the oracle for its
+    unguarded entries, which rely on comb(n, k) = 0 for k > n.
+    """
+    return [
+        [
+            (-1) ** (d + 1 + i + j) * comb(d - j, i + 1)
+            if 0 <= i + 1 <= d - j
+            else 0
+            for j in range(-1, d + 1)
+        ]
+        for i in range(-1, d + 1)
+    ]
+
+
+def sort_like_find_roots(roots, tol):
+    """Roots by real part, then imaginary part, with both members of a
+    conjugate pair (w within tol |z| of conj(z)) keyed by the smaller of
+    their real parts, so that the member with im < 0 comes first.
+
+    The order find_roots documents, found by a search over all pairs.
+    """
+
+    def key(z):
+        pair = [w for w in roots if abs(w - mp.conj(z)) <= tol * abs(z)]
+        return (min(mp.re(w) for w in pair + [z]), mp.im(z))
+
+    return sorted(roots, key=key)

@@ -10,6 +10,7 @@ from fractions import Fraction as Fr
 from itertools import product
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import posetzeta
@@ -21,6 +22,7 @@ from posetzeta import (
     save_poset,
     strict_chain_vector,
 )
+from posetzeta import roots as roots_module
 from posetzeta.cli import (
     fmt_rational,
     main,
@@ -322,6 +324,24 @@ class TestExitCodes:
         antichain = tmp_path / "anti.json"
         save_poset(build_poset(["a", "b"], []), antichain)
         assert main(["zeros", "--input", str(antichain)]) == 3
+
+    def test_backward_error_check_exits_3(self, tmp_path, monkeypatch, capsys):
+        # Roots moved by a relative 2^-40 fail find_roots' final check.
+        found = roots_module._nonzero_roots
+
+        def perturbed(*args):
+            return [z * (1 + mpmath.mpf(2) ** -40) for z in found(*args)]
+
+        monkeypatch.setattr(roots_module, "_nonzero_roots", perturbed)
+        p30 = tmp_path / "p30.json"
+        save_poset(build_Pn(30), p30)
+        capsys.readouterr()
+        assert main(["theorem-check", "--input", str(p30)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error: NoConvergence: backward error above 2^-128; "
+            "raise precision\n"
+        )
 
     def test_resource_cap(self, tmp_path):
         # The sieve cap is checked before the first row is computed.

@@ -1,6 +1,7 @@
 import functools
+from bisect import bisect_right
 from fractions import Fraction as Fr
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial
 
 import pytest
@@ -26,7 +27,7 @@ from posetzeta import (
     strict_chain_vector,
     top_chain_count,
 )
-from helpers import FIXED_SEED
+from helpers import FIXED_SEED, linear_sieve_codes
 from posetzeta.primes import DEFAULT_SIEVE_CAP
 from reference_tables import ALPHA_N, CHI_PN
 
@@ -60,6 +61,16 @@ def brute_mobius(k):
     return (-1) ** len(facs)
 
 
+def tables_from_codes(codes):
+    """mu, its prefix sums and the weight lists read off sieve codes."""
+    mu = [0 if c == 255 else (-1) ** c for c in codes]
+    weights = [[] for _ in range(max(set(codes) - {255}) + 1)]
+    for k, c in enumerate(codes):
+        if c != 255:
+            weights[c].append(k)
+    return mu, list(accumulate(mu)), weights
+
+
 @functools.cache
 def brute_weights(limit):
     """Number of prime factors of each squarefree k in [2, limit]."""
@@ -84,6 +95,25 @@ class TestSieve:
             for w in range(1, max(weights.values()) + 1)
         ]
         assert [list(a) for a in t.by_weight] == expected
+
+    def test_against_linear_sieve(self):
+        # The code of k does not depend on n >= k, so the tables of every
+        # n <= 3000 are prefixes of the oracle's at 3000.
+        mu, mertens, weights = tables_from_codes(linear_sieve_codes(3000))
+        for n in range(2, 3001):
+            t = SquarefreeTable(n)
+            assert list(t.mu) == mu[:n + 1], n
+            assert list(t.mertens) == mertens[:n + 1], n
+            trimmed = [w[:bisect_right(w, n)] for w in weights]
+            assert [list(a) for a in t.by_weight] == [w for w in trimmed if w]
+
+    @pytest.mark.parametrize("n", [10**5, 10**6])
+    def test_against_linear_sieve_large(self, n):
+        mu, mertens, weights = tables_from_codes(linear_sieve_codes(n))
+        t = SquarefreeTable(n)
+        assert list(t.mu) == mu
+        assert list(t.mertens) == mertens
+        assert [list(a) for a in t.by_weight] == weights
 
     def test_omega_and_weight(self):
         # The cached table may reach past 30; weights are read up to 30.

@@ -14,6 +14,7 @@ from helpers import (
     match_by_permutations,
     mp_newton_polygon_starts,
     sign_scan_root_count,
+    sort_like_find_roots,
 )
 from posetzeta import (
     DegreeZero,
@@ -29,11 +30,14 @@ from posetzeta import (
     strict_chain_vector,
     theorem_report,
 )
+from posetzeta import roots as roots_module
 from posetzeta.roots import (
     RootSet,
     _aberth,
+    _certified_real_roots,
     _float_aberth,
     _match,
+    _newton_in_bracket,
     _newton_polygon_starts,
     _pick_beta1,
     _to_mpf,
@@ -68,7 +72,7 @@ def aberth_oracle(poly, bits=256):
         tol = mp.mpf(2) ** -(bits // 2)
         roots = _aberth(coeffs, tol, starts)
         roots += [mp.mpc(0)] * zeros
-        return sorted(roots, key=lambda z: (mp.re(z), mp.im(z)))
+        return sort_like_find_roots(roots, tol)
 
 
 def assert_agree(got, want, rel_bits, bits=256):
@@ -161,6 +165,46 @@ class TestCertifiedRoots:
         assert mp.mpf in kinds  # the full-precision route ran
         assert_agree(rs.roots, aberth_oracle(poly), rel_bits)
         assert all(r <= mp.mpf(2) ** -128 for r in rs.residuals)
+
+
+class TestFallbackExits:
+    def test_newton_leaves_bracket(self):
+        # From 1.4 the first step on s^2 - 2 lands near sqrt(2) > 1.41.
+        assert _newton_in_bracket([-2, 0, 1], 1.4, 1.0, 1.41, 256) is None
+        root = _newton_in_bracket([-2, 0, 1], 1.4, 1.0, 1.5, 256)
+        with mp.workprec(320):
+            assert abs(root - mp.sqrt(2)) <= mp.mpf(2) ** -250
+
+    def test_newton_zero_slope(self):
+        # s^3 - 3s - 1 has slope 0 at s = 1 and a root near 1.879.
+        assert _newton_in_bracket([-1, -3, 0, 1], 1.0, 0.5, 2.5, 256) is None
+        assert _newton_in_bracket([-1, -3, 0, 1], 1.9, 0.5, 2.5, 256)
+
+    def test_newton_step_limit_falls_back(self, monkeypatch):
+        # No Newton run settles in one step, so every certified root
+        # fails and the full-precision sweeps find them all.
+        monkeypatch.setattr(roots_module, "MAX_NEWTON", 1)
+        assert _newton_in_bracket([-2, 0, 1], 1.4, 1.0, 1.5, 256) is None
+        kinds = []
+
+        def aberth(coeffs, *rest):
+            kinds.append(type(coeffs[0]))
+            return _aberth(coeffs, *rest)
+
+        monkeypatch.setattr(roots_module, "_aberth", aberth)
+        for poly in (H_polynomial(6), g_k_polynomial(build_Pn(30), 2)):
+            kinds.clear()
+            rs = find_roots(poly)
+            assert mp.mpf in kinds
+            assert_agree(rs.roots, aberth_oracle(poly), 128)
+
+    @pytest.mark.parametrize(
+        "approx", [[-1.5e308, 1.4], [-1.4, 1.5e308]], ids=["low", "high"]
+    )
+    def test_end_point_beyond_double_range(self, approx):
+        # The point beyond an end root of 1.5e308 is 2 * 1.5e308 - mid,
+        # and 2 * 1.5e308 overflows to inf.
+        assert _certified_real_roots([-2, 0, 1], approx, 320) is None
 
 
 def random_coefficients(rng, count):
@@ -287,6 +331,24 @@ class TestFindRoots:
         assert len(rs.roots) == poly.degree
         assert all(r <= mp.mpf(2) ** -128 for r in rs.residuals)
         assert_backward_errors(poly, rs.roots, 256)
+
+    def test_conjugate_pairs_put_negative_im_first(self):
+        # Sorted by (re, im) alone, 74 of these 397 pairs came out with
+        # im > 0 first, their real parts differing by rounding only.
+        rng = random.Random(7)
+        pairs = 0
+        for _ in range(199):
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(3, 9))]
+            coeffs[0] = coeffs[0] or 1
+            rs = find_roots(ExactPolynomial(coeffs + [rng.randint(1, 9)]))
+            with mp.workprec(320):
+                tol = mp.mpf(2) ** -128
+                assert list(rs.roots) == sort_like_find_roots(rs.roots, tol)
+                pairs += sum(
+                    a.imag < 0 and abs(b - mp.conj(a)) <= tol * abs(a)
+                    for a, b in zip(rs.roots, rs.roots[1:])
+                )
+        assert pairs == 397
 
     def test_determinism(self):
         poly = g_k_polynomial(build_Pn(30), 3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from posetzeta import (
     BruteForceTooLarge,
     DimensionZero,
+    ExactMatrix,
     ExactPolynomial,
     F_polynomial,
     H1_bounds_check,
@@ -33,11 +34,13 @@ from posetzeta.zeta import g_from_chain_vector
 from helpers import (
     big_F_by_recurrence,
     chain_vectors,
+    descent_by_recursion,
     descents,
     f_by_recursion,
     flag_chain_count,
     shift_by_composition,
     spectral_constants_by_big_F,
+    taylor_by_guarded_entries,
 )
 from reference_tables import (
     DESCENT_MATRICES,
@@ -162,6 +165,11 @@ class TestDescentMatrix:
                 d, "brute_force"
             )
 
+    def test_recursion_agrees(self):
+        for d in range(31):
+            want = ExactMatrix(descent_by_recursion(d))
+            assert descent_matrix(d) == want, d
+
     def test_brute_force_cap(self):
         with pytest.raises(BruteForceTooLarge):
             descent_matrix(9, "brute_force")
@@ -217,6 +225,13 @@ class TestTaylorMatrix:
             for i in range(-1, d + 1):
                 for j in range(-1, d + 1):
                     assert prod.get(i, j) == (1 if i == j else 0)
+
+    def test_guarded_entries_agree(self):
+        for d in range(41):
+            guarded = ExactMatrix(taylor_by_guarded_entries(d))
+            assert taylor_matrix(d) == guarded, d
+            inverse = taylor_matrix(d, inverse=True)
+            assert guarded * inverse == ExactMatrix.identity(d + 2), d
 
     def test_acts_as_coefficient_shift(self):
         # Applying to the coefficient vector of F_d gives the shift
