@@ -1,8 +1,9 @@
 """Dense exact polynomials and their quotients.
 
-Coefficients are kept as given (int or fractions.Fraction); division
-yields Fraction, never float.  Coefficient lists are stored lowest
-degree first and the zero polynomial has degree -1.  A rational
+A polynomial is a tuple of coefficients, kept as given (int or
+fractions.Fraction), lowest degree first; the zero polynomial has
+degree -1.  It offers one operation, the Taylor shift p(s + c): the
+closed forms of the package need no ring arithmetic.  A rational
 function holds its two parts as given, without reduction.
 """
 
@@ -25,10 +26,6 @@ class ExactPolynomial:
     def degree(self):
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -37,73 +34,13 @@ class ExactPolynomial:
             return self.coeffs[k]
         return 0
 
-    @property
-    def leading(self):
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
-
     def __eq__(self, other):
         if isinstance(other, ExactPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == ExactPolynomial([other])
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactPolynomial([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPolynomial(
-            [self[k] + other[k] for k in range(n)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactPolynomial([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ExactPolynomial([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return ExactPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ExactPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = ExactPolynomial([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def shifted(self, c):
         """p(s + c), by repeated synthetic division by s - c."""
@@ -112,23 +49,6 @@ class ExactPolynomial:
             for j in range(len(a) - 2, i - 1, -1):
                 a[j] += c * a[j + 1]
         return ExactPolynomial(a)
-
-    def divmod(self, other):
-        """Exact polynomial division over the rationals."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading
-        for k in range(len(rem) - 1, d - 1, -1):
-            if rem[k] == 0:
-                continue
-            f = Fraction(rem[k], lead)
-            q[k - d] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k - d + j] -= f * b
-        return ExactPolynomial(q), ExactPolynomial(rem)
 
     def __repr__(self):
         return f"ExactPolynomial({[str(c) for c in self.coeffs]})"
@@ -151,11 +71,8 @@ class ExactRationalFunction:
             part = getattr(self, name)
             if not isinstance(part, ExactPolynomial):
                 object.__setattr__(self, name, ExactPolynomial(part))
-        if self.denominator.is_zero:
+        if not self.denominator:
             raise ZeroDivisionError("zero denominator")
-
-    def __call__(self, x):
-        return Fraction(self.numerator(x)) / self.denominator(x)
 
 
 def series_expand(f, K):
@@ -179,10 +96,19 @@ def residue_at_infinity(f):
     With f = q + r/den and deg r < m = deg den, only r/den reaches 1/s,
     and its coefficient there is r[m-1] / lead(den).
     """
-    m = f.denominator.degree
+    den = f.denominator.coeffs
+    m = len(den) - 1
     if f.numerator.degree > m + 1:
         raise DivergentAtInfinity(
             "numerator degree exceeds denominator degree + 1"
         )
-    r = f.numerator.divmod(f.denominator)[1]
-    return Fraction(-r[m - 1], f.denominator.leading)
+    if m == 0:
+        return Fraction(0)
+    # The remainder r of the numerator modulo den, in place; the m zeros
+    # of padding keep r[m-1] in range when the numerator is shorter.
+    r = list(f.numerator.coeffs) + [0] * m
+    for k in range(f.numerator.degree, m - 1, -1):
+        q = Fraction(r[k], den[m])
+        for j, b in enumerate(den):
+            r[k - m + j] -= q * b
+    return Fraction(-r[m - 1], den[m])

@@ -296,8 +296,81 @@ def adjacency_matrix(p):
     )
 
 
+class Poly(ExactPolynomial):
+    """An ExactPolynomial with ring arithmetic: +, -, *, **, evaluation
+    and exact division over the rationals.
+
+    The package's polynomials hold coefficients and a Taylor shift only,
+    so the oracles below run on this class and share no arithmetic with
+    the code they check.  An int, a Fraction or a package polynomial
+    mixes in as a Poly.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def of(x):
+        return Poly(x.coeffs if isinstance(x, ExactPolynomial) else [x])
+
+    def __add__(self, other):
+        other = Poly.of(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly([self[k] + other[k] for k in range(n)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = Poly.of(other)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out, base = Poly([1]), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __call__(self, x):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __divmod__(self, other):
+        """(quotient, remainder), with Fraction quotient coefficients."""
+        other = Poly.of(other)
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        d = other.degree
+        q = [0] * max(0, len(rem) - d)
+        for k in range(len(rem) - 1, d - 1, -1):
+            f = Fraction(rem[k], other.coeffs[-1])
+            q[k - d] = f
+            for j, b in enumerate(other.coeffs):
+                rem[k - d + j] -= f * b
+        return Poly(q), Poly(rem)
+
+
 def poly_determinant(m):
-    """Determinant of a square matrix of ExactPolynomial entries.
+    """Determinant of a square matrix of Poly entries.
 
     Bareiss fraction-free elimination: every division is exact in the
     polynomial ring, so intermediate entries stay polynomial instead of
@@ -305,26 +378,25 @@ def poly_determinant(m):
     """
     n = len(m)
     a = [list(row) for row in m]
-    one = ExactPolynomial([1])
     sign = 1
-    prev = one
+    prev = None
     for k in range(n - 1):
-        if a[k][k].is_zero:
+        if not a[k][k]:
             for r in range(k + 1, n):
-                if not a[r][k].is_zero:
+                if a[r][k]:
                     a[k], a[r] = a[r], a[k]
                     sign = -sign
                     break
             else:
-                return ExactPolynomial()
+                return Poly()
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                if prev is not one:
-                    num, rem = num.divmod(prev)
-                    assert rem.is_zero, "inexact Bareiss division"
+                if prev is not None:
+                    num, rem = divmod(num, prev)
+                    assert not rem, "inexact Bareiss division"
                 a[i][j] = num
-            a[i][k] = ExactPolynomial()
+            a[i][k] = Poly()
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det
@@ -339,12 +411,8 @@ def determinant_zeta(p):
     """
     a = adjacency_matrix(p)
     n = len(p)
-    minus_s = ExactPolynomial([0, -1])
     base = [
-        [
-            ExactPolynomial([1 if i == j else 0]) + minus_s * a.entries[i][j]
-            for j in range(n)
-        ]
+        [Poly([1 if i == j else 0, -a.entries[i][j]]) for j in range(n)]
         for i in range(n)
     ]
     det = poly_determinant(base)
@@ -363,9 +431,9 @@ def g_by_powers(cv):
     integer h-transform.
     """
     d = cv.dim
-    one_minus_s = ExactPolynomial([1, -1])
-    s = ExactPolynomial([0, 1])
-    total = ExactPolynomial()
+    one_minus_s = Poly([1, -1])
+    s = Poly([0, 1])
+    total = Poly()
     for i, count in enumerate(cv.counts):
         total = total + count * (s ** i) * (one_minus_s ** (d - i))
     return total
@@ -377,8 +445,8 @@ def shift_by_composition(p, a):
     The oracle for the synthetic-division Taylor shift
     ExactPolynomial.shifted, which g_from_chain_vector and H_vector use.
     """
-    out = ExactPolynomial()
-    s_plus_a = ExactPolynomial([a, 1])
+    out = Poly()
+    s_plus_a = Poly([a, 1])
     for c in reversed(p.coeffs):
         out = out * s_plus_a + c
     return out

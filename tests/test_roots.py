@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     FIXED_SEED,
+    Poly,
     match_by_permutations,
     mp_newton_polygon_starts,
     sign_scan_root_count,
@@ -88,13 +89,13 @@ def integer_coeffs(poly):
 
 
 def product(factors):
-    poly = ExactPolynomial([1])
+    poly = Poly([1])
     for f in factors:
-        poly = poly * ExactPolynomial(f)
+        poly = poly * Poly(f)
     return poly
 
 
-S = ExactPolynomial([0, 1])
+S = Poly([0, 1])
 
 
 class TestCertifiedRoots:
