@@ -56,7 +56,7 @@ from .subdivision import (
 from .zeta import zeta_rational
 
 FLOAT_DIGITS = 20
-DEFAULT_SUBDIVISION_CAP = 100_000
+SUBDIVISION_CAP = 100_000
 # The F and H triangles cost about d^6: --dmax 140 takes 7x as long as 100.
 TABLES_DMAX_CAP = 100
 # theorem-check grows with both: the chain with d = 8 takes about 3 s at
@@ -66,9 +66,9 @@ THEOREM_PRECISION_BITS_CAP = 4096
 
 
 # Decimal digits that str() and int() convert in one call; Python caps
-# a single conversion (4300 digits by default), so longer numbers are
-# split into halves by a power of ten.
-DIGITS_PER_CALL = 3000
+# a single conversion (4300 digits by default, and never below 640), so
+# longer numbers are split into halves by a power of ten.
+DIGITS_PER_CALL = 640
 
 
 def _int_to_str(n):
@@ -160,15 +160,18 @@ def _cmd_subdivide(args):
     p = load_poset(args.input)
     # A subdivision's size is the chain sum of the poset it subdivides, so
     # every iterate is checked against the cap before the first is built.
-    cv = strict_chain_vector(p) if args.times else None
-    for _ in range(args.times):
+    times = args.times
+    cv = strict_chain_vector(p) if times else None
+    if times and cv.dim == 0:
+        times = 1  # an antichain is its own subdivision
+    for _ in range(times):
         size = sum(cv.counts)
-        if size > args.cap:
+        if size > SUBDIVISION_CAP:
             raise SubdivisionTooLarge(
-                f"subdivision has {size} elements, cap is {args.cap}"
+                f"subdivision has {size} elements, cap is {SUBDIVISION_CAP}"
             )
         cv = transfer_iterate(cv, 1)
-    for _ in range(args.times):
+    for _ in range(times):
         p = barycentric_subdivision(p)
     rows = chain(
         (["element", lab, ""] for lab in p.labels),
@@ -246,7 +249,7 @@ def _parse_range(text):
 def _cmd_pn(args):
     ns = args.range
     squarefree_sieve(ns[-1])  # raises RangeTooLarge before any row is made
-    if args.pn_command == "chi":
+    if args.kind == "chi":
         return ["n", "chi"], ([n, chi_Pn(n)] for n in ns), None
     rows = (
         [
@@ -314,9 +317,6 @@ def build_parser():
     sp = sub.add_parser("subdivide", help="explicit barycentric subdivision")
     sp.add_argument("--input", required=True)
     sp.add_argument("--times", type=_at_least(0), default=1)
-    sp.add_argument(
-        "--cap", type=_at_least(0), default=DEFAULT_SUBDIVISION_CAP
-    )
     common(sp)
     sp.set_defaults(func=_cmd_subdivide, format="json")
 
@@ -332,14 +332,12 @@ def build_parser():
     sp.set_defaults(func=_cmd_theorem_check)
 
     sp = sub.add_parser("pn", help="squarefree divisibility poset statistics")
-    pn_sub = sp.add_subparsers(dest="pn_command", required=True)
-    for name in ("chi", "alpha"):
-        psp = pn_sub.add_parser(name)
-        psp.add_argument(
-            "--range", type=_parse_range, required=True, help="lo:hi inclusive"
-        )
-        common(psp)
-        psp.set_defaults(func=_cmd_pn)
+    sp.add_argument("kind", choices=["chi", "alpha"])
+    sp.add_argument(
+        "--range", type=_parse_range, required=True, help="lo:hi inclusive"
+    )
+    common(sp)
+    sp.set_defaults(func=_cmd_pn)
 
     sp = sub.add_parser("pi-weight", help="count squarefree by prime weight")
     sp.add_argument("--d", type=_at_least(1), required=True)

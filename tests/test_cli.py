@@ -54,6 +54,13 @@ def write_p6(tmp_path):
     return str(path)
 
 
+def write_chain(tmp_path, n):
+    labels = [f"c{i}" for i in range(n)]
+    path = tmp_path / f"chain{n}.json"
+    save_poset(build_poset(labels, list(zip(labels, labels[1:]))), path)
+    return str(path)
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -77,6 +84,21 @@ def test_fmt_parse_beyond_int_str_limit():
     assert fmt_rational(Fr(big)) == "1" + "0" * 4999 + "1"
     assert fmt_rational(Fr(-1, 10 ** 6000)) == "-1/1" + "0" * 6000
     assert parse_rational("1" + "0" * 4999 + "1") == big
+
+
+def test_fmt_parse_under_smallest_int_str_limit():
+    # 640 digits is the smallest limit Python lets a process set.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int <-> str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        x = Fr(7 ** 2366 + 1, 3 ** 4190)  # 2000 / 2000 digits
+        text = fmt_rational(x)
+        assert len(text) == 4001
+        assert parse_rational(text) == x
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestTables:
@@ -171,12 +193,31 @@ class TestSubdivideCommand:
             raise AssertionError("subdivision built before the cap check")
 
         monkeypatch.setattr("posetzeta.cli.barycentric_subdivision", fail)
-        chain = tmp_path / "chain.json"
-        save_poset(build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")]), chain)
-        # Iterate sizes 7, 25, 145: the second is the first over the cap.
-        argv = ["subdivide", "--input", str(chain), "--times", "3"]
-        assert main(argv + ["--cap", "10"]) == 4
-        assert "subdivision has 25 elements, cap is 10" in capsys.readouterr().err
+        kept = tmp_path / "kept.txt"
+        kept.write_text("sentinel\n")
+        # Iterate sizes 63, 9365, 5016249: the third is the first over the
+        # cap; the chain with 18 elements has 2^18 - 1 chains.
+        for n, times, size in ((6, "3", 5016249), (18, "1", 262143)):
+            argv = ["subdivide", "--input", write_chain(tmp_path, n)]
+            assert main(argv + ["--times", times, "--output", str(kept)]) == 4
+            assert kept.read_bytes() == b"sentinel\n"
+            assert (
+                f"subdivision has {size} elements, cap is 100000"
+                in capsys.readouterr().err
+            )
+
+    def test_antichain_is_its_own_subdivision(self, tmp_path):
+        anti = tmp_path / "anti.json"
+        save_poset(build_poset(["b", "a"], []), anti)
+        argv = ["subdivide", "--input", str(anti), "--times"]
+        start = time.perf_counter()
+        text = run_to_string(argv + ["1000000000"])
+        assert time.perf_counter() - start < 1
+        assert text == run_to_string(argv + ["1"])
+        # Its one iterate is still checked against the cap.
+        big = tmp_path / "big.json"
+        save_poset(build_poset([str(i) for i in range(100001)], []), big)
+        assert main(["subdivide", "--input", str(big), "--times", "5"]) == 4
 
 
 class TestZerosCommands:
@@ -249,6 +290,15 @@ class TestPnCommands:
         assert main(["pn", "chi", "--range", "10:2"]) == 2
         assert main(["pn", "chi", "--range", "nope"]) == 2
 
+    def test_kind_is_positional(self, capsys):
+        assert run_to_string(["pn", "--range", "2:10", "alpha"]) == (
+            run_to_string(["pn", "alpha", "--range", "2:10"])
+        )
+        assert main(["pn", "--range", "2:10"]) == 2
+        assert "required: kind" in capsys.readouterr().err
+        assert main(["pn", "beta", "--range", "2:10"]) == 2
+        assert "argument kind: invalid choice" in capsys.readouterr().err
+
     def test_chi_rows_are_streamed(self):
         class Sink:
             def write(self, text):
@@ -283,11 +333,13 @@ class TestExitCodes:
         ) == 0
         assert out.read_text().startswith("i,d,value")
 
-    def test_invalid_config(self):
+    def test_invalid_config(self, capsys):
         assert main(["tables", "--kind", "f", "--dmax", "-1"]) == 2
         assert main(["tables", "--kind", "f", "--dmax", "abc"]) == 2
         assert main(["subdivide", "--input", "x", "--times", "-1"]) == 2
-        assert main(["subdivide", "--input", "x", "--cap", "-1"]) == 2
+        # The subdivision cap is a constant, not an option.
+        assert main(["subdivide", "--input", "x", "--cap", "10"]) == 2
+        assert "unrecognized arguments: --cap" in capsys.readouterr().err
         assert main(["zeros", "--input", "x", "--kmax", "-1"]) == 2
         assert main(["zeros", "--input", "x", "--precision-bits", "40"]) == 2
         for d in ("0", "-2"):
@@ -347,17 +399,9 @@ class TestExitCodes:
         # The sieve cap is checked before the first row is computed.
         for command in ("chi", "alpha"):
             assert main(["pn", command, "--range", "6:100000000"]) == 4
-        assert main(
-            [
-                "subdivide",
-                "--input",
-                write_p6(tmp_path),
-                "--times",
-                "3",
-                "--cap",
-                "10",
-            ]
-        ) == 4
+        for n, times in ((6, "3"), (18, "1")):
+            argv = ["subdivide", "--input", write_chain(tmp_path, n)]
+            assert main(argv + ["--times", times]) == 4
 
     def test_tables_dmax_cap(self):
         # The cap is checked before any row: at the cap, H takes seconds.
