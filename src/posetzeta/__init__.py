@@ -1,5 +1,7 @@
 """Exact chain-count series of finite posets and their subdivision dynamics."""
 
+from importlib import import_module as _import_module
+
 from .errors import (
     BruteForceTooLarge,
     ChiZero,
@@ -56,13 +58,6 @@ from .primes import (
     squarefree_sieve,
     top_chain_count,
 )
-from .roots import (
-    RootSet,
-    TrajectoryReport,
-    find_roots,
-    g_k_polynomial,
-    theorem_report,
-)
 from .subdivision import (
     F_polynomial,
     H1_bounds_check,
@@ -82,3 +77,29 @@ from .subdivision import (
 from .zeta import zeta_rational
 
 __version__ = "0.1.0"
+
+# The root finder and mpmath, which only it needs, load on the first use
+# of one of these names (PEP 562), so the exact layers start without them.
+_ROOT_NAMES = frozenset(
+    {"roots", "RootSet", "TrajectoryReport", "find_roots", "g_k_polynomial",
+     "theorem_report"}
+)
+
+
+def __getattr__(name):
+    if name in _ROOT_NAMES:
+        # Not `from . import roots`: its fromlist lookup calls this
+        # __getattr__ again before the submodule is bound.
+        roots = _import_module(f"{__name__}.roots")
+        return roots if name == "roots" else getattr(roots, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ROOT_NAMES})
+
+
+# A star import lists the root names too, as it did when they were eager.
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | _ROOT_NAMES
+)

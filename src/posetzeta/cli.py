@@ -11,6 +11,10 @@ integer).  Floats appear in root-tracking output, printed with 20
 significant digits alongside the precision used (an imaginary part
 proved zero prints as 0.0), and in the dim-report estimate and ratio,
 printed by repr().
+
+Only theorem-check (alias zeros) imports mpmath and the root finder, at
+its first call: every other command runs without them.  The parser is
+built once per process.
 """
 
 import csv
@@ -20,9 +24,8 @@ import os
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
 from fractions import Fraction
+from functools import cache
 from itertools import chain
-
-import mpmath as mp
 
 from .errors import (
     InvalidConfig,
@@ -46,7 +49,6 @@ from .primes import (
     pi_weight,
     squarefree_sieve,
 )
-from .roots import theorem_report
 from .subdivision import (
     H_vector,
     big_F_number,
@@ -107,6 +109,8 @@ def parse_rational(s):
 
 
 def fmt_float(x):
+    import mpmath as mp
+
     return mp.nstr(mp.mpf(x), FLOAT_DIGITS, strip_zeros=False)
 
 
@@ -187,6 +191,10 @@ _TRAJECTORY_HEADER = [
 
 
 def _cmd_theorem_check(args):
+    import mpmath as mp
+
+    from .roots import theorem_report
+
     if args.kmax > THEOREM_KMAX_CAP:
         raise RangeTooLarge(f"--kmax {args.kmax} exceeds {THEOREM_KMAX_CAP}")
     if args.precision_bits > THEOREM_PRECISION_BITS_CAP:
@@ -222,9 +230,16 @@ def _cmd_theorem_check(args):
 
 
 def _at_least(lo):
-    # argparse type for an int >= lo; argparse reports int()'s ValueError.
+    # argparse type for an int >= lo.  Both refusals are ArgumentTypeErrors,
+    # whose message argparse prints as it is; a bare ValueError would be
+    # reported under the name of the outermost type function.
     def integer(text):
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise ArgumentTypeError(
+                f"expected an integer >= {lo}, got {text!r}"
+            ) from None
         if value < lo:
             raise ArgumentTypeError(
                 f"expected an integer >= {lo}, got {value}"
@@ -287,7 +302,10 @@ class _Parser(ArgumentParser):
         raise InvalidConfig(message)
 
 
+@cache
 def build_parser():
+    # Built once per process: parse_args keeps no state in the parser, and
+    # every type function is pure.
     parser = _Parser(
         prog="posetzeta",
         description=(

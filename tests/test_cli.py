@@ -24,6 +24,7 @@ from posetzeta import (
 )
 from posetzeta import roots as roots_module
 from posetzeta.cli import (
+    build_parser,
     fmt_rational,
     main,
     parse_rational,
@@ -353,6 +354,22 @@ class TestExitCodes:
         assert main(["tables", "--kind", "f", "--bogus"]) == 2
         assert main(["bogus"]) == 2
 
+    def test_type_errors_name_the_option(self, capsys):
+        # A non-integer is refused under the option it was given to, never
+        # under the name of a private type function.
+        cases = [
+            (["tables", "--kind", "f", "--dmax", "x"], "--dmax", 0, "'x'"),
+            (["dim-report", "--n", "1e3"], "--n", 16, "'1e3'"),
+            (["pn", "chi", "--range", "a:5"], "--range", 2, "'a'"),
+        ]
+        capsys.readouterr()
+        for argv, option, lo, got in cases:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: InvalidConfig: argument {option}: "
+                f"expected an integer >= {lo}, got {got}\n"
+            )
+
     def test_refused_run_leaves_output_intact(self, tmp_path):
         cyclic = tmp_path / "cyclic.json"
         cyclic.write_text(
@@ -519,3 +536,113 @@ class TestDeterminism:
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
         assert stderr == b""
+
+
+class TestCachedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_between_runs(self, tmp_path, capsys):
+        # After refused parses, each command in this process prints the
+        # bytes of the same command in a fresh one: zeta's csv default,
+        # subdivide's json default and pn's positional kind do not leak
+        # into the runs after them.
+        p6 = write_p6(tmp_path)
+        assert main(["tables", "--kind", "f", "--dmax", "-1"]) == 2
+        assert main(["zeta", "--input", p6, "--bogus"]) == 2
+        commands = [
+            ["zeta", "--input", p6],
+            ["subdivide", "--input", p6],
+            ["zeta", "--input", p6],
+            ["pn", "alpha", "--range", "6:40"],
+        ]
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 0
+            fresh = subprocess.run(
+                [sys.executable, "-m", "posetzeta.cli", *argv],
+                capture_output=True,
+                env=checkout_env(),
+            )
+            assert fresh.returncode == 0
+            assert capsys.readouterr().out.encode() == fresh.stdout
+
+
+ROOT_PATH = ("mpmath", "posetzeta.roots")
+
+
+def root_path_loaded_by(code, *argv, cwd=None):
+    # Which ROOT_PATH modules a fresh interpreter holds after running code.
+    script = (
+        "import sys\n"
+        f"{code}\n"
+        f"print(*sorted(set({ROOT_PATH!r}) & set(sys.modules)), "
+        "file=sys.stderr)"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=checkout_env(),
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stderr.split()
+
+
+class TestRootPathImports:
+    RUN_MAIN = (
+        "import posetzeta.cli\n"
+        "assert posetzeta.cli.main(sys.argv[1:]) == 0"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tables", "--kind", "H", "--dmax", "3"],
+            ["zeta", "--input", "p6.json"],
+            ["subdivide", "--input", "p6.json"],
+            ["pn", "alpha", "--range", "6:40"],
+            ["pi-weight", "--d", "2", "--x", "30"],
+            ["dim-report", "--n", "30,210"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exact_commands_leave_mpmath_unloaded(self, tmp_path, argv):
+        write_p6(tmp_path)
+        assert root_path_loaded_by(self.RUN_MAIN, *argv, cwd=tmp_path) == []
+
+    def test_bare_import_leaves_mpmath_unloaded(self):
+        assert root_path_loaded_by("import posetzeta") == []
+
+    def test_theorem_check_loads_the_root_path(self, tmp_path):
+        write_p6(tmp_path)
+        argv = ["theorem-check", "--input", "p6.json", "--kmax", "2"]
+        loaded = root_path_loaded_by(self.RUN_MAIN, *argv, cwd=tmp_path)
+        assert loaded == sorted(ROOT_PATH)
+
+
+class TestPackageNamespace:
+    ROOT_NAMES = (
+        "roots", "RootSet", "TrajectoryReport", "find_roots",
+        "g_k_polynomial", "theorem_report",
+    )
+
+    def test_root_names_are_listed(self):
+        for name in self.ROOT_NAMES:
+            assert name in dir(posetzeta)
+            assert name in posetzeta.__all__
+
+    def test_root_names_resolve_to_the_roots_module(self):
+        assert posetzeta.roots is roots_module
+        assert posetzeta.find_roots is posetzeta.roots.find_roots
+        for name in self.ROOT_NAMES[1:]:
+            assert getattr(posetzeta, name) is getattr(roots_module, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(
+            AttributeError,
+            match="^module 'posetzeta' has no attribute 'no_such_name'$",
+        ):
+            posetzeta.no_such_name
+        assert not hasattr(posetzeta, "no_such_name")
