@@ -36,6 +36,7 @@ from .errors import (
 )
 from .poset import (
     Poset,
+    _write_list,
     barycentric_subdivision,
     load_poset,
     relation_pairs,
@@ -93,9 +94,9 @@ def _str_to_int(s):
 
 
 def fmt_rational(x):
+    """Text of an int, a Fraction, or None (as "NA")."""
     if x is None:
         return "NA"
-    x = Fraction(x)
     if x.denominator == 1:
         return _int_to_str(x.numerator)
     return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
@@ -115,10 +116,10 @@ def fmt_float(x):
 
 
 def _emit(header, rows, doc, fmt, out):
-    # CSV writes each row as it is made.  JSON writes `doc`, or the rows as
-    # a list of objects when it is None.  A Poset goes through the poset
-    # file writer, in chunks, so a subdivision is never held as one
-    # document or one string beside `out`.
+    # CSV writes each row as it is made.  JSON writes `doc` whole only for
+    # the fixed-size zeta and theorem-check documents; a Poset, or else the
+    # rows as the objects json.dump(indent=2) lays out, go out in chunks,
+    # so no subdivision or list of rows is held beside `out`.
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -126,9 +127,14 @@ def _emit(header, rows, doc, fmt, out):
         return
     if isinstance(doc, Poset):
         write_poset(doc, out)
+    elif doc is None:
+        keys = ["\n    " + json.dumps(h) + ": " for h in header]
+        objs = (
+            "{" + ",".join(map(str.__add__, keys, map(json.dumps, row)))
+            + "\n  }" for row in rows
+        )
+        _write_list(out, objs, 0)
     else:
-        if doc is None:
-            doc = [dict(zip(header, row)) for row in rows]
         json.dump(doc, out, indent=2)
     out.write("\n")
 

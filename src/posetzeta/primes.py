@@ -97,8 +97,6 @@ def mertens(n):
 
 def build_Pn(n):
     """Divisibility poset of squarefree integers in [2, n]."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     if n > DEFAULT_POSET_CAP:
         raise RangeTooLarge(
             f"n={n} exceeds the explicit-poset cap {DEFAULT_POSET_CAP}"
@@ -123,9 +121,7 @@ def chi_Pn(n):
     By Philip Hall's theorem on the divisors of k, the chains of P_n with
     top element k contribute -mu(k) in all, so chi(P_n) = mu(1) - M(n).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return 1 - mertens(n)
+    return 1 - squarefree_sieve(n).mertens[n]
 
 
 def dim_Pn(n):
@@ -185,8 +181,6 @@ class AlphaRecord:
 
 def alpha_record(n):
     """Growth record of the dominant root for the poset of [2, n], n >= 2."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
     d = dim_Pn(n)
     chi = chi_Pn(n)
     top = top_chain_count(n)

@@ -305,14 +305,19 @@ class TestPnCommands:
             def write(self, text):
                 return len(text)
 
-        squarefree_sieve(50000)  # the sieve is not what this measures
-        tracemalloc.start()
-        try:
-            run(["pn", "chi", "--range", "2:50000"], out=Sink())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        squarefree_sieve(200000)  # the sieve is not what this measures
+        # A list of the JSON row objects of 2..200000 alone takes 45 MB.
+        for argv, cap in (
+            (["--range", "2:50000"], 1_000_000),
+            (["--range", "2:200000", "--format", "json"], 5_000_000),
+        ):
+            tracemalloc.start()
+            try:
+                run(["pn", "chi", *argv], out=Sink())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < cap, argv
 
 
 def test_pi_weight_and_dim_report():
@@ -324,6 +329,25 @@ def test_pi_weight_and_dim_report():
     header, rows = parse_csv(run_to_string(["dim-report", "--n", "30,210"]))
     assert [r[1] for r in rows] == ["2", "3"]
     assert all(r[-1] == "1" for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--kind", "f", "--dmax", "12"],
+    ["tables", "--kind", "F", "--dmax", "12"],
+    ["tables", "--kind", "H", "--dmax", "12"],
+    ["pn", "chi", "--range", "2:500"],
+    ["pn", "alpha", "--range", "2:300"],  # alpha is NA below 6
+    ["pi-weight", "--d", "3", "--x", "1000"],
+    ["dim-report", "--n", "16,30,2310"],
+], ids=["tables-f", "tables-F", "tables-H", "pn-chi", "pn-alpha",
+        "pi-weight", "dim-report"])
+def test_json_rows_have_json_dump_bytes(argv):
+    # Rows are written as they are made, with the bytes json.dump gives
+    # the whole list of row objects.
+    args = build_parser().parse_args(argv)
+    header, rows, _ = args.func(args)
+    expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    assert run_to_string(argv + ["--format", "json"]) == expected + "\n"
 
 
 class TestExitCodes:

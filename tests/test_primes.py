@@ -124,10 +124,13 @@ class TestSieve:
         assert 30 not in t.by_weight[2]
 
     def test_cap(self):
-        with pytest.raises(RangeTooLarge):
-            squarefree_sieve(DEFAULT_SIEVE_CAP + 1)
-        with pytest.raises(ValueError):
-            squarefree_sieve(1)
+        # chi_Pn checks n only through the sieve, so it raises the same.
+        for f in (squarefree_sieve, chi_Pn):
+            with pytest.raises(RangeTooLarge):
+                f(DEFAULT_SIEVE_CAP + 1)
+            for n in (1, 0):
+                with pytest.raises(ValueError, match="n must be >= 2"):
+                    f(n)
 
 
 class TestMertens:
@@ -255,7 +258,7 @@ class TestTopChains:
     def test_poset_cap(self):
         with pytest.raises(RangeTooLarge):
             build_Pn(6000)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 2"):
             build_Pn(1)
 
 
@@ -289,7 +292,7 @@ class TestAlpha:
         assert rec.alpha is None
         with pytest.raises(DimensionZero):
             rec.require_alpha()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 2"):
             alpha_record(1)
 
 
