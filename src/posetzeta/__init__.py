@@ -74,15 +74,14 @@ from .subdivision import (
     transfer_iterate,
     verify_similarity,
 )
-from .zeta import zeta_rational
+from .zeta import g_k_polynomial, zeta_rational
 
 __version__ = "0.1.0"
 
 # The root finder and mpmath, which only it needs, load on the first use
 # of one of these names (PEP 562), so the exact layers start without them.
 _ROOT_NAMES = frozenset(
-    {"roots", "RootSet", "TrajectoryReport", "find_roots", "g_k_polynomial",
-     "theorem_report"}
+    {"roots", "RootSet", "TrajectoryReport", "find_roots", "theorem_report"}
 )
 
 

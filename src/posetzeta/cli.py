@@ -128,10 +128,12 @@ def _emit(header, rows, doc, fmt, out):
     if isinstance(doc, Poset):
         write_poset(doc, out)
     elif doc is None:
+        # A cell is an int or a str; str(int) costs a 20th of json.dumps.
         keys = ["\n    " + json.dumps(h) + ": " for h in header]
         objs = (
-            "{" + ",".join(map(str.__add__, keys, map(json.dumps, row)))
-            + "\n  }" for row in rows
+            "{" + ",".join(map(str.__add__, keys, [
+                json.dumps(x) if isinstance(x, str) else str(x) for x in row
+            ])) + "\n  }" for row in rows
         )
         _write_list(out, objs, 0)
     else:
@@ -197,8 +199,6 @@ _TRAJECTORY_HEADER = [
 
 
 def _cmd_theorem_check(args):
-    import mpmath as mp
-
     from .roots import theorem_report
 
     if args.kmax > THEOREM_KMAX_CAP:
@@ -213,12 +213,12 @@ def _cmd_theorem_check(args):
     rows = [
         [
             rec.k,
-            fmt_float(mp.re(rec.beta1)),
-            fmt_float(mp.im(rec.beta1)),
+            fmt_float(rec.beta1.real),
+            fmt_float(rec.beta1.imag),
             fmt_float(rec.beta1_abs),
             fmt_float(rec.es_ratio),
-            fmt_float(mp.re(rec.product_of_others)),
-            fmt_float(mp.im(rec.product_of_others)),
+            fmt_float(rec.product_of_others.real),
+            fmt_float(rec.product_of_others.imag),
             fmt_float(max(rec.matched_distances, default=0)),
             report.precision_bits,
         ]

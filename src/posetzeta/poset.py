@@ -95,20 +95,16 @@ def chain_vector(x):
 def build_poset(labels, relations):
     """Construct a poset from generating pairs (a, b) meaning a < b.
 
-    The transitive closure is taken; any cycle (including a pair (a, a))
-    raises CycleDetected, and a repeated label raises DuplicateLabel.
+    A repeated label raises DuplicateLabel before any relation is read.
+    The closure is taken; any cycle (even a pair (a, a)) raises CycleDetected.
     """
     labels = list(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
+    index = Poset(labels, ()).index  # checks and looks up the labels
     n = len(labels)
     direct = [set() for _ in range(n)]
     lower = [set() for _ in range(n)]
     for a, b in relations:
-        if a not in index:
-            raise UnknownLabel(f"unknown element {a!r}")
-        if b not in index:
-            raise UnknownLabel(f"unknown element {b!r}")
-        i, j = index[a], index[b]
+        i, j = index(a), index(b)
         if i == j:
             raise CycleDetected(f"relation {a!r} < {a!r}")
         direct[i].add(j)

@@ -4,26 +4,27 @@ Roots are found in two routes, both started on one circle per edge of
 the Newton polygon (Bini, "Numerical computation of polynomial zeros by
 means of Aberth's method", 1996), read in doubles from the exact
 coefficients.  The fast route proves them real: Aberth-Ehrlich
-iteration in complex doubles gives approximations, the exact integer
-polynomial changes sign between each pair of neighbouring ones (and
-beyond each end), so every root is real and alone in its own bracket,
-and fixed-point Newton on Python integers refines each root inside its
-bracket.  Barycentric subdivision makes the numerators real-rooted
-(Brenti and Welker, "f-vectors of barycentric subdivisions", 2008), so
-this route carries nearly every step.  When a double does not hold the
-polynomial or a start, the signs do not prove it, or a Newton step
-leaves its bracket, the same Aberth iteration runs in mpmath at the
-working precision, warm-started from the doubles when there are any.
-Every root must have a backward error of at most 2^-(bits/2).  The
-trajectory report tracks, per subdivision step, the dominant root
-against its predicted growth and the others against the fixed roots of
-the limit polynomial.
+iteration in complex doubles gives approximations, taken exactly as
+dyadics (m, e) = m / 2^e; the exact integer polynomial changes sign
+between each pair of neighbouring ones (and beyond each end), so every
+root is real and alone in its bracket, and fixed-point Newton on
+integers refines it there to a dyadic, which `find_roots` makes an mpc.
+Barycentric subdivision makes the numerators real-rooted (Brenti and
+Welker, "f-vectors of barycentric subdivisions", 2008), so this route
+carries nearly every step.  When a double does not hold the polynomial,
+a start or a root, the signs do not prove it, or a Newton step leaves
+its bracket, the same Aberth iteration runs in mpmath at the working
+precision, warm-started from the doubles when there are any.  Every
+root must have a backward error of at most 2^-(bits/2).  The trajectory
+report tracks, per subdivision step, the dominant root against its
+predicted growth and the others against the limit polynomial's roots.
 """
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial, frexp, lcm, log, pi
+from math import exp, factorial, lcm, log, pi
+from operator import add
 
 import mpmath as mp
 
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .poset import chain_vector, euler_characteristic
 from .subdivision import H_polynomial, H_vector, transfer_iterate
-from .zeta import g_from_chain_vector
+from .zeta import g_from_chain_vector, g_k_polynomial  # noqa: F401
 
 MAX_SWEEPS = 1000
 # The double-precision sweeps stop at this backward error.  Horner's
@@ -114,6 +115,10 @@ def find_roots(p, precision_bits=256):
             roots = _nonzero_roots(
                 p.coeffs[zeros:], coeffs[zeros:], tol, precision_bits + 64
             )
+            roots = [
+                z if isinstance(z, mp.mpc) else mp.mpc(mp.ldexp(z[0], -z[1]))
+                for z in roots
+            ]
         roots += [mp.mpc(0) for _ in range(zeros)]
         roots.sort(key=lambda z: (mp.re(z), mp.im(z)))
         # Neighbours a, b within tol |a| of conj(a) are a conjugate pair.
@@ -136,13 +141,16 @@ def find_roots(p, precision_bits=256):
 
 def _nonzero_roots(exact, coeffs, tol, bits):
     """The roots of a polynomial of degree >= 2 with a nonzero constant
-    term, given exactly and as mpf: certified real to about `bits` bits
-    when they can be, else by `_aberth` at the working precision from
-    the double approximations if any, else the Newton-polygon starts."""
+    term, given exactly and as mpf: dyadics (m, e) certified real to about
+    `bits` bits when they can be, else mpc from `_aberth` at the working
+    precision from the doubles if any, else from the Newton polygon."""
     starts = _newton_polygon_starts(exact)
     approx = _float_aberth(exact, starts)
     if approx is not None:
-        roots = _certified_real_roots(exact, approx, bits)
+        # Each real part as the dyadic (m, e), exactly m / 2^e, e >= 0.
+        ratios = (x.as_integer_ratio() for x in sorted(z.real for z in approx))
+        xs = [(m, den.bit_length() - 1) for m, den in ratios]
+        roots = _certified_real_roots(exact, xs, bits)
         if roots is not None:
             return roots
         # Starts all on the real axis would keep the sweeps of a real
@@ -251,40 +259,35 @@ def _float_aberth(exact, starts):
     return None
 
 
-def _certified_real_roots(exact, approx, bits):
-    """The roots as exactly real mpc to about `bits` bits, or None.
+def _certified_real_roots(exact, xs, bits):
+    """The roots as dyadics to about `bits` bits, or None.
 
-    `exact` are the coefficients, with a nonzero constant term, and
-    `approx` one double approximation per root.  The integer-scaled
-    polynomial is evaluated exactly at a dyadic point between each pair
-    of neighbouring sorted real parts and at one point beyond each end.
-    If its sign changes n times over those n + 1 points, each of the n
+    `exact` are the coefficients, with a nonzero constant term, and `xs`
+    one real approximation per root, ascending, as dyadics (m, e), each
+    m / 2^e.  The integer-scaled polynomial is evaluated exactly, so at
+    any size, at the midpoint of each pair of neighbouring approximations
+    and at the mirror image of the outer midpoint in each end one.  If
+    its sign changes n times over those n + 1 points, each of the n
     brackets holds one real root, and `_newton_in_bracket` refines it.
     None when the signs change fewer times or a refinement fails.
     """
-    scale = lcm(*(Fraction(c).denominator for c in exact))
+    scale = lcm(*(c.denominator for c in exact))
     a = [int(c * scale) for c in exact]
-    xs = sorted(z.real for z in approx)
-    mids = [x / 2 + y / 2 for x, y in zip(xs, xs[1:])]
-    points = [2 * xs[0] - mids[0], *mids, 2 * xs[-1] - mids[-1]]
-    if not all(map(cmath.isfinite, points)):
-        return None
-    signs = []
-    for x in points:
-        num, den = x.as_integer_ratio()
-        value = _horner(_scaled(a, den.bit_length() - 1), num)
-        signs.append((value > 0) - (value < 0))
+    # The points as integers over one denominator 2^g.
+    g = max(e for _, e in xs) + 1
+    ms = [m << (g - 1 - e) for m, e in xs]
+    points = [3 * ms[0] - ms[1], *map(add, ms, ms[1:]), 3 * ms[-1] - ms[-2]]
+    c = _scaled(a, g)
+    signs = [(v > 0) - (v < 0) for v in (_horner(c, m) for m in points)]
     # Equal neighbouring points give equal signs, so n changes also
     # prove that the points increase strictly.
     if not all(s * t < 0 for s, t in zip(signs, signs[1:])):
         return None
-    roots = []
-    for x, lo, hi in zip(xs, points, points[1:]):
-        root = _newton_in_bracket(a, x, lo, hi, bits)
-        if root is None:
-            return None
-        roots.append(mp.mpc(root))
-    return roots
+    roots = [
+        _newton_in_bracket(a, x, lo, hi, g, bits)
+        for x, lo, hi in zip(xs, points, points[1:])
+    ]
+    return None if None in roots else roots
 
 
 def _scaled(a, e):
@@ -293,45 +296,38 @@ def _scaled(a, e):
     return [c << (e * (n - j)) for j, c in enumerate(a)]
 
 
-def _newton_in_bracket(a, x, lo, hi, bits):
-    """The root of the integer polynomial `a` in (lo, hi), to about
-    `bits` bits, by Newton in fixed point from the double `x`.
+def _newton_in_bracket(a, x, lo, hi, g, bits):
+    """The root of the integer polynomial `a` in (lo / 2^g, hi / 2^g), to
+    about `bits` bits, by Newton in fixed point from the dyadic x = (m, e),
+    that is m / 2^e.
 
-    The root is held as X / 2^f with f chosen so that X has about
-    `bits` bits, and each step subtracts P(X) // P'(X), with P the
-    polynomial `_scaled` by f: that is p(x) / p'(x) in units of 2^-f.
-    Iteration ends at a step of at most one unit.  None when a step
-    leaves the bracket, the derivative vanishes, MAX_NEWTON steps do
-    not settle, or the root has fewer than bits - 1 bits in this fixed
-    point: far smaller than `x`, as when the double underflowed.
+    The root is held as X / 2^f, f chosen so that X has about `bits`
+    bits, and each step subtracts P(X) // P'(X), with P the polynomial
+    `_scaled` by f: p(x) / p'(x) in units of 2^-f.  Iteration ends at a
+    step of at most one unit, with the dyadic root (X, f).  None when a
+    step leaves the bracket, the derivative vanishes, MAX_NEWTON steps
+    do not settle, or X has fewer than bits - 1 bits: the root is far
+    smaller than `x`, as when the double it came from underflowed.
     """
-    f = max(bits - frexp(x)[1], 0)
+    m, e = x
+    f = max(bits - m.bit_length() + e, 0)
     c = _scaled(a, f)
     dc = [j * cj for j, cj in enumerate(c)][1:]
-    lo, hi = Fraction(lo) * 2**f, Fraction(hi) * 2**f
-    num, den = x.as_integer_ratio()
-    fixed = (num << f) // den
+    lo, hi = lo << f, hi << f  # the bracket over 2^(f + g)
+    fixed = (m << f) >> e
     for _ in range(MAX_NEWTON):
         slope = _horner(dc, fixed)
         if not slope:
             return None
         step = _horner(c, fixed) // slope
         fixed -= step
-        if not lo < fixed < hi:
+        if not lo < fixed << g < hi:
             return None
         if abs(step) <= 1:
             if fixed.bit_length() < bits - 1:
                 return None
-            return mp.ldexp(fixed, -f)
+            return fixed, f
     return None
-
-
-def g_k_polynomial(p, k):
-    """Exact numerator after k subdivisions of a poset or its ChainVector."""
-    cv = chain_vector(p)
-    if cv.dim < 1:
-        raise DimensionZero("needs dimension >= 1")
-    return g_from_chain_vector(transfer_iterate(cv, k))
 
 
 @dataclass(frozen=True)
@@ -535,9 +531,7 @@ def theorem_report(p, k_max, precision_bits=256):
             burn_in_k0=k0,
             es_ratio_final=final.es_ratio,
             product_final=final.product_of_others,
-            max_match_distance_final=(
-                max(final.matched_distances) if final.matched_distances else mp.mpf(0)
-            ),
+            max_match_distance_final=max(final.matched_distances, default=mp.mpf(0)),
             beta1_real_from_k0=real_from is not None,
             modulus_increasing_from_k0=increasing_from is not None,
         )

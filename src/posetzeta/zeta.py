@@ -11,8 +11,10 @@ g(1) = N_d > 0.
 
 from math import comb
 
+from .errors import DimensionZero
 from .polynomial import ExactPolynomial, ExactRationalFunction
 from .poset import chain_vector
+from .subdivision import transfer_iterate
 
 
 def zeta_rational(p):
@@ -33,3 +35,11 @@ def g_from_chain_vector(cv):
     """
     shifted = ExactPolynomial(reversed(cv.counts)).shifted(-1)
     return ExactPolynomial(reversed(shifted.coeffs))
+
+
+def g_k_polynomial(p, k):
+    """Exact numerator after k subdivisions of a poset or its ChainVector."""
+    cv = chain_vector(p)
+    if cv.dim < 1:
+        raise DimensionZero("needs dimension >= 1")
+    return g_from_chain_vector(transfer_iterate(cv, k))

@@ -378,6 +378,18 @@ class TestExitCodes:
         assert main(["tables", "--kind", "f", "--bogus"]) == 2
         assert main(["bogus"]) == 2
 
+    def test_duplicate_label_is_not_a_cycle(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text(
+            '{"elements": ["a", "b", "a"],'
+            ' "relations": [["a", "b"], ["b", "a"]]}'
+        )
+        capsys.readouterr()
+        assert main(["zeta", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: DuplicateLabel: duplicate element 'a'\n"
+        )
+
     def test_type_errors_name_the_option(self, capsys):
         # A non-integer is refused under the option it was given to, never
         # under the name of a private type function.
@@ -639,6 +651,15 @@ class TestRootPathImports:
     def test_bare_import_leaves_mpmath_unloaded(self):
         assert root_path_loaded_by("import posetzeta") == []
 
+    def test_exact_g_k_leaves_mpmath_unloaded(self):
+        # g_k is integer code in zeta; roots keeps the same function.
+        code = (
+            "from posetzeta import build_Pn, g_k_polynomial\n"
+            "assert g_k_polynomial(build_Pn(30), 2).degree == 2"
+        )
+        assert root_path_loaded_by(code) == []
+        assert roots_module.g_k_polynomial is posetzeta.zeta.g_k_polynomial
+
     def test_theorem_check_loads_the_root_path(self, tmp_path):
         write_p6(tmp_path)
         argv = ["theorem-check", "--input", "p6.json", "--kmax", "2"]
@@ -648,8 +669,7 @@ class TestRootPathImports:
 
 class TestPackageNamespace:
     ROOT_NAMES = (
-        "roots", "RootSet", "TrajectoryReport", "find_roots",
-        "g_k_polynomial", "theorem_report",
+        "roots", "RootSet", "TrajectoryReport", "find_roots", "theorem_report",
     )
 
     def test_root_names_are_listed(self):

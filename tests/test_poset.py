@@ -60,12 +60,21 @@ class TestBuildPoset:
         assert p.less("a", "c")
 
     def test_duplicate_label(self):
-        with pytest.raises(DuplicateLabel):
-            build_poset(["a", "a"], [])
+        # A repeated label is found before the relations, whose closure
+        # would report a cycle in the last two.
+        cases = [
+            (["a", "a"], []),
+            (["a", "a"], [("a", "a")]),
+            (["a", "b", "a"], [("a", "b"), ("b", "a")]),
+        ]
+        for labels, relations in cases:
+            with pytest.raises(DuplicateLabel, match="duplicate element 'a'"):
+                build_poset(labels, relations)
 
     def test_unknown_label(self):
-        with pytest.raises(UnknownLabel):
-            build_poset(["a"], [("a", "b")])
+        for relation in [("a", "b"), ("b", "a")]:
+            with pytest.raises(UnknownLabel, match="unknown element 'b'"):
+                build_poset(["a"], [relation])
 
     def test_cycle(self):
         with pytest.raises(CycleDetected):
@@ -302,6 +311,20 @@ class TestWritePoset:
         p = build_poset(*dag)
         for q in (p, barycentric_subdivision(p)):
             assert written(q) == dumped_poset(q)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: weak_chain_count(chain2(), -1), ValueError, "length must"),
+        (lambda: simplex_face_poset(0), ValueError, "at least one vertex"),
+        (lambda: chain2().index("z"), UnknownLabel, "unknown element 'z'"),
+    ],
+    ids=["weak_chain_count", "simplex_face_poset", "Poset.index"],
+)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_simplex_face_poset():

@@ -135,6 +135,7 @@ class TestSieve:
 
 class TestMertens:
     def test_values(self):
+        assert mertens(0) == mertens(-3) == 0  # the empty sum
         assert mertens(1) == 1
         assert mertens(2) == 0
         assert mertens(3) == -1

@@ -22,6 +22,7 @@ from posetzeta import (
     DimensionZero,
     ExactPolynomial,
     H_polynomial,
+    NoConvergence,
     ZeroEulerCharacteristic,
     build_poset,
     build_Pn,
@@ -168,24 +169,38 @@ class TestCertifiedRoots:
         assert all(r <= mp.mpf(2) ** -128 for r in rs.residuals)
 
 
+def dyadic(x):
+    """The dyadic (m, e) of a double, and the exact value m / 2^e of one."""
+    if isinstance(x, float):
+        m, den = x.as_integer_ratio()
+        return m, den.bit_length() - 1
+    m, e = x
+    return Fraction(m, 2**e)
+
+
 class TestFallbackExits:
     def test_newton_leaves_bracket(self):
-        # From 1.4 the first step on s^2 - 2 lands near sqrt(2) > 1.41.
-        assert _newton_in_bracket([-2, 0, 1], 1.4, 1.0, 1.41, 256) is None
-        root = _newton_in_bracket([-2, 0, 1], 1.4, 1.0, 1.5, 256)
-        with mp.workprec(320):
-            assert abs(root - mp.sqrt(2)) <= mp.mpf(2) ** -250
+        # From 1.4 the first step on s^2 - 2 lands near sqrt(2), out of
+        # (1, 1.40625) and into (1, 1.5), both over 2^7.
+        x = dyadic(1.4)
+        assert _newton_in_bracket([-2, 0, 1], x, 128, 180, 7, 256) is None
+        root = dyadic(_newton_in_bracket([-2, 0, 1], x, 128, 192, 7, 256))
+        # |root - sqrt(2)| <= 2^-250, exactly.
+        assert abs(root * root - 2) <= Fraction(3, 2**250)
 
     def test_newton_zero_slope(self):
         # s^3 - 3s - 1 has slope 0 at s = 1 and a root near 1.879.
-        assert _newton_in_bracket([-1, -3, 0, 1], 1.0, 0.5, 2.5, 256) is None
-        assert _newton_in_bracket([-1, -3, 0, 1], 1.9, 0.5, 2.5, 256)
+        # The bracket (0.5, 2.5), over 2^1.
+        a = [-1, -3, 0, 1]
+        assert _newton_in_bracket(a, dyadic(1.0), 1, 5, 1, 256) is None
+        assert _newton_in_bracket(a, dyadic(1.9), 1, 5, 1, 256)
 
     def test_newton_step_limit_falls_back(self, monkeypatch):
         # No Newton run settles in one step, so every certified root
         # fails and the full-precision sweeps find them all.
         monkeypatch.setattr(roots_module, "MAX_NEWTON", 1)
-        assert _newton_in_bracket([-2, 0, 1], 1.4, 1.0, 1.5, 256) is None
+        x, bracket = dyadic(1.4), (2, 3, 1)  # (1, 1.5) over 2^1
+        assert _newton_in_bracket([-2, 0, 1], x, *bracket, 256) is None
         kinds = []
 
         def aberth(coeffs, *rest):
@@ -199,13 +214,30 @@ class TestFallbackExits:
             assert mp.mpf in kinds
             assert_agree(rs.roots, aberth_oracle(poly), 128)
 
-    @pytest.mark.parametrize(
-        "approx", [[-1.5e308, 1.4], [-1.4, 1.5e308]], ids=["low", "high"]
-    )
-    def test_end_point_beyond_double_range(self, approx):
-        # The point beyond an end root of 1.5e308 is 2 * 1.5e308 - mid,
-        # and 2 * 1.5e308 overflows to inf.
-        assert _certified_real_roots([-2, 0, 1], approx, 320) is None
+    @pytest.mark.parametrize("sign", [-1, 1], ids=["low", "high"])
+    def test_end_point_beyond_double_range(self, sign):
+        # The roots are sign B and -sign, B = 1.5 2^1023.  The point beyond
+        # the far one, sign (3 B + 1) / 2, is past the largest double, and
+        # exact points certify the roots all the same.
+        big = 3 << 1022
+        a = [-big, sign * (1 - big), 1]
+        want = sorted([sign * big, -sign])
+        roots = _certified_real_roots(a, [(x, 0) for x in want], 320)
+        assert [dyadic(z) for z in roots] == want
+        assert [mp.re(z) for z in find_roots(ExactPolynomial(a)).roots] == want
+
+
+class TestAberth:
+    def test_start_at_a_critical_point_is_nudged(self):
+        # s^2 - 1 has slope 0 at the start 0, which moves off it first.
+        z = _aberth([-1.0, 0.0, 1.0], 2**-40, [0j, 2 + 1j])
+        assert sorted(round(w.real, 9) for w in z) == [-1, 1]
+        assert all(abs(w.imag) < 1e-9 for w in z)
+
+    def test_sweep_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(roots_module, "MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergence, match="within 1 sweeps"):
+            _aberth([-1.0, 0.0, 1.0], 2**-40, [0.5 + 0.5j, -0.3 + 0.2j])
 
 
 def random_coefficients(rng, count):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from posetzeta import (
     BruteForceTooLarge,
+    ChainVector,
     DimensionZero,
     ExactMatrix,
     ExactPolynomial,
@@ -380,3 +381,44 @@ def test_gk_sup_norm_converges_to_limit_polynomial():
             )
             gaps.append(gap)
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: f_number(-2, 0), ValueError, "indices must be >= -1"),
+        (lambda: f_number(0, -2), ValueError, "indices must be >= -1"),
+        (lambda: F_polynomial(-1), IndexOutOfRange, "d must be >= 0"),
+        (lambda: H_vector(-1), IndexOutOfRange, "d must be >= 0"),
+        (lambda: descent_matrix(-1), IndexOutOfRange, "d must be >= 0"),
+        (lambda: descent_matrix(2, "bogus"), ValueError, "unknown method"),
+        (lambda: f_matrix(-1), IndexOutOfRange, "d must be >= 0"),
+        (lambda: taylor_matrix(-1), IndexOutOfRange, "d must be >= 0"),
+        (
+            lambda: transfer_iterate(ChainVector((2, 1)), -1),
+            ValueError,
+            "k must be >= 0",
+        ),
+        (
+            lambda: spectral_constants(ChainVector((2, 1))).get(0, 2),
+            IndexOutOfRange,
+            "C_{0,2} undefined",
+        ),
+        (
+            lambda: spectral_constants(ChainVector((2, 1))).get(2, 0),
+            IndexOutOfRange,
+            "C_{2,0} undefined",
+        ),
+        (lambda: h_row_properties(0), IndexOutOfRange, "d must be >= 1"),
+        (lambda: H1_bounds_check(0), IndexOutOfRange, "d_max must be >= 1"),
+    ],
+    ids=[
+        "f_number-i", "f_number-d", "F_polynomial", "H_vector",
+        "descent_matrix", "descent_matrix-method", "f_matrix",
+        "taylor_matrix", "transfer_iterate", "SpectralConstants.get-i",
+        "SpectralConstants.get-j", "h_row_properties", "H1_bounds_check",
+    ],
+)
+def test_argument_checks(call, error, message):
+    with pytest.raises(error, match=message.replace("{", "\\{")):
+        call()
