@@ -7,10 +7,12 @@ with nothing printed, when the reader of stdout closes it early, as
 ``| head`` does.  A refused run writes nothing: every check runs before
 ``--output`` is opened, so that file is neither created nor truncated.
 Exact rationals are always serialized as "p/q" strings (or a bare
-integer).  Floats appear in root-tracking output, printed with 20
-significant digits alongside the precision used (an imaginary part
-proved zero prints as 0.0), and in the dim-report estimate and ratio,
-printed by repr().
+integer).  Floats appear in root-tracking output, printed once with 20
+significant digits from the mpf as computed, alongside the precision
+used (an imaginary part proved zero prints as 0.0), and in the
+dim-report estimate and ratio, printed by repr().  Each command returns
+its CSV header and rows, and the writer of its JSON document if that is
+not the list of row objects.
 
 Only theorem-check (alias zeros) imports mpmath and the root finder, at
 its first call: every other command runs without them.  The parser is
@@ -24,7 +26,7 @@ import os
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 
 from .errors import (
@@ -35,7 +37,6 @@ from .errors import (
     SubdivisionTooLarge,
 )
 from .poset import (
-    Poset,
     _write_list,
     barycentric_subdivision,
     load_poset,
@@ -110,34 +111,32 @@ def parse_rational(s):
 
 
 def fmt_float(x):
+    """FLOAT_DIGITS significant digits of an mpf, from every bit it holds."""
     import mpmath as mp
 
-    return mp.nstr(mp.mpf(x), FLOAT_DIGITS, strip_zeros=False)
+    return mp.nstr(x, FLOAT_DIGITS, strip_zeros=False)
 
 
-def _emit(header, rows, doc, fmt, out):
-    # CSV writes each row as it is made.  JSON writes `doc` whole only for
-    # the fixed-size zeta and theorem-check documents; a Poset, or else the
-    # rows as the objects json.dump(indent=2) lays out, go out in chunks,
-    # so no subdivision or list of rows is held beside `out`.
+def _emit(header, rows, write_json, fmt, out):
+    # CSV writes each row as it is made.  JSON goes to the command's writer
+    # (write_poset, or json.dump of a fixed-size document); without one the
+    # rows are the document, each one % of an object template (a key's %
+    # doubled, a str cell JSON-encoded, an int as it is) with the bytes of
+    # json.dump(indent=2), written in chunks so no list of rows is held.
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         return
-    if isinstance(doc, Poset):
-        write_poset(doc, out)
-    elif doc is None:
-        # A cell is an int or a str; str(int) costs a 20th of json.dumps.
-        keys = ["\n    " + json.dumps(h) + ": " for h in header]
-        objs = (
-            "{" + ",".join(map(str.__add__, keys, [
-                json.dumps(x) if isinstance(x, str) else str(x) for x in row
-            ])) + "\n  }" for row in rows
-        )
+    if write_json is None:
+        template = "{" + ",".join(
+            f"\n    {json.dumps(h).replace('%', '%%')}: %s" for h in header
+        ) + "\n  }"
+        objs = (template % tuple([json.dumps(x) if isinstance(x, str) else x
+                                  for x in row]) for row in rows)
         _write_list(out, objs, 0)
     else:
-        json.dump(doc, out, indent=2)
+        write_json(out)
     out.write("\n")
 
 
@@ -165,7 +164,8 @@ def _cmd_zeta(args):
         (["denominator", e, c] for e, c in enumerate(den)),
     )
     doc = {"numerator": num, "denominator": den}
-    return ["part", "exponent", "coefficient"], rows, doc
+    header = ["part", "exponent", "coefficient"]
+    return header, rows, partial(json.dump, doc, indent=2)
 
 
 def _cmd_subdivide(args):
@@ -189,7 +189,7 @@ def _cmd_subdivide(args):
         (["element", lab, ""] for lab in p.labels),
         (["relation", a, b] for a, b in relation_pairs(p)),
     )
-    return ["kind", "a", "b"], rows, p
+    return ["kind", "a", "b"], rows, partial(write_poset, p)
 
 
 _TRAJECTORY_HEADER = [
@@ -199,6 +199,8 @@ _TRAJECTORY_HEADER = [
 
 
 def _cmd_theorem_check(args):
+    from mpmath import mpf
+
     from .roots import theorem_report
 
     if args.kmax > THEOREM_KMAX_CAP:
@@ -211,28 +213,23 @@ def _cmd_theorem_check(args):
     p = load_poset(args.input)
     report = theorem_report(p, args.kmax, args.precision_bits)
     rows = [
-        [
-            rec.k,
-            fmt_float(rec.beta1.real),
-            fmt_float(rec.beta1.imag),
-            fmt_float(rec.beta1_abs),
-            fmt_float(rec.es_ratio),
-            fmt_float(rec.product_of_others.real),
-            fmt_float(rec.product_of_others.imag),
-            fmt_float(max(rec.matched_distances, default=0)),
-            report.precision_bits,
-        ]
+        [rec.k, *map(fmt_float, (
+            rec.beta1.real, rec.beta1.imag, rec.beta1_abs, rec.es_ratio,
+            rec.product_of_others.real, rec.product_of_others.imag,
+            max(rec.matched_distances, default=mpf(0)),  # mpf: prints 0.0
+        )), report.precision_bits]
         for rec in report.records
     ]
+    objs = [dict(zip(_TRAJECTORY_HEADER, row)) for row in rows]
     doc = {
-        "rows": [dict(zip(_TRAJECTORY_HEADER, row)) for row in rows],
+        "rows": objs,
         "burn_in_k0": report.burn_in_k0,
         "beta1_real_from_k0": report.beta1_real_from_k0,
         "modulus_increasing_from_k0": report.modulus_increasing_from_k0,
-        "es_ratio_final": fmt_float(report.es_ratio_final),
-        "max_match_distance_final": fmt_float(report.max_match_distance_final),
+        "es_ratio_final": objs[-1]["es_ratio"],
+        "max_match_distance_final": objs[-1]["max_match_distance"],
     }
-    return _TRAJECTORY_HEADER, rows, doc
+    return _TRAJECTORY_HEADER, rows, partial(json.dump, doc, indent=2)
 
 
 def _at_least(lo):
@@ -380,9 +377,9 @@ def build_parser():
 
 
 def run(argv=None, out=None):
-    # Each _cmd_* runs all its checks before it returns (header, rows, doc)
-    # and only then is a sink chosen: a refused run writes no byte and
-    # opens no file, so --output is neither created nor truncated.
+    # Each _cmd_* runs all its checks before it returns (header, rows,
+    # write_json), and only then is a sink chosen: a refused run writes no
+    # byte and opens no file, so --output is neither created nor truncated.
     args = build_parser().parse_args(argv)
     result = args.func(args)
     if out is None and args.output:

@@ -24,6 +24,7 @@ from posetzeta import (
 )
 from posetzeta import roots as roots_module
 from posetzeta.cli import (
+    _emit,
     build_parser,
     fmt_rational,
     main,
@@ -266,6 +267,61 @@ class TestZerosCommands:
         assert doc["modulus_increasing_from_k0"] is True
         assert abs(float(doc["es_ratio_final"]) - 1) < 0.05
 
+    def test_closed_forms_print_all_digits(self, tmp_path):
+        # At k = 0 beta1 of P_30 is 2 + i/sqrt(2), so four cells are closed
+        # forms.  They are printed from every working bit, not from a
+        # double, whose tail would show from digit 17 on.
+        p30 = tmp_path / "p30.json"
+        save_poset(build_Pn(30), p30)
+        argv = ["theorem-check", "--input", str(p30), "--kmax", "0"]
+        header, rows = parse_csv(run_to_string(argv))
+        row = dict(zip(header, rows[0]))
+        assert row["beta1_im"] == "0.70710678118654752440"  # 1/sqrt(2)
+        assert row["beta1_abs"] == "2.1213203435596425732"  # sqrt(9/2)
+        assert row["es_ratio"] == "2.8284271247461900976"  # 2 sqrt(2)
+        # sqrt(19/2):
+        assert row["max_match_distance"] == "3.0822070014844882251"
+
+    def test_float_cells_are_the_report_values(self, tmp_path):
+        p210 = tmp_path / "p210.json"
+        save_poset(build_Pn(210), p210)
+        report = roots_module.theorem_report(build_Pn(210), 4)
+
+        def text(x):
+            return mpmath.nstr(x, 20, strip_zeros=False)
+
+        expected = [
+            [
+                text(rec.beta1.real),
+                text(rec.beta1.imag),
+                text(rec.beta1_abs),
+                text(rec.es_ratio),
+                text(rec.product_of_others.real),
+                text(rec.product_of_others.imag),
+                text(max(rec.matched_distances)),
+            ]
+            for rec in report.records
+        ]
+        argv = ["theorem-check", "--input", str(p210), "--kmax", "4"]
+        _, rows = parse_csv(run_to_string(argv))
+        assert [row[1:8] for row in rows] == expected
+        doc = json.loads(run_to_string(argv + ["--format", "json"]))
+        assert [list(row.values())[1:8] for row in doc["rows"]] == expected
+        assert doc["es_ratio_final"] == text(report.es_ratio_final)
+        assert doc["max_match_distance_final"] == text(
+            report.max_match_distance_final
+        )
+
+    def test_no_targets_print_zero_distance(self, tmp_path):
+        # The 2-chain has d = 1: g_k has no bounded roots to match.
+        argv = ["theorem-check", "--input", write_chain(tmp_path, 2)]
+        header, rows = parse_csv(run_to_string(argv + ["--kmax", "3"]))
+        column = header.index("max_match_distance")
+        assert [row[column] for row in rows] == ["0.0"] * 4
+        doc = json.loads(run_to_string(argv + ["--format", "json"]))
+        assert {row["max_match_distance"] for row in doc["rows"]} == {"0.0"}
+        assert doc["max_match_distance_final"] == "0.0"
+
 
 class TestPnCommands:
     def test_chi(self):
@@ -348,6 +404,22 @@ def test_json_rows_have_json_dump_bytes(argv):
     header, rows, _ = args.func(args)
     expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
     assert run_to_string(argv + ["--format", "json"]) == expected + "\n"
+
+
+def test_json_row_template_escapes_keys_and_cells():
+    # Keys become part of a %-template, cells are substituted into it.
+    header = ["n", '50% "off"', "%s %d %%", "\\"]
+    rows = [
+        [1, "100%", '"quoted" %s', "back\\slash"],
+        [-2, "caf\u00e9 \u2211 \U0001d70b", "%(x)s", ""],
+    ]
+    buf = io.StringIO()
+    _emit(header, iter(rows), None, "json", buf)
+    expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    assert buf.getvalue() == expected + "\n"
+    buf = io.StringIO()
+    _emit(header, iter([]), None, "json", buf)
+    assert buf.getvalue() == "[]\n"
 
 
 class TestExitCodes:
