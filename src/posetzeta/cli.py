@@ -7,12 +7,12 @@ with nothing printed, when the reader of stdout closes it early, as
 ``| head`` does.  A refused run writes nothing: every check runs before
 ``--output`` is opened, so that file is neither created nor truncated.
 Exact rationals are always serialized as "p/q" strings (or a bare
-integer).  Floats appear in root-tracking output, printed once with 20
-significant digits from the mpf as computed, alongside the precision
-used (an imaginary part proved zero prints as 0.0), and in the
-dim-report estimate and ratio, printed by repr().  Each command returns
-its CSV header and rows, and the writer of its JSON document if that is
-not the list of row objects.
+integer).  Floats appear in root-tracking output, where each is a field
+of its step's record, printed once with 20 significant digits from the
+mpf as computed, alongside the precision used (an imaginary part proved
+zero prints as 0.0), and in the dim-report estimate and ratio, printed
+by repr().  Each command returns its CSV header and rows, and the writer
+of its JSON document if that is not the list of row objects.
 
 Only theorem-check (alias zeros) imports mpmath and the root finder, at
 its first call: every other command runs without them.  The parser is
@@ -199,8 +199,6 @@ _TRAJECTORY_HEADER = [
 
 
 def _cmd_theorem_check(args):
-    from mpmath import mpf
-
     from .roots import theorem_report
 
     if args.kmax > THEOREM_KMAX_CAP:
@@ -216,7 +214,7 @@ def _cmd_theorem_check(args):
         [rec.k, *map(fmt_float, (
             rec.beta1.real, rec.beta1.imag, rec.beta1_abs, rec.es_ratio,
             rec.product_of_others.real, rec.product_of_others.imag,
-            max(rec.matched_distances, default=mpf(0)),  # mpf: prints 0.0
+            rec.max_match_distance,
         )), report.precision_bits]
         for rec in report.records
     ]

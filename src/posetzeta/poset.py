@@ -236,9 +236,9 @@ def simplex_face_poset(num_vertices):
     """
     if num_vertices < 1:
         raise ValueError("need at least one vertex")
-    verts = [f"v{i}" for i in range(1, num_vertices + 1)]
-    chain = build_poset(verts, zip(verts, verts[1:]))
-    return barycentric_subdivision(chain)
+    labels = (f"v{i}" for i in range(1, num_vertices + 1))
+    rows = (range(i + 1, num_vertices) for i in range(num_vertices))
+    return barycentric_subdivision(Poset(labels, rows))
 
 
 def _label_rows(p):

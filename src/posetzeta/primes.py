@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 
 from .errors import ChiZero, DimensionZero, RangeTooLarge
-from .poset import build_poset
+from .poset import Poset
 from .subdivision import H_vector
 
 DEFAULT_SIEVE_CAP = 10_000_000
@@ -96,23 +96,21 @@ def mertens(n):
 
 
 def build_Pn(n):
-    """Divisibility poset of squarefree integers in [2, n]."""
+    """Divisibility poset of squarefree integers in [2, n].
+
+    The squarefree multiples of an element, in ascending order, are the
+    elements above it, so they are its closed row as they come.
+    """
     if n > DEFAULT_POSET_CAP:
         raise RangeTooLarge(
             f"n={n} exceeds the explicit-poset cap {DEFAULT_POSET_CAP}"
         )
     mu = squarefree_sieve(n).mu
     elements = [k for k in range(2, n + 1) if mu[k]]
-    labels = [str(k) for k in elements]
-    # Every multiple of a squarefree a that is itself squarefree is above
-    # a, so these pairs are already the whole divisibility order.
-    relations = [
-        (str(a), str(m))
-        for a in elements
-        for m in range(2 * a, n + 1, a)
-        if mu[m]
-    ]
-    return build_poset(labels, relations)
+    index = {k: i for i, k in enumerate(elements)}
+    rows = ([index[m] for m in range(2 * a, n + 1, a) if mu[m]]
+            for a in elements)
+    return Poset(map(str, elements), rows)
 
 
 def chi_Pn(n):

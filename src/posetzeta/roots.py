@@ -8,7 +8,8 @@ iteration in complex doubles gives approximations, taken exactly as
 dyadics (m, e) = m / 2^e; the exact integer polynomial changes sign
 between each pair of neighbouring ones (and beyond each end), so every
 root is real and alone in its bracket, and fixed-point Newton on
-integers refines it there to a dyadic, which `find_roots` makes an mpc.
+integers refines it there to a dyadic, which `_nonzero_roots` makes an
+mpc, the type of every root it returns.
 Barycentric subdivision makes the numerators real-rooted (Brenti and
 Welker, "f-vectors of barycentric subdivisions", 2008), so this route
 carries nearly every step.  When a double does not hold the polynomial,
@@ -83,14 +84,13 @@ def _backward_error(coeffs, abs_coeffs, z, value=None):
 
 
 def find_roots(p, precision_bits=256):
-    """All complex roots of an exact polynomial, deterministically.
+    """All complex roots of an exact polynomial, deterministically, as mpc.
 
-    Exactly zero low coefficients give exact zero roots.  The rest come
-    from `_certified_real_roots` when it can prove them all real and
-    simple: those roots are accurate to about `precision_bits + 64`
-    bits and have an imaginary part of exactly 0.  Otherwise `_aberth`
-    finds them at `precision_bits + 64` working bits, warm-started from
-    the double-precision approximations when there are any.  Either
+    Exactly zero low coefficients give exact zero roots, and
+    `_nonzero_roots` gives the rest: proved real and simple by
+    `_certified_real_roots` when it can, so accurate to about
+    `precision_bits + 64` bits with an imaginary part of exactly 0, else
+    found by `_aberth` at `precision_bits + 64` working bits.  Either
     way, every root's backward error |p(z)| / sum |c_i| |z|^i must be
     at most 2^-(precision_bits/2), else NoConvergence is raised; those
     errors are returned as the residuals.  Roots are sorted by real
@@ -105,21 +105,10 @@ def find_roots(p, precision_bits=256):
     with mp.workprec(precision_bits + 64):
         coeffs = [_to_mpf(c) for c in p.coeffs]
         abs_coeffs = [abs(c) for c in coeffs]
-        n = p.degree - zeros
         tol = mp.mpf(2) ** (-(precision_bits // 2))
-        if n == 0:
-            roots = []
-        elif n == 1:
-            roots = [mp.mpc(-coeffs[zeros] / coeffs[zeros + 1])]
-        else:
-            roots = _nonzero_roots(
-                p.coeffs[zeros:], coeffs[zeros:], tol, precision_bits + 64
-            )
-            roots = [
-                z if isinstance(z, mp.mpc) else mp.mpc(mp.ldexp(z[0], -z[1]))
-                for z in roots
-            ]
-        roots += [mp.mpc(0) for _ in range(zeros)]
+        roots = [mp.mpc(0)] * zeros + _nonzero_roots(
+            p.coeffs[zeros:], coeffs[zeros:], tol, precision_bits + 64
+        )
         roots.sort(key=lambda z: (mp.re(z), mp.im(z)))
         # Neighbours a, b within tol |a| of conj(a) are a conjugate pair.
         for i in range(len(roots) - 1):
@@ -140,10 +129,13 @@ def find_roots(p, precision_bits=256):
 
 
 def _nonzero_roots(exact, coeffs, tol, bits):
-    """The roots of a polynomial of degree >= 2 with a nonzero constant
-    term, given exactly and as mpf: dyadics (m, e) certified real to about
-    `bits` bits when they can be, else mpc from `_aberth` at the working
-    precision from the doubles if any, else from the Newton polygon."""
+    """The roots as mpc of a polynomial with a nonzero constant term, given
+    exactly and as mpf: none for a constant, -c0 / c1 for a linear one,
+    else the dyadics `_certified_real_roots` proves real to about `bits`
+    bits, else `_aberth`'s from the doubles if any, else from the Newton
+    polygon."""
+    if len(exact) < 3:
+        return [mp.mpc(-coeffs[0] / coeffs[1])] if len(exact) == 2 else []
     starts = _newton_polygon_starts(exact)
     approx = _float_aberth(exact, starts)
     if approx is not None:
@@ -152,7 +144,7 @@ def _nonzero_roots(exact, coeffs, tol, bits):
         xs = [(m, den.bit_length() - 1) for m, den in ratios]
         roots = _certified_real_roots(exact, xs, bits)
         if roots is not None:
-            return roots
+            return [mp.mpc(mp.ldexp(m, -f)) for m, f in roots]
         # Starts all on the real axis would keep the sweeps of a real
         # polynomial there (see START_ANGLE), away from any complex root.
         if any(z.imag for z in approx):
@@ -332,9 +324,11 @@ def _newton_in_bracket(a, x, lo, hi, g, bits):
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """The roots of g_k.  es_ratio is |beta1| chi / (H_1 N_d (d+1)!^k), N_d
-    read before subdividing.  |beta1| grows like |alpha| (d+1)!^k, alpha =
-    H_1 N_d / chi, so es_ratio tends to sign(chi): to -1 for P_95."""
+    """The roots of g_k, and every value printed for step k, each computed
+    once.  es_ratio is |beta1| chi / (H_1 N_d (d+1)!^k), N_d read before
+    subdividing.  |beta1| grows like |alpha| (d+1)!^k, alpha = H_1 N_d /
+    chi, so es_ratio tends to sign(chi): to -1 for P_95.
+    max_match_distance is the mpf 0 when there are no targets (d = 1)."""
 
     k: int
     beta1: object
@@ -343,6 +337,7 @@ class TrajectoryRecord:
     other_roots: tuple
     matched_targets: tuple
     matched_distances: tuple
+    max_match_distance: object
     product_of_others: object
 
 
@@ -374,14 +369,14 @@ def _pick_beta1(roots, precision_bits):
     im > 0; the smaller real part breaks what is left.  The sign of a
     numerically real root's im is noise, so it is not consulted.
     """
-    top = max(abs(z) for z in roots)
-    floor = top * (1 - mp.mpf(2) ** -(precision_bits // 2))
+    mods = [abs(z) for z in roots]
+    floor = max(mods) * (1 - mp.mpf(2) ** -(precision_bits // 2))
 
     def key(z):
         real = _is_real(z, precision_bits)
         return (not real, not real and mp.im(z) < 0, mp.re(z), mp.im(z))
 
-    return min((z for z in roots if abs(z) >= floor), key=key)
+    return min((z for z, m in zip(roots, mods) if m >= floor), key=key)
 
 
 def _assign(cost):
@@ -495,21 +490,19 @@ def theorem_report(p, k_max, precision_bits=256):
             beta1 = _pick_beta1(roots, precision_bits)
             others = tuple(z for z in roots if z is not beta1)
             matched, dists = _match(others, targets, precision_bits)
+            beta1_abs = abs(beta1)
             growth = Fraction(factorial(d + 1)) ** k * h1 * cv[d]
-            es_ratio = abs(beta1) * chi / _to_mpf(growth)
-            product = mp.mpc(1)
-            for z in others:
-                product *= z
             records.append(
                 TrajectoryRecord(
                     k=k,
                     beta1=beta1,
-                    beta1_abs=abs(beta1),
-                    es_ratio=es_ratio,
+                    beta1_abs=beta1_abs,
+                    es_ratio=beta1_abs * chi / _to_mpf(growth),
                     other_roots=others,
                     matched_targets=matched,
                     matched_distances=dists,
-                    product_of_others=product,
+                    max_match_distance=max(dists, default=mp.mpf(0)),
+                    product_of_others=mp.fprod(others),
                 )
             )
         real_from = _holds_from(
@@ -531,7 +524,7 @@ def theorem_report(p, k_max, precision_bits=256):
             burn_in_k0=k0,
             es_ratio_final=final.es_ratio,
             product_final=final.product_of_others,
-            max_match_distance_final=max(final.matched_distances, default=mp.mpf(0)),
+            max_match_distance_final=final.max_match_distance,
             beta1_real_from_k0=real_from is not None,
             modulus_increasing_from_k0=increasing_from is not None,
         )

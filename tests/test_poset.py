@@ -338,3 +338,10 @@ def test_simplex_face_poset():
         for a in p.labels:
             for b in p.labels:
                 assert p.less(a, b) == (set(a.split("|")) < set(b.split("|")))
+    # The chain v1 < ... < vn through the input builder, subdivided.
+    for n in range(1, 8):
+        verts = [f"v{i}" for i in range(1, n + 1)]
+        chain = build_poset(verts, zip(verts, verts[1:]))
+        want = barycentric_subdivision(chain)
+        got = simplex_face_poset(n)
+        assert (got.labels, got.above) == (want.labels, want.above), n

@@ -2,7 +2,7 @@ import functools
 from bisect import bisect_right
 from fractions import Fraction as Fr
 from itertools import accumulate, combinations
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from posetzeta import (
     SquarefreeTable,
     ZeroEulerCharacteristic,
     alpha_record,
+    build_poset,
     build_Pn,
     chi_Pn,
     dim_Pn,
@@ -295,6 +296,19 @@ class TestAlpha:
             rec.require_alpha()
         with pytest.raises(ValueError, match="n must be >= 2"):
             alpha_record(1)
+
+
+def test_build_Pn_is_the_poset_of_its_divisibility_pairs():
+    # The input builder, with its label lookup, sort and closure, is the
+    # oracle for the rows build_Pn writes down directly.
+    for n in [*range(2, 401), 2310]:
+        elements = [k for k in range(2, n + 1)
+                    if all(k % (q * q) for q in range(2, isqrt(k) + 1))]
+        pairs = [(str(a), str(b)) for a, b in combinations(elements, 2)
+                 if b % a == 0]
+        want = build_poset(map(str, elements), pairs)
+        got = build_Pn(n)
+        assert (got.labels, got.above) == (want.labels, want.above), n
 
 
 def test_build_Pn_relations_are_divisibility():

@@ -41,6 +41,7 @@ from posetzeta.roots import (
     _match,
     _newton_in_bracket,
     _newton_polygon_starts,
+    _nonzero_roots,
     _pick_beta1,
     _to_mpf,
 )
@@ -288,6 +289,42 @@ class TestNewtonPolygonStarts:
 
 
 class TestFindRoots:
+    @pytest.mark.parametrize(
+        "coeffs, route",
+        [
+            # (the doubles failed, the full-precision sweeps ran), or None
+            # when neither was tried.
+            (H_polynomial(4).coeffs, (False, False)),
+            ((1 + S * S).coeffs, (False, True)),
+            (((S + 10**400) * (S + 1) * (S + 2)).coeffs, (True, True)),
+            ((2, -1), None),
+            ((5,), None),
+        ],
+        ids=["certified", "doubles", "polygon", "linear", "constant"],
+    )
+    def test_nonzero_roots_are_mpc_on_every_route(self, coeffs, route):
+        doubles, kinds = [], []
+
+        def float_aberth(*args):
+            doubles.append(_float_aberth(*args))
+            return doubles[-1]
+
+        def aberth(coeffs, *rest):
+            kinds.append(type(coeffs[0]))
+            return _aberth(coeffs, *rest)
+
+        with mock.patch("posetzeta.roots._float_aberth", float_aberth), \
+                mock.patch("posetzeta.roots._aberth", aberth), \
+                mp.workprec(320):
+            exact = [Fraction(c) for c in coeffs]
+            roots = _nonzero_roots(
+                exact, [_to_mpf(c) for c in exact], mp.mpf(2) ** -128, 320
+            )
+        taken = (doubles[0] is None, mp.mpf in kinds) if doubles else None
+        assert taken == route
+        assert len(roots) == len(coeffs) - 1
+        assert all(type(z) is mp.mpc for z in roots)
+
     def test_linear(self):
         rs = find_roots(ExactPolynomial([2, -1]))
         assert len(rs.roots) == 1
@@ -482,6 +519,9 @@ class TestTheoremReport:
             assert abs(rec.beta1 - (2 ** rec.k + 1)) < mp.mpf(2) ** -120
             assert rec.other_roots == ()
         assert rep.burn_in_k0 == 0
+        # No targets at d = 1: every distance is the mpf 0.
+        assert all(type(rec.max_match_distance) is mp.mpf
+                   and rec.max_match_distance == 0 for rec in rep.records)
         final = rep.records[-1]
         expected = mp.mpf(2 ** 10 + 1) / 2 ** 10
         assert abs(final.es_ratio - expected) < mp.mpf(2) ** -100
@@ -542,6 +582,9 @@ class TestTheoremReport:
         assert abs(rep.es_ratio_final - 1) < mp.mpf("0.01")
         assert abs(rep.product_final - (-1)) < mp.mpf("2e-3")
         assert rep.max_match_distance_final < mp.mpf("2e-3")
+        for rec in rep.records:
+            assert type(rec.max_match_distance) is mp.mpf
+            assert rec.max_match_distance == max(rec.matched_distances)
         assert rep.burn_in_k0 is not None
         # Dominant modulus grows without bound.
         mods = [rec.beta1_abs for rec in rep.records[2:]]
