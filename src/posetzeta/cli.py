@@ -63,8 +63,9 @@ FLOAT_DIGITS = 20
 SUBDIVISION_CAP = 100_000
 # The F and H triangles cost about d^6: --dmax 140 takes 7x as long as 100.
 TABLES_DMAX_CAP = 100
-# theorem-check grows with both: the chain with d = 8 takes about 3 s at
-# --kmax 100 and about 6 s at --kmax 24 with --precision-bits 4096.
+# theorem-check grows with both: the chain with d = 8 takes about 1 s of
+# CPU at --kmax 100 and about 3 s at --kmax 24 with --precision-bits
+# 4096 (best of 3 on a shared 2-CPU virtual machine).
 THEOREM_KMAX_CAP = 100
 THEOREM_PRECISION_BITS_CAP = 4096
 

@@ -8,23 +8,26 @@ iteration in complex doubles gives approximations, taken exactly as
 dyadics (m, e) = m / 2^e; the exact integer polynomial changes sign
 between each pair of neighbouring ones (and beyond each end), so every
 root is real and alone in its bracket, and fixed-point Newton on
-integers refines it there to a dyadic, which `_nonzero_roots` makes an
-mpc, the type of every root it returns.
+integers refines it there to a dyadic.
 Barycentric subdivision makes the numerators real-rooted (Brenti and
 Welker, "f-vectors of barycentric subdivisions", 2008), so this route
 carries nearly every step.  When a double does not hold the polynomial,
 a start or a root, the signs do not prove it, or a Newton step leaves
-its bracket, the same Aberth iteration runs in mpmath at the working
-precision, warm-started from the doubles when there are any.  Every
-root must have a backward error of at most 2^-(bits/2).  The trajectory
-report tracks, per subdivision step, the dominant root against its
-predicted growth and the others against the limit polynomial's roots.
+its bracket, the same Aberth iteration runs in fixed point on Gaussian
+integers at the working precision, each root with its own binary
+exponent, warm-started from the doubles when there are any.  Every
+root's backward error is computed exactly on integers from its dyadic
+value and must be at most 2^-(bits/2).  mpmath enters at the edge only:
+`_nonzero_roots` makes each root an mpc, and `find_roots` each backward
+error an mpf.  The trajectory report tracks, per subdivision step, the
+dominant root against its predicted growth and the others against the
+limit polynomial's roots.
 """
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial, lcm, log, pi
+from math import exp, factorial, floor, isqrt, lcm, log, pi
 from operator import add
 
 import mpmath as mp
@@ -66,7 +69,7 @@ def _to_mpf(fr):
 
 
 def _horner(coeffs, z):
-    # Any number type: mpc or complex roots, exact integers in Newton.
+    # Any number type: complex roots in doubles, exact integers.
     acc = 0
     for c in reversed(coeffs):
         acc = acc * z + c
@@ -87,27 +90,28 @@ def find_roots(p, precision_bits=256):
     """All complex roots of an exact polynomial, deterministically, as mpc.
 
     Exactly zero low coefficients give exact zero roots, and
-    `_nonzero_roots` gives the rest: proved real and simple by
-    `_certified_real_roots` when it can, so accurate to about
-    `precision_bits + 64` bits with an imaginary part of exactly 0, else
-    found by `_aberth` at `precision_bits + 64` working bits.  Either
-    way, every root's backward error |p(z)| / sum |c_i| |z|^i must be
-    at most 2^-(precision_bits/2), else NoConvergence is raised; those
-    errors are returned as the residuals.  Roots are sorted by real
-    part, then imaginary part, and each conjugate pair, whose real parts
-    differ by rounding only, puts its member with im < 0 first.
+    `_nonzero_roots` gives the rest, each to about `precision_bits + 64`
+    bits: proved real and simple by `_certified_real_roots` when it can,
+    with an imaginary part of exactly 0, else found by `_fixed_aberth`.
+    Either way, every root's backward error |p(z)| / sum |c_i| |z|^i,
+    computed exactly from the root's dyadic value and rounded up by
+    `_backward_error_bound`, must be at most 2^-(precision_bits/2), else
+    NoConvergence is raised; those errors are returned as the residuals.
+    Roots are sorted by real part, then imaginary part, and each
+    conjugate pair, whose real parts differ by rounding only, puts its
+    member with im < 0 first.
     """
     if p.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
-    zeros = next(i for i, c in enumerate(p.coeffs) if c != 0)
-    with mp.workprec(precision_bits + 64):
-        coeffs = [_to_mpf(c) for c in p.coeffs]
-        abs_coeffs = [abs(c) for c in coeffs]
-        tol = mp.mpf(2) ** (-(precision_bits // 2))
+    bits = precision_bits + 64
+    ints = _integer_coeffs(p.coeffs)
+    zeros = next(i for i, c in enumerate(ints) if c)
+    with mp.workprec(bits):
+        tol = mp.mpf(2) ** -(precision_bits // 2)
         roots = [mp.mpc(0)] * zeros + _nonzero_roots(
-            p.coeffs[zeros:], coeffs[zeros:], tol, precision_bits + 64
+            ints[zeros:], precision_bits
         )
         roots.sort(key=lambda z: (mp.re(z), mp.im(z)))
         # Neighbours a, b within tol |a| of conj(a) are a conjugate pair.
@@ -115,9 +119,8 @@ def find_roots(p, precision_bits=256):
             a, b = roots[i:i + 2]
             if a.imag > 0 and abs(b - mp.conj(a)) <= tol * abs(a):
                 roots[i:i + 2] = b, a
-        # A root with im exactly 0 gives the same error in real arithmetic.
         residuals = [
-            _backward_error(coeffs, abs_coeffs, z if z.imag else z.real)
+            mp.ldexp(*_backward_error_bound(ints, *_mpc_gaussian(z), bits))
             for z in roots
         ]
         if any(r > tol for r in residuals):
@@ -128,28 +131,40 @@ def find_roots(p, precision_bits=256):
         return RootSet(tuple(roots), tuple(residuals), precision_bits)
 
 
-def _nonzero_roots(exact, coeffs, tol, bits):
-    """The roots as mpc of a polynomial with a nonzero constant term, given
-    exactly and as mpf: none for a constant, -c0 / c1 for a linear one,
-    else the dyadics `_certified_real_roots` proves real to about `bits`
-    bits, else `_aberth`'s from the doubles if any, else from the Newton
-    polygon."""
-    if len(exact) < 3:
-        return [mp.mpc(-coeffs[0] / coeffs[1])] if len(exact) == 2 else []
-    starts = _newton_polygon_starts(exact)
-    approx = _float_aberth(exact, starts)
+def _integer_coeffs(coeffs):
+    """The coefficients times the lcm of their denominators: integers
+    with the same roots and backward errors."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return [int(c * scale) for c in coeffs]
+
+
+def _nonzero_roots(a, precision_bits):
+    """The roots as mpc, at the caller's working precision, of an integer
+    polynomial with a nonzero constant term: none for a constant,
+    -a0 / a1 for a linear one, else the dyadics `_certified_real_roots`
+    proves real, else those of `_fixed_aberth` from the doubles if any,
+    else from the Newton polygon, each to about precision_bits + 64
+    bits."""
+    if len(a) < 3:
+        return [mp.mpc(-mp.mpf(a[0]) / a[1])] if len(a) == 2 else []
+    bits = precision_bits + 64
+    starts = _newton_polygon_starts(a)
+    approx = _float_aberth(a, starts)
     if approx is not None:
         # Each real part as the dyadic (m, e), exactly m / 2^e, e >= 0.
         ratios = (x.as_integer_ratio() for x in sorted(z.real for z in approx))
         xs = [(m, den.bit_length() - 1) for m, den in ratios]
-        roots = _certified_real_roots(exact, xs, bits)
+        roots = _certified_real_roots(a, xs, bits)
         if roots is not None:
             return [mp.mpc(mp.ldexp(m, -f)) for m, f in roots]
-        # Starts all on the real axis would keep the sweeps of a real
-        # polynomial there (see START_ANGLE), away from any complex root.
-        if any(z.imag for z in approx):
-            return _aberth(coeffs, tol, [mp.mpc(z) for z in approx])
-    return _aberth(coeffs, tol, [mp.exp(r) * mp.expj(t) for r, t in starts])
+    # Starts all on the real axis would keep the sweeps of a real
+    # polynomial there (see START_ANGLE), away from any complex root.
+    if approx is not None and any(z.imag for z in approx):
+        starts = [_double_gaussian(z) for z in approx]
+    else:
+        starts = [_polygon_start(r, t) for r, t in starts]
+    roots = _fixed_aberth(a, starts, bits, precision_bits // 2)
+    return [mp.mpc(mp.ldexp(x, -f), mp.ldexp(y, -f)) for x, y, f in roots]
 
 
 def _newton_polygon_starts(exact):
@@ -186,20 +201,19 @@ def _newton_polygon_starts(exact):
 
 
 def _aberth(coeffs, tol, starts):
-    """Aberth-Ehrlich sweeps over the roots of a polynomial with a
-    nonzero constant term, one per start, started and stopped as in
-    Bini (1996).
+    """Aberth-Ehrlich sweeps in complex doubles over the roots of a
+    polynomial with a nonzero constant term, one per start, started and
+    stopped as in Bini (1996).
 
-    The arithmetic is that of the coefficients and starts: mpmath at
-    the working precision, or complex doubles.  The starts lie on the
-    `_newton_polygon_starts` circles, or are earlier approximations.
-    Each sweep updates every root in turn by the Aberth correction.  The
-    stop is relative: iteration ends after the first sweep that began
-    with every root's backward error |p(z)| / sum |c_i| |z|^i at most
-    `tol`, a test that holds at any root size, where an absolute
-    |p(z)| < tol does not.  That last sweep still updates each root,
-    which polishes it to near working precision.  Raises NoConvergence
-    after MAX_SWEEPS sweeps.
+    The starts lie on the `_newton_polygon_starts` circles.  Each sweep
+    updates every root in turn by the Aberth correction.  The stop is
+    relative: iteration ends after the first sweep that began with every
+    root's backward error |p(z)| / sum |c_i| |z|^i at most `tol`, a test
+    that holds at any root size, where an absolute |p(z)| < tol does
+    not.  That last sweep still updates each root, which polishes it to
+    near working precision.  Raises NoConvergence after MAX_SWEEPS
+    sweeps.  The arithmetic is that of the coefficients and starts, so
+    the tests run the same sweeps in mpmath as an oracle.
     """
     z = list(starts)
     n = len(z)
@@ -251,20 +265,169 @@ def _float_aberth(exact, starts):
     return None
 
 
-def _certified_real_roots(exact, xs, bits):
+def _shift(x, s):
+    """x 2^s, truncated toward -infinity when s < 0."""
+    return x << s if s >= 0 else x >> -s
+
+
+def _double_gaussian(w):
+    """A complex double exactly, as the Gaussian dyadic (x, y, f): the
+    value (x + iy) / 2^f."""
+    (xm, xd), (ym, yd) = w.real.as_integer_ratio(), w.imag.as_integer_ratio()
+    d = max(xd, yd)  # both are powers of 2
+    return xm * (d // xd), ym * (d // yd), d.bit_length() - 1
+
+
+def _polygon_start(log_radius, angle):
+    """A `_newton_polygon_starts` start as a Gaussian dyadic, to a
+    double's precision at any radius: the power of 2 in the radius goes
+    to the exponent, so that no double overflows."""
+    q = floor(log_radius / log(2))
+    w = cmath.rect(exp(log_radius - q * log(2)), angle)
+    x, y, f = _double_gaussian(w)
+    return x, y, f - q
+
+
+def _mpc_gaussian(z):
+    """An mpc exactly, as the Gaussian dyadic (x, y, f)."""
+    # An mpf is held as (sign, mantissa, exponent, bit count).
+    (xs, xm, xe, _), (ys, ym, ye, _) = z.real._mpf_, z.imag._mpf_
+    f = -min(xe, ye)
+    return (-xm if xs else xm) << (xe + f), (-ym if ys else ym) << (ye + f), f
+
+
+def _rounded_div(n, d):
+    """n / d rounded to the nearest integer, for d > 0."""
+    return (2 * n + d) // (2 * d)
+
+
+def _normalized(x, y, f, bits):
+    """The Gaussian dyadic (x, y, f) with max(|x|, |y|) cut or extended
+    to `bits` bits; 0 as it is."""
+    if not (x or y):
+        return x, y, f
+    s = bits - max(abs(x), abs(y)).bit_length()
+    return _shift(x, s), _shift(y, s), f + s
+
+
+def _gaussian_horner(a, x, y, g):
+    """2^g p(z) at z = (x + iy) / 2^g, by Horner on integers with each
+    product truncated to a multiple of 2^-g: exact when g = 0."""
+    re = im = 0
+    for c in reversed(a):
+        re, im = ((re * x - im * y) >> g) + (c << g), (re * y + im * x) >> g
+    return re, im
+
+
+def _fixed_aberth(a, starts, bits, t):
+    """`_aberth` on the integer polynomial `a` in Gaussian fixed point,
+    from Gaussian dyadic starts, with the stop at backward error 2^-t.
+
+    Root i is (x_i + i y_i) / 2^f_i, each with its own exponent f_i, and
+    max(|x_i|, |y_i|) is kept at `bits` bits, so roots of any sizes all
+    keep their bits.  p and p' come from `_gaussian_horner` over 2^f_i,
+    or exactly when f_i <= 0, where z_i is a Gaussian integer:
+    truncating the coefficients to 2^-f_i would drop the low bits of
+    each, and with them the leading 1 of a monic polynomial.  The stop
+    test is `_aberth`'s, |p|^2 2^(2t) <= (sum |a_j| |z|^j)^2, with the
+    modulus rounded down.  The Aberth sum S = sum_j 1 / (z_i - z_j) is
+    held over 2^(2 bits - f_i), relative to 1 / |z_i|, so that the terms
+    of a root far from 1 keep their bits; W = N S, with N = p / p', is
+    held over 2^bits, and z_i moves by N / (1 - W), both quotients
+    rounded to nearest, so that a root on the grid of z_i is met exactly.
+    The roots are returned as Gaussian dyadics.
+    """
+    da = [j * c for j, c in enumerate(a)][1:]
+    abs_a = [abs(c) for c in a]
+    z = [_normalized(*s, bits) for s in starts]
+    one = 1 << bits
+    for _ in range(MAX_SWEEPS):
+        converged = True
+        for i, (x, y, f) in enumerate(z):
+            g = max(f, 0)
+            u, v = _shift(x, g - f), _shift(y, g - f)
+            pr, pim = _gaussian_horner(a, u, v, g)
+            total = _gaussian_horner(abs_a, isqrt(u * u + v * v), 0, g)[0]
+            if (pr * pr + pim * pim) << 2 * t > total * total:
+                converged = False
+            dr, di = _gaussian_horner(da, u, v, g)
+            if not (dr or di):
+                # A critical point: step off it by 2^-10, or by one
+                # unit of z_i where that is more.
+                z[i] = _normalized(x + (1 << max(f - 10, 0)), y, f, bits)
+                converged = False
+                continue
+            sr = si = 0
+            for j, (xj, yj, fj) in enumerate(z):
+                if j != i:
+                    ex = x - _shift(xj, f - fj)
+                    ey = y - _shift(yj, f - fj)
+                    # 1 / e = conj(e) / |e|^2, with |e|^2 cut to `bits`
+                    # bits: one division serves both parts.
+                    m2 = ex * ex + ey * ey
+                    c = max(m2.bit_length() - bits, 0)
+                    inv = (1 << 2 * bits) // (m2 >> c)
+                    sr += (ex * inv) >> c
+                    si -= (ey * inv) >> c
+            m2 = dr * dr + di * di
+            nr = _rounded_div(_shift(pr * dr + pim * di, f), m2)
+            ni = _rounded_div(_shift(pim * dr - pr * di, f), m2)
+            vr = one - ((nr * sr - ni * si) >> bits)
+            vi = -((nr * si + ni * sr) >> bits)
+            m2 = vr * vr + vi * vi
+            if m2:
+                nr, ni = (
+                    _rounded_div((nr * vr + ni * vi) << bits, m2),
+                    _rounded_div((ni * vr - nr * vi) << bits, m2),
+                )
+            z[i] = _normalized(x - nr, y - ni, f, bits)
+        if converged:
+            return z
+    raise NoConvergence(f"no convergence within {MAX_SWEEPS} sweeps")
+
+
+def _backward_error_bound(a, x, y, f, bits):
+    """|p(z)| / sum |a_j| |z|^j at z = (x + iy) / 2^f, rounded up, as
+    (q, e): at most q 2^e, with 0 <= q < 2^(bits - 1).
+
+    Both sides are evaluated exactly on integers, over 2^(f n), the
+    modulus of a non-real z rounded down.  The sum is then cut to `bits`
+    bits and |p(z)|^2 by the same factor squared, rounded up, so that the
+    one division, the square root and the result round only upwards.
+    """
+    if f < 0:
+        x, y, f = x << -f, y << -f, 0
+    c = _scaled(a, f)
+    if y:
+        re, im = _gaussian_horner(c, x, y, 0)
+        norm = re * re + im * im
+    else:
+        norm = _horner(c, x) ** 2
+    if not norm:
+        return 0, 0
+    total = _horner([abs(cj) for cj in c], isqrt(x * x + y * y))
+    cut = max(total.bit_length() - bits, 0)
+    total >>= cut
+    norm = -(-norm >> 2 * cut)
+    # sqrt(norm) / total < 2^h, so q < 2^(bits - 2) + 1.
+    h = (norm.bit_length() + 1) // 2 - total.bit_length() + 1
+    s = bits - 2 - h
+    root = isqrt((norm << 2 * s) - 1) + 1
+    return -(-root // total), -s
+
+
+def _certified_real_roots(a, xs, bits):
     """The roots as dyadics to about `bits` bits, or None.
 
-    `exact` are the coefficients, with a nonzero constant term, and `xs`
-    one real approximation per root, ascending, as dyadics (m, e), each
-    m / 2^e.  The integer-scaled polynomial is evaluated exactly, so at
-    any size, at the midpoint of each pair of neighbouring approximations
-    and at the mirror image of the outer midpoint in each end one.  If
-    its sign changes n times over those n + 1 points, each of the n
-    brackets holds one real root, and `_newton_in_bracket` refines it.
-    None when the signs change fewer times or a refinement fails.
+    `a` are the integer coefficients, with a nonzero constant term, and
+    `xs` one real approximation per root, ascending, as dyadics (m, e),
+    each m / 2^e.  The polynomial is evaluated exactly, so at any size,
+    at the midpoint of each pair of neighbouring approximations and at
+    the mirror image of the outer midpoint in each end one.  If its sign
+    changes n times over those n + 1 points, each of the n brackets
+    holds one real root, and `_newton_in_bracket` refines it.  None when
+    the signs change fewer times or a refinement fails.
     """
-    scale = lcm(*(c.denominator for c in exact))
-    a = [int(c * scale) for c in exact]
     # The points as integers over one denominator 2^g.
     g = max(e for _, e in xs) + 1
     ms = [m << (g - 1 - e) for m, e in xs]

@@ -36,13 +36,16 @@ from posetzeta import roots as roots_module
 from posetzeta.roots import (
     RootSet,
     _aberth,
+    _backward_error_bound,
     _certified_real_roots,
+    _fixed_aberth,
     _float_aberth,
     _match,
     _newton_in_bracket,
     _newton_polygon_starts,
     _nonzero_roots,
     _pick_beta1,
+    _polygon_start,
     _to_mpf,
 )
 from posetzeta.zeta import g_from_chain_vector
@@ -83,6 +86,16 @@ def assert_agree(got, want, rel_bits, bits=256):
     with mp.workprec(bits + 64):
         for a, b in zip(got, want):
             assert abs(a - b) <= mp.mpf(2) ** -rel_bits * abs(b), (a, b)
+
+
+def recorded(calls, fn):
+    """fn, appending the arguments of each call to `calls`."""
+
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
 
 
 def integer_coeffs(poly):
@@ -157,15 +170,12 @@ class TestCertifiedRoots:
         ],
     )
     def test_fallback_matches_oracle(self, poly, rel_bits):
-        kinds = []
-
-        def aberth(coeffs, *rest):
-            kinds.append(type(coeffs[0]))
-            return _aberth(coeffs, *rest)
-
-        with mock.patch("posetzeta.roots._aberth", aberth):
+        sweeps = []
+        with mock.patch(
+            "posetzeta.roots._fixed_aberth", recorded(sweeps, _fixed_aberth)
+        ):
             rs = find_roots(poly)
-        assert mp.mpf in kinds  # the full-precision route ran
+        assert sweeps  # the full-precision route ran
         assert_agree(rs.roots, aberth_oracle(poly), rel_bits)
         assert all(r <= mp.mpf(2) ** -128 for r in rs.residuals)
 
@@ -202,17 +212,14 @@ class TestFallbackExits:
         monkeypatch.setattr(roots_module, "MAX_NEWTON", 1)
         x, bracket = dyadic(1.4), (2, 3, 1)  # (1, 1.5) over 2^1
         assert _newton_in_bracket([-2, 0, 1], x, *bracket, 256) is None
-        kinds = []
-
-        def aberth(coeffs, *rest):
-            kinds.append(type(coeffs[0]))
-            return _aberth(coeffs, *rest)
-
-        monkeypatch.setattr(roots_module, "_aberth", aberth)
+        sweeps = []
+        monkeypatch.setattr(
+            roots_module, "_fixed_aberth", recorded(sweeps, _fixed_aberth)
+        )
         for poly in (H_polynomial(6), g_k_polynomial(build_Pn(30), 2)):
-            kinds.clear()
+            sweeps.clear()
             rs = find_roots(poly)
-            assert mp.mpf in kinds
+            assert sweeps
             assert_agree(rs.roots, aberth_oracle(poly), 128)
 
     @pytest.mark.parametrize("sign", [-1, 1], ids=["low", "high"])
@@ -239,6 +246,134 @@ class TestAberth:
         monkeypatch.setattr(roots_module, "MAX_SWEEPS", 1)
         with pytest.raises(NoConvergence, match="within 1 sweeps"):
             _aberth([-1.0, 0.0, 1.0], 2**-40, [0.5 + 0.5j, -0.3 + 0.2j])
+
+
+def chain(d):
+    labels = [f"c{i}" for i in range(d + 1)]
+    return build_poset(labels, list(zip(labels, labels[1:])))
+
+
+def spread_polynomial(rng):
+    """A polynomial with 2..9 roots whose moduli lie 10 or more decades
+    apart between 10^-300 and 10^400, as exact Fractions: real roots and
+    conjugate pairs, the pairs at least 0.1 rad off the real axis."""
+    decades = sorted(rng.sample(range(-300, 401, 10), rng.randint(2, 6)))
+    poly, degree = Poly([1]), 0
+    for e in decades:
+        unit = Fraction(10) ** e
+        re = Fraction(rng.randint(-9999, 9999), 1000) * unit
+        if degree < 7 and rng.random() < 0.5:
+            im = Fraction(rng.randint(1000, 9999), 1000) * unit
+            poly = poly * Poly([re * re + im * im, -2 * re, 1])
+            degree += 2
+        else:
+            poly = poly * Poly([-(re or unit), 1])
+            degree += 1
+    return ExactPolynomial(poly.coeffs)
+
+
+def spread_polynomials():
+    rng = random.Random(FIXED_SEED)
+    return [spread_polynomial(rng) for _ in range(30)]
+
+
+def fixed_point_cases():
+    # g_19 of the chain with d = 8 has a root of about 3.3e101, past
+    # 2^320; g_11 of the chain with d = 20 one of about 2.7e200.
+    return [g_k_polynomial(chain(8), 19), g_k_polynomial(chain(20), 11)]
+
+
+def exact_value(coeffs, z):
+    """p(z) exactly, as a pair of Fractions, at an mpc z."""
+    # An mpf is held as (sign, mantissa, exponent, bit count).
+    x, y = (
+        (-1) ** sign * man * Fraction(2) ** exp
+        for sign, man, exp, _ in (z.real._mpf_, z.imag._mpf_)
+    )
+    re = im = Fraction(0)
+    for c in reversed(coeffs):
+        re, im = re * x - im * y + c, re * y + im * x
+    return re, im
+
+
+class NoMpmath:
+    """Stands in for the mpmath module: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"mp.{name} used")
+
+
+class TestFixedAberth:
+    def test_spread_roots_match_oracle(self):
+        sweeps = []
+        with mock.patch(
+            "posetzeta.roots._fixed_aberth", recorded(sweeps, _fixed_aberth)
+        ):
+            polys = spread_polynomials()
+            for poly in polys:
+                rs = find_roots(poly)
+                assert_agree(rs.roots, aberth_oracle(poly), 128)
+        # Doubles hold none of these, so the sweeps find every one.
+        assert len(sweeps) == len(polys)
+
+    @pytest.mark.parametrize(
+        "poly", fixed_point_cases(), ids=["chain-8-k19", "chain-20-k11"]
+    )
+    def test_roots_past_working_bits_match_oracle(self, poly):
+        # A root past 2^bits has f < 0: truncated to 2^-f, the
+        # coefficients would lose the leading 1.  Its Aberth terms are
+        # far below 2^-(2 bits): held at that absolute scale, they would
+        # all be 0.  Either way the sweeps do not converge.
+        sweeps = []
+        with mock.patch(
+            "posetzeta.roots._fixed_aberth", recorded(sweeps, _fixed_aberth)
+        ):
+            rs = find_roots(poly)
+        assert sweeps
+        assert_agree(rs.roots, aberth_oracle(poly), 128)
+
+    def test_residuals_bound_the_backward_error(self):
+        polys = spread_polynomials() + fixed_point_cases() + [
+            H_polynomial(6), ExactPolynomial([1, 0, 1]),
+        ]
+        exact_roots = 0
+        for poly in polys:
+            rs = find_roots(poly)
+            with mp.workprec(2 * (256 + 64)):
+                coeffs = [_to_mpf(c) for c in poly.coeffs]
+                for z, r in zip(rs.roots, rs.residuals):
+                    assert r <= mp.mpf(2) ** -128
+                    if not r:
+                        # Rounding would make mpmath's value positive.
+                        assert exact_value(poly.coeffs, z) == (0, 0)
+                        exact_roots += 1
+                        continue
+                    value = abs(mp.polyval(coeffs[::-1], z))
+                    total = mp.polyval([abs(c) for c in coeffs[::-1]], abs(z))
+                    assert r >= value / total, (poly, z)
+        # Integer roots below 2^320 are met exactly.
+        assert exact_roots
+
+    def test_start_at_a_critical_point_is_nudged(self):
+        # s^2 - 1 has slope 0 at the start 0, which steps to 1, a root.
+        roots = _fixed_aberth([-1, 0, 1], [(0, 0, 0), (2, 1, 0)], 320, 128)
+        assert sorted(Fraction(x, 2**f) for x, _, f in roots) == [-1, 1]
+        assert all(y == 0 for _, y, _ in roots)
+
+    def test_sweep_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(roots_module, "MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergence, match="within 1 sweeps"):
+            _fixed_aberth([-1, 0, 1], [(1, 1, 1), (-3, 2, 3)], 320, 128)
+
+    def test_integer_sweeps_use_no_mpmath(self, monkeypatch):
+        poly = fixed_point_cases()[0]
+        a = [int(c) for c in poly.coeffs]
+        starts = [_polygon_start(*s) for s in _newton_polygon_starts(a)]
+        monkeypatch.setattr(roots_module, "mp", NoMpmath())
+        roots = _fixed_aberth(a, starts, 320, 128)
+        for x, y, f in roots:
+            q, e = _backward_error_bound(a, x, y, f, 320)
+            assert Fraction(q) * Fraction(2) ** e <= Fraction(1, 2**128)
 
 
 def random_coefficients(rng, count):
@@ -303,24 +438,19 @@ class TestFindRoots:
         ids=["certified", "doubles", "polygon", "linear", "constant"],
     )
     def test_nonzero_roots_are_mpc_on_every_route(self, coeffs, route):
-        doubles, kinds = [], []
+        doubles, sweeps = [], []
 
         def float_aberth(*args):
             doubles.append(_float_aberth(*args))
             return doubles[-1]
 
-        def aberth(coeffs, *rest):
-            kinds.append(type(coeffs[0]))
-            return _aberth(coeffs, *rest)
-
+        fixed_aberth = recorded(sweeps, _fixed_aberth)
         with mock.patch("posetzeta.roots._float_aberth", float_aberth), \
-                mock.patch("posetzeta.roots._aberth", aberth), \
+                mock.patch("posetzeta.roots._fixed_aberth", fixed_aberth), \
                 mp.workprec(320):
-            exact = [Fraction(c) for c in coeffs]
-            roots = _nonzero_roots(
-                exact, [_to_mpf(c) for c in exact], mp.mpf(2) ** -128, 320
-            )
-        taken = (doubles[0] is None, mp.mpf in kinds) if doubles else None
+            a = integer_coeffs(ExactPolynomial(coeffs))
+            roots = _nonzero_roots(a, 256)
+        taken = (doubles[0] is None, bool(sweeps)) if doubles else None
         assert taken == route
         assert len(roots) == len(coeffs) - 1
         assert all(type(z) is mp.mpc for z in roots)
