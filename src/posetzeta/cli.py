@@ -61,7 +61,9 @@ from .zeta import zeta_rational
 
 FLOAT_DIGITS = 20
 SUBDIVISION_CAP = 100_000
-# The F and H triangles cost about d^6: --dmax 140 takes 7x as long as 100.
+# The F and H triangles cost about d^6: at --dmax 100 they take about 1.5 s
+# and 3 s of CPU, and at 140 six to seven times as long.  The f triangle
+# takes 0.03 s at 100 (one run per process on a shared 2-CPU virtual machine).
 TABLES_DMAX_CAP = 100
 # theorem-check grows with both: the chain with d = 8 takes about 1 s of
 # CPU at --kmax 100 and about 3 s at --kmax 24 with --precision-bits

@@ -16,6 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     CycleDetected,
@@ -297,7 +298,10 @@ def write_poset(p, out):
     the ``relation_pairs``, written in chunks without building that
     document: each label is encoded once, and the pairs reuse the codes.
     """
-    enc = list(map(json.dumps, p.labels))
+    # json.dumps of a str, under default settings, returns this C
+    # encoder's output, so the bytes are the same without its per-call
+    # set-up.
+    enc = list(map(encode_basestring_ascii, p.labels))
     out.write('{\n  "elements": ')
     _write_list(out, enc, 1)
     out.write(',\n  "relations": ')

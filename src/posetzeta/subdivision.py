@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate, permutations
 from math import comb, factorial, gcd
-from operator import mul
+from operator import add, mul
 
 from .errors import BruteForceTooLarge, DimensionZero, IndexOutOfRange
 from .linalg import ExactMatrix
@@ -22,31 +22,45 @@ from .poset import ChainVector, chain_vector
 BRUTE_FORCE_MAX_D = 8
 
 
-@cache
-def _f(i, d):
+# Row d + 1 holds (f_{-1,d}, f_{0,d}, ..., f_{d,d}), so entry [j + 1][i + 1]
+# is f_{i,j}.  Rows are appended as larger d are asked for, never rebuilt.
+_f_rows = [(1,)]
+
+
+def _f_triangle(d):
     # Ordered partitions of d + 1 vertices into i + 1 blocks, (i+1)!
-    # S(d+1, i+1), by inclusion-exclusion over the blocks left empty.
-    # The sum is 0 for i > d too; the guard only skips its terms.
-    n = i + 1
-    terms = ((-1) ** m * comb(n, m) * (n - m) ** (d + 1) for m in range(n + 1))
-    return sum(terms) if i <= d else 0
+    # S(d+1, i+1): the last vertex joins one of the i + 1 blocks of a
+    # partition of the others, or is a block of its own at one of i + 1
+    # places, so f_{i,d} = (i+1) (f_{i,d-1} + f_{i-1,d-1}).
+    for n in range(len(_f_rows), d + 2):
+        prev = _f_rows[-1] + (0,)
+        sums = map(add, prev, prev[1:])
+        _f_rows.append((0, *map(mul, range(1, n + 1), sums)))
+    return _f_rows
 
 
 def f_number(i, d):
-    """Chains of length i in the subdivision ending at a fixed d-chain."""
+    """Chains of length i in the subdivision ending at a fixed d-chain.
+
+    Entries are read from rows of the triangle, built once per process by
+    the recurrence f_{i,d} = (i+1) (f_{i,d-1} + f_{i-1,d-1}): the first
+    call with a given d builds every row up to d not built yet.
+    """
     if i < -1 or d < -1:
         raise ValueError("indices must be >= -1")
-    return _f(i, d)
+    # f_{-1,-1} = 1; 0 for i > d, and when exactly one index is -1.
+    return _f_triangle(d)[d + 1][i + 1] if i <= d else 0
 
 
 @cache
 def _F_column(d):
     # Integers a_0..a_d and den with F_{i,d} = a_i / den, by integer
     # back-substitution of f F = (d+1)! F from a_d = den = 1.
+    rows = _f_triangle(d)
     a = [0] * d + [1]
     den = 1
     for i in range(d - 1, -1, -1):
-        s = sum(_f(i, j) * a[j] for j in range(i + 1, d + 1))
+        s = sum(map(mul, (r[i + 1] for r in rows[i + 2:d + 2]), a[i + 1:]))
         m = factorial(d + 1) - factorial(i + 1)
         g = gcd(s, m)
         m //= g
@@ -161,12 +175,9 @@ def f_matrix(d):
     """
     if d < 0:
         raise IndexOutOfRange("d must be >= 0")
-    return ExactMatrix(
-        [
-            [_f(i, j) for j in range(-1, d + 1)]
-            for i in range(-1, d + 1)
-        ]
-    )
+    # Row j + 1 of the triangle, padded with zeros, is column j.
+    columns = (r + (0,) * (d + 2 - len(r)) for r in _f_triangle(d)[:d + 2])
+    return ExactMatrix(zip(*columns))
 
 
 def taylor_matrix(d, inverse=False):
@@ -228,7 +239,8 @@ def transfer_iterate(start, k):
     if k < 0:
         raise ValueError("k must be >= 0")
     d = start.dim
-    rows = [[_f(i, j) for j in range(i, d + 1)] for i in range(d + 1)]
+    tri = _f_triangle(d)
+    rows = [[r[i + 1] for r in tri[i + 1:d + 2]] for i in range(d + 1)]
     counts = start.counts
     for _ in range(k):
         counts = [sum(map(mul, r, counts[i:])) for i, r in enumerate(rows)]

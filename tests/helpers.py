@@ -474,6 +474,18 @@ def residue_by_series(f):
     return -series[target]
 
 
+def f_by_inclusion_exclusion(i, d):
+    """f_{i,d} = (i+1)! S(d+1, i+1) by inclusion-exclusion.
+
+    The former body of subdivision.f_number: ordered partitions of d + 1
+    vertices into i + 1 blocks, summed over the blocks left empty.  The
+    oracle for its rows built by recurrence.
+    """
+    n = i + 1
+    terms = ((-1) ** m * comb(n, m) * (n - m) ** (d + 1) for m in range(n + 1))
+    return sum(terms) if i <= d else 0
+
+
 @cache
 def f_by_recursion(i, d):
     """f_{i,d} by the recursion over the last block's size.

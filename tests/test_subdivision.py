@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction as Fr
 from itertools import permutations
 from math import factorial
@@ -37,6 +39,7 @@ from helpers import (
     chain_vectors,
     descent_by_recursion,
     descents,
+    f_by_inclusion_exclusion,
     f_by_recursion,
     flag_chain_count,
     shift_by_composition,
@@ -79,6 +82,15 @@ class TestFNumbers:
         for d in range(7):
             for i in range(d + 1):
                 assert f_number(i, d) == flag_chain_count(i, d), (i, d)
+
+    def test_rows_built_without_recursion(self):
+        limit = sys.getrecursionlimit()
+        depth = len(inspect.stack(0))
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert f_number(3, 400) == f_by_inclusion_exclusion(3, 400)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_alternating_sum(self):
         for d in range(13):
@@ -142,6 +154,9 @@ def test_numbers_match_slow_routes():
     for i in range(-1, 61):
         for d in range(-1, 61):
             assert f_number(i, d) == f_by_recursion(i, d), (i, d)
+    for d in range(61, 101):
+        row = [f_number(i, d) for i in range(-1, d + 2)]
+        assert row == [f_by_inclusion_exclusion(i, d) for i in range(-1, d + 2)]
     for d in range(41):
         column = [big_F_by_recurrence(i, d) for i in range(-1, d + 1)]
         assert [big_F_number(i, d) for i in range(-1, d + 1)] == column, d
