@@ -39,6 +39,7 @@ from .errors import (
 from .poset import (
     _write_list,
     barycentric_subdivision,
+    dimension,
     load_poset,
     relation_pairs,
     strict_chain_vector,
@@ -175,10 +176,21 @@ def _cmd_subdivide(args):
     p = load_poset(args.input)
     # A subdivision's size is the chain sum of the poset it subdivides, so
     # every iterate is checked against the cap before the first is built.
+    # The 2^(d+1) - 1 nonempty sub-chains of a longest chain are elements
+    # of every iterate, so the dimension alone refuses first: the chain
+    # count costs cubic time on a chain.
     times = args.times
+    if times:
+        d = dimension(p)
+        if 2 ** (d + 1) - 1 > SUBDIVISION_CAP:
+            # As a power: the bound's decimal digits can pass str()'s limit.
+            raise SubdivisionTooLarge(
+                f"subdivision has at least 2^{d + 1} - 1 elements, "
+                f"cap is {SUBDIVISION_CAP}"
+            )
+        if d == 0:
+            times = 1  # an antichain is its own subdivision
     cv = strict_chain_vector(p) if times else None
-    if times and cv.dim == 0:
-        times = 1  # an antichain is its own subdivision
     for _ in range(times):
         size = sum(cv.counts)
         if size > SUBDIVISION_CAP:

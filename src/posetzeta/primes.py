@@ -34,8 +34,10 @@ _PLUS_ONE = bytes(range(1, 256)) + bytes([_NOT_SQUAREFREE])
 
 
 class SquarefreeTable:
-    """Sieve results up to n, built by slice operations over bytes with no
-    Python step per integer, and kept in typed arrays.
+    """Sieve results up to n, kept in typed arrays.  The sieve itself is
+    slice operations over bytes, with no Python step per integer; filling
+    ``by_weight`` takes one step per squarefree integer, which was timed
+    faster than one ``compress`` per weight over translated codes.
 
     ``mu[k]`` is the Mobius function, ``mertens[k]`` its prefix sum
     M(k), and ``by_weight[w]`` lists the squarefree k <= n with exactly w

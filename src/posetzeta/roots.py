@@ -17,11 +17,13 @@ its bracket, the same Aberth iteration runs in fixed point on Gaussian
 integers at the working precision, each root with its own binary
 exponent, warm-started from the doubles when there are any.  Every
 root's backward error is computed exactly on integers from its dyadic
-value and must be at most 2^-(bits/2).  mpmath enters at the edge only:
-`_nonzero_roots` makes each root an mpc, and `find_roots` each backward
-error an mpf.  The trajectory report tracks, per subdivision step, the
-dominant root against its predicted growth and the others against the
-limit polynomial's roots.
+value and must be at most 2^-(bits/2).  Both routes return Gaussian
+dyadics (x, y, f) = (x + iy) / 2^f, a certified root with y = 0, and
+mpmath enters at the edge only: `_nonzero_roots` makes each root an mpc
+in one line, and `find_roots` each backward error an mpf.  The
+trajectory report tracks, per subdivision step, the dominant root
+against its predicted growth and the others against the limit
+polynomial's roots.
 """
 
 import cmath
@@ -74,16 +76,6 @@ def _horner(coeffs, z):
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
-
-
-def _backward_error(coeffs, abs_coeffs, z, value=None):
-    """|p(z)| / sum |c_i| |z|^i: the smallest relative change of the
-    coefficients that makes z an exact root."""
-    if value is None:
-        value = _horner(coeffs, z)
-    if not value:
-        return abs(value)
-    return abs(value) / _horner(abs_coeffs, abs(z))
 
 
 def find_roots(p, precision_bits=256):
@@ -141,29 +133,30 @@ def _integer_coeffs(coeffs):
 def _nonzero_roots(a, precision_bits):
     """The roots as mpc, at the caller's working precision, of an integer
     polynomial with a nonzero constant term: none for a constant,
-    -a0 / a1 for a linear one, else the dyadics `_certified_real_roots`
-    proves real, else those of `_fixed_aberth` from the doubles if any,
-    else from the Newton polygon, each to about precision_bits + 64
-    bits."""
+    -a0 / a1 for a linear one, else the Gaussian dyadics that
+    `_certified_real_roots` proves real from the doubles' real parts,
+    else those of `_fixed_aberth` from the doubles if any, else from the
+    Newton polygon, each to about precision_bits + 64 bits.  Both routes
+    return (x, y, f), so one line makes them mpc."""
     if len(a) < 3:
         return [mp.mpc(-mp.mpf(a[0]) / a[1])] if len(a) == 2 else []
     bits = precision_bits + 64
     starts = _newton_polygon_starts(a)
     approx = _float_aberth(a, starts)
+    roots = None
     if approx is not None:
         # Each real part as the dyadic (m, e), exactly m / 2^e, e >= 0.
-        ratios = (x.as_integer_ratio() for x in sorted(z.real for z in approx))
+        ratios = (z.real.as_integer_ratio() for z in approx)
         xs = [(m, den.bit_length() - 1) for m, den in ratios]
         roots = _certified_real_roots(a, xs, bits)
-        if roots is not None:
-            return [mp.mpc(mp.ldexp(m, -f)) for m, f in roots]
-    # Starts all on the real axis would keep the sweeps of a real
-    # polynomial there (see START_ANGLE), away from any complex root.
-    if approx is not None and any(z.imag for z in approx):
-        starts = [_double_gaussian(z) for z in approx]
-    else:
-        starts = [_polygon_start(r, t) for r, t in starts]
-    roots = _fixed_aberth(a, starts, bits, precision_bits // 2)
+    if roots is None:
+        # Starts all on the real axis would keep the sweeps of a real
+        # polynomial there (see START_ANGLE), away from any complex root.
+        if approx is not None and any(z.imag for z in approx):
+            starts = [_double_gaussian(z) for z in approx]
+        else:
+            starts = [_polygon_start(r, t) for r, t in starts]
+        roots = _fixed_aberth(a, starts, bits, precision_bits // 2)
     return [mp.mpc(mp.ldexp(x, -f), mp.ldexp(y, -f)) for x, y, f in roots]
 
 
@@ -223,7 +216,7 @@ def _aberth(coeffs, tol, starts):
         converged = True
         for i in range(n):
             pv = _horner(coeffs, z[i])
-            if _backward_error(coeffs, abs_coeffs, z[i], pv) > tol:
+            if pv and abs(pv) / _horner(abs_coeffs, abs(z[i])) > tol:
                 converged = False
             dv = _horner(dcoeffs, z[i])
             if dv == 0:
@@ -417,20 +410,23 @@ def _backward_error_bound(a, x, y, f, bits):
 
 
 def _certified_real_roots(a, xs, bits):
-    """The roots as dyadics to about `bits` bits, or None.
+    """The roots, ascending, as Gaussian dyadics (X, 0, f) to about
+    `bits` bits, or None.
 
     `a` are the integer coefficients, with a nonzero constant term, and
-    `xs` one real approximation per root, ascending, as dyadics (m, e),
-    each m / 2^e.  The polynomial is evaluated exactly, so at any size,
-    at the midpoint of each pair of neighbouring approximations and at
-    the mirror image of the outer midpoint in each end one.  If its sign
-    changes n times over those n + 1 points, each of the n brackets
-    holds one real root, and `_newton_in_bracket` refines it.  None when
-    the signs change fewer times or a refinement fails.
+    `xs` one real approximation per root, in any order, as dyadics
+    (m, e), each m / 2^e; they are sorted here, over one denominator.
+    The polynomial is evaluated exactly, so at any size, at the midpoint
+    of each pair of neighbouring approximations and at the mirror image
+    of the outer midpoint in each end one.  If its sign changes n times
+    over those n + 1 points, each of the n brackets holds one real root,
+    and `_newton_in_bracket` refines it.  None when the signs change
+    fewer times or a refinement fails.
     """
-    # The points as integers over one denominator 2^g.
+    # The approximations as integers over 2^(g - 1), in ascending order,
+    # and the points over 2^g.
     g = max(e for _, e in xs) + 1
-    ms = [m << (g - 1 - e) for m, e in xs]
+    ms = sorted(m << (g - 1 - e) for m, e in xs)
     points = [3 * ms[0] - ms[1], *map(add, ms, ms[1:]), 3 * ms[-1] - ms[-2]]
     c = _scaled(a, g)
     signs = [(v > 0) - (v < 0) for v in (_horner(c, m) for m in points)]
@@ -439,10 +435,10 @@ def _certified_real_roots(a, xs, bits):
     if not all(s * t < 0 for s, t in zip(signs, signs[1:])):
         return None
     roots = [
-        _newton_in_bracket(a, x, lo, hi, g, bits)
-        for x, lo, hi in zip(xs, points, points[1:])
+        _newton_in_bracket(a, (m, g - 1), lo, hi, g, bits)
+        for m, lo, hi in zip(ms, points, points[1:])
     ]
-    return None if None in roots else roots
+    return None if None in roots else [(x, 0, f) for x, f in roots]
 
 
 def _scaled(a, e):

@@ -198,8 +198,10 @@ class TestSubdivideCommand:
         kept = tmp_path / "kept.txt"
         kept.write_text("sentinel\n")
         # Iterate sizes 63, 9365, 5016249: the third is the first over the
-        # cap; the chain with 18 elements has 2^18 - 1 chains.
-        for n, times, size in ((6, "3", 5016249), (18, "1", 262143)):
+        # cap; the chain with 18 elements has 2^18 - 1 chains, refused
+        # from its dimension.
+        cases = ((6, "3", "5016249"), (18, "1", "at least 2^18 - 1"))
+        for n, times, size in cases:
             argv = ["subdivide", "--input", write_chain(tmp_path, n)]
             assert main(argv + ["--times", times, "--output", str(kept)]) == 4
             assert kept.read_bytes() == b"sentinel\n"
@@ -207,6 +209,25 @@ class TestSubdivideCommand:
                 f"subdivision has {size} elements, cap is 100000"
                 in capsys.readouterr().err
             )
+
+    def test_long_chain_refused_before_chain_count(self, tmp_path, capsys):
+        # The chain count is cubic on a chain: 6 s at 600 elements.  The
+        # file lists the cover relations only, 15 KB.
+        labels = [f"c{i}" for i in range(600)]
+        path = tmp_path / "chain600.json"
+        doc = {"elements": labels, "relations": list(zip(labels, labels[1:]))}
+        path.write_text(json.dumps(doc))
+        kept = tmp_path / "kept.txt"
+        kept.write_text("sentinel\n")
+        argv = ["subdivide", "--input", str(path), "--output", str(kept)]
+        start = time.process_time()
+        assert main(argv) == 4
+        assert time.process_time() - start < 1
+        assert kept.read_bytes() == b"sentinel\n"
+        assert (
+            "subdivision has at least 2^600 - 1 elements, cap is 100000"
+            in capsys.readouterr().err
+        )
 
     def test_antichain_is_its_own_subdivision(self, tmp_path):
         anti = tmp_path / "anti.json"

@@ -6,7 +6,7 @@ from unittest import mock
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -113,16 +113,18 @@ def product(factors):
 S = Poly([0, 1])
 
 
+# Factors a s + b as pairs (a, b), no two with the same root -b/a.
+distinct_linear_factors = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(-6, 6)),
+    min_size=2,
+    max_size=7,
+    unique_by=lambda f: Fraction(-f[1], f[0]),
+)
+
+
 class TestCertifiedRoots:
     @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(1, 6), st.integers(-6, 6)),
-            min_size=2,
-            max_size=7,
-            unique_by=lambda f: Fraction(-f[1], f[0]),
-        )
-    )
+    @given(distinct_linear_factors)
     def test_distinct_linear_factors(self, factors):
         # The roots -b/a of the factors a s + b lie in [-6, 6], at least
         # 1/30 apart, so cells of 1/120 isolate every one of them.
@@ -131,6 +133,24 @@ class TestCertifiedRoots:
         assert all(mp.im(z) == 0 for z in rs.roots)
         assert sign_scan_root_count(poly.coeffs, -7, 7, 1680) == poly.degree
         assert_agree(rs.roots, aberth_oracle(poly), 128)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(distinct_linear_factors, st.randoms(use_true_random=False))
+    def test_starts_in_any_order(self, factors, rng):
+        # The certificate takes a nonzero constant term.
+        factors = [(a, b) for a, b in factors if b]
+        assume(len(factors) >= 2)
+        coeffs = integer_coeffs(product([(b, a) for a, b in factors]))
+        exact = sorted(Fraction(-b, a) for a, b in factors)
+        xs = [dyadic(float(r)) for r in exact]
+        roots = _certified_real_roots(coeffs, xs, 320)
+        assert [y for _, y, _ in roots] == [0] * len(exact)
+        for (x, _, f), r in zip(roots, exact):
+            assert abs(Fraction(x, 2**f) - r) <= Fraction(1, 2**300)
+        shuffled = xs[:]
+        rng.shuffle(shuffled)
+        assert _certified_real_roots(coeffs, shuffled, 320) == roots
+        assert _certified_real_roots(coeffs, xs[::-1], 320) == roots
 
     def test_sign_scan_confirms_certified_count(self):
         # Cells of 0.01 are finer than the gaps between these roots.
@@ -231,7 +251,8 @@ class TestFallbackExits:
         a = [-big, sign * (1 - big), 1]
         want = sorted([sign * big, -sign])
         roots = _certified_real_roots(a, [(x, 0) for x in want], 320)
-        assert [dyadic(z) for z in roots] == want
+        got = [(dyadic((x, f)), y) for x, y, f in roots]
+        assert got == [(b, 0) for b in want]
         assert [mp.re(z) for z in find_roots(ExactPolynomial(a)).roots] == want
 
 
@@ -366,10 +387,16 @@ class TestFixedAberth:
             _fixed_aberth([-1, 0, 1], [(1, 1, 1), (-3, 2, 3)], 320, 128)
 
     def test_integer_sweeps_use_no_mpmath(self, monkeypatch):
-        poly = fixed_point_cases()[0]
-        a = [int(c) for c in poly.coeffs]
-        starts = [_polygon_start(*s) for s in _newton_polygon_starts(a)]
+        # Every step below the one mpc builder of `_nonzero_roots` runs
+        # without mpmath: the doubles, the certificate and the sweeps.
         monkeypatch.setattr(roots_module, "mp", NoMpmath())
+        h = integer_coeffs(H_polynomial(6))
+        approx = _float_aberth(h, _newton_polygon_starts(h))
+        assert _certified_real_roots(h, [dyadic(z.real) for z in approx], 320)
+        a = [int(c) for c in fixed_point_cases()[0].coeffs]
+        starts = _newton_polygon_starts(a)
+        assert _float_aberth(a, starts) is None
+        starts = [_polygon_start(*s) for s in starts]
         roots = _fixed_aberth(a, starts, 320, 128)
         for x, y, f in roots:
             q, e = _backward_error_bound(a, x, y, f, 320)
