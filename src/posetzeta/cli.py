@@ -11,8 +11,8 @@ integer).  Floats appear in root-tracking output, where each is a field
 of its step's record, printed once with 20 significant digits from the
 mpf as computed, alongside the precision used (an imaginary part proved
 zero prints as 0.0), and in the dim-report estimate and ratio, printed
-by repr().  Each command returns its CSV header and rows, and the writer
-of its JSON document if that is not the list of row objects.
+by repr().  Each command returns its CSV header and rows, as tuples, and
+the writer of its JSON document if that is not the list of row objects.
 
 Only theorem-check (alias zeros) imports mpmath and the root finder, at
 its first call: every other command runs without them.  The parser is
@@ -23,11 +23,12 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import (
     InvalidConfig,
@@ -37,17 +38,17 @@ from .errors import (
     SubdivisionTooLarge,
 )
 from .poset import (
+    _CHUNK,
+    _label_rows,
     _write_list,
     barycentric_subdivision,
     dimension,
     load_poset,
-    relation_pairs,
     strict_chain_vector,
     write_poset,
 )
 from .primes import (
     alpha_record,
-    chi_Pn,
     dim_asymptotic_report,
     pi_weight,
     squarefree_sieve,
@@ -121,16 +122,33 @@ def fmt_float(x):
     return mp.nstr(x, FLOAT_DIGITS, strip_zeros=False)
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_cell(text):
+    # A label as csv.writer quotes it, on this Python; any other text is
+    # its own cell.  Only a subdivide label can hold one of these.
+    if not _NEEDS_QUOTES(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # the cell, without ",\n"
+
+
 def _emit(header, rows, write_json, fmt, out):
-    # CSV writes each row as it is made.  JSON goes to the command's writer
-    # (write_poset, or json.dump of a fixed-size document); without one the
-    # rows are the document, each one % of an object template (a key's %
-    # doubled, a str cell JSON-encoded, an int as it is) with the bytes of
+    # CSV rows are tuples, each % of one line template ("%s" of an int is
+    # str, as csv writes it), joined and written in blocks of _CHUNK lines
+    # as they are made.  JSON goes to the command's writer (write_poset, or
+    # json.dump of a fixed-size document); without one the rows are the
+    # document, each one % of an object template (a key's % doubled, a str
+    # cell JSON-encoded, an int as it is) with the bytes of
     # json.dump(indent=2), written in chunks so no list of rows is held.
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        line = ",".join(["%s"] * len(header)) + "\n"
+        out.write(line % tuple(header))
+        lines = map(line.__mod__, rows)
+        while block := "".join(islice(lines, _CHUNK)):
+            out.write(block)
         return
     if write_json is None:
         template = "{" + ",".join(
@@ -154,7 +172,7 @@ def _cmd_tables(args):
         cells = ((i, d, big_F_number(i, d)) for d in ds for i in range(d + 1))
     else:  # H
         cells = ((i, d, h) for d in ds for i, h in enumerate(H_vector(d)))
-    rows = ([i, d, fmt_rational(v)] for i, d, v in cells)
+    rows = ((i, d, fmt_rational(v)) for i, d, v in cells)
     return ["i", "d", "value"], rows, None
 
 
@@ -164,8 +182,8 @@ def _cmd_zeta(args):
     num = [fmt_rational(c) for c in z.numerator.coeffs]
     den = [fmt_rational(c) for c in z.denominator.coeffs]
     rows = chain(
-        (["numerator", e, c] for e, c in enumerate(num)),
-        (["denominator", e, c] for e, c in enumerate(den)),
+        (("numerator", e, c) for e, c in enumerate(num)),
+        (("denominator", e, c) for e, c in enumerate(den)),
     )
     doc = {"numerator": num, "denominator": den}
     header = ["part", "exponent", "coefficient"]
@@ -200,11 +218,19 @@ def _cmd_subdivide(args):
         cv = transfer_iterate(cv, 1)
     for _ in range(times):
         p = barycentric_subdivision(p)
-    rows = chain(
-        (["element", lab, ""] for lab in p.labels),
-        (["relation", a, b] for a, b in relation_pairs(p)),
-    )
-    return ["kind", "a", "b"], rows, partial(write_poset, p)
+    return ["kind", "a", "b"], _subdivide_rows(p), partial(write_poset, p)
+
+
+def _subdivide_rows(p):
+    # The JSON document never reads these rows, so the labels are quoted
+    # only once a CSV writer asks for the first row.
+    cells = list(map(_csv_cell, p.labels))
+    for cell in cells:
+        yield "element", cell, ""
+    for i, js in _label_rows(p):
+        a = cells[i]
+        for j in js:
+            yield "relation", a, cells[j]
 
 
 _TRAJECTORY_HEADER = [
@@ -226,11 +252,11 @@ def _cmd_theorem_check(args):
     p = load_poset(args.input)
     report = theorem_report(p, args.kmax, args.precision_bits)
     rows = [
-        [rec.k, *map(fmt_float, (
+        (rec.k, *map(fmt_float, (
             rec.beta1.real, rec.beta1.imag, rec.beta1_abs, rec.es_ratio,
             rec.product_of_others.real, rec.product_of_others.imag,
             rec.max_match_distance,
-        )), report.precision_bits]
+        )), report.precision_bits)
         for rec in report.records
     ]
     objs = [dict(zip(_TRAJECTORY_HEADER, row)) for row in rows]
@@ -279,11 +305,13 @@ def _parse_range(text):
 
 def _cmd_pn(args):
     ns = args.range
-    squarefree_sieve(ns[-1])  # raises RangeTooLarge before any row is made
+    table = squarefree_sieve(ns[-1])  # raises RangeTooLarge before any row
     if args.kind == "chi":
-        return ["n", "chi"], ([n, chi_Pn(n)] for n in ns), None
+        # chi(P_n) = 1 - M(n), read off the table without slicing it.
+        chi = map((1).__sub__, islice(table.mertens, ns.start, ns.stop))
+        return ["n", "chi"], zip(ns, chi), None
     rows = (
-        [
+        (
             rec.n,
             rec.chi,
             1 - rec.chi,
@@ -291,7 +319,7 @@ def _cmd_pn(args):
             rec.top_chains,
             fmt_rational(rec.H1),
             fmt_rational(rec.alpha),
-        ]
+        )
         for rec in map(alpha_record, ns)
     )
     header = ["n", "chi", "mertens", "dim", "top_chains", "H1", "alpha"]
@@ -299,13 +327,13 @@ def _cmd_pn(args):
 
 
 def _cmd_pi_weight(args):
-    rows = [[args.d, args.x, pi_weight(args.d, args.x)]]
+    rows = [(args.d, args.x, pi_weight(args.d, args.x))]
     return ["d", "x", "count"], rows, None
 
 
 def _cmd_dim_report(args):
     rows = (
-        [r.n, r.d, repr(r.estimate), repr(r.ratio), int(r.in_band)]
+        (r.n, r.d, repr(r.estimate), repr(r.ratio), int(r.in_band))
         for r in dim_asymptotic_report(args.n)
     )
     return ["n", "dim", "estimate", "ratio", "in_band"], rows, None

@@ -15,7 +15,7 @@ out as ``json.dump(..., indent=2)`` would, in chunks.
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from json.encoder import encode_basestring_ascii
 
 from .errors import (
@@ -259,15 +259,6 @@ def _label_rows(p):
         yield i, sorted(p.above[i], key=rank.__getitem__)
 
 
-def relation_pairs(p):
-    """All strict pairs (a, b) of labels, a < b, in the file's order."""
-    labels = p.labels
-    for i, js in _label_rows(p):
-        a = labels[i]
-        for j in js:
-            yield a, labels[j]
-
-
 # Items per write: a few thousand keep the writes few and the pieces small.
 _CHUNK = 4096
 
@@ -295,8 +286,9 @@ def write_poset(p, out):
     """Write p to a text stream in the poset file format.
 
     The bytes are those of ``json.dump(..., indent=2)`` of the labels and
-    the ``relation_pairs``, written in chunks without building that
-    document: each label is encoded once, and the pairs reuse the codes.
+    the sorted strict pairs [a, b], written in chunks without building
+    that document: each label is encoded once, and the pairs reuse the
+    codes.
     """
     # json.dumps of a str, under default settings, returns this C
     # encoder's output, so the bytes are the same without its per-call
@@ -334,8 +326,13 @@ def poset_from_dict(data):
     relations = data.get("relations")
     if not _is_string_list(elements):
         raise InvalidConfig('"elements" must be a list of strings')
-    if not isinstance(relations, list) or not all(
-        _is_string_list(r) and len(r) == 2 for r in relations
+    # Checked in bulk, by the sets of types and lengths that occur: a
+    # saved poset lists every relation of its closure.
+    if not (
+        isinstance(relations, list)
+        and set(map(type, relations)) <= {list}
+        and set(map(len, relations)) <= {2}
+        and set(map(type, chain.from_iterable(relations))) <= {str}
     ):
         raise InvalidConfig('"relations" must be a list of string pairs')
     if not elements:

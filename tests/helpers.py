@@ -4,6 +4,7 @@ Each oracle recomputes its quantity by plain enumeration, independently
 of the code path it cross-checks.
 """
 
+import csv
 import io
 import json
 import random
@@ -23,7 +24,7 @@ from posetzeta import (
     build_poset,
     series_expand,
 )
-from posetzeta.poset import ChainVector, _require_nonempty, relation_pairs
+from posetzeta.poset import ChainVector, _require_nonempty
 from posetzeta.primes import _NOT_SQUAREFREE
 from posetzeta.roots import START_ANGLE
 from posetzeta.subdivision import SpectralConstants, big_F_number
@@ -82,6 +83,26 @@ def brute_closure(relations):
         if not more:
             return less
         less |= more
+
+
+def relation_pairs(p):
+    """All strict pairs (a, b) of labels, a < b, in the file's order:
+    sorted, as labels are unique.  The pairs write_poset and the
+    subdivide CSV rows lay out."""
+    labels = p.labels
+    return sorted(
+        (labels[i], labels[j]) for i, js in enumerate(p.above) for j in js
+    )
+
+
+def csv_document(header, rows):
+    """CSV text by csv.writer, one row per line: the former route of
+    every CSV document, the oracle for the cli's line-template writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def poset_to_dict(p):

@@ -14,7 +14,7 @@ import mpmath
 import pytest
 
 import posetzeta
-from helpers import poset_to_dict
+from helpers import csv_document, poset_to_dict, relation_pairs
 from posetzeta import (
     build_poset,
     build_Pn,
@@ -22,6 +22,7 @@ from posetzeta import (
     save_poset,
     strict_chain_vector,
 )
+from posetzeta import primes
 from posetzeta import roots as roots_module
 from posetzeta.cli import (
     _emit,
@@ -32,7 +33,8 @@ from posetzeta.cli import (
     run,
     run_to_string,
 )
-from posetzeta.primes import squarefree_sieve
+from posetzeta.errors import InvalidConfig
+from posetzeta.primes import chi_Pn, squarefree_sieve
 
 
 # A well-formed poset whose subdivision joins "a" and "b" into a second "a|b".
@@ -443,6 +445,91 @@ def test_json_row_template_escapes_keys_and_cells():
     assert buf.getvalue() == "[]\n"
 
 
+# Labels csv.writer must quote: a comma, a quote, LF, CR, a cell that is
+# itself two quotes, and non-ASCII and %-template text that need none.
+ODD_LABELS = ["a,b", 'q"x', "n\nl", "c\rr", '""', "caf\u00e9 \u2211", "%s %d"]
+
+
+def write_odd_labels(tmp_path):
+    p = build_poset(
+        ODD_LABELS,
+        [("a,b", 'q"x'), ('q"x', "n\nl"), ("c\rr", '""'),
+         ('""', "caf\u00e9 \u2211"), ("a,b", "%s %d")],
+    )
+    path = tmp_path / "odd.json"
+    save_poset(p, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--kind", "f", "--dmax", "12"],
+    ["tables", "--kind", "F", "--dmax", "12"],
+    ["tables", "--kind", "H", "--dmax", "12"],
+    ["pn", "chi", "--range", "2:5000"],
+    ["pn", "alpha", "--range", "2:300"],  # alpha is NA below 6
+    ["pi-weight", "--d", "3", "--x", "1000"],
+    ["dim-report", "--n", "16,30,2310"],
+    ["zeta", "--input", "p6"],
+    ["theorem-check", "--input", "p6", "--kmax", "2"],
+    ["subdivide", "--input", "odd", "--times", "1"],
+    ["subdivide", "--input", "odd", "--times", "2"],
+], ids=["tables-f", "tables-F", "tables-H", "pn-chi", "pn-alpha",
+        "pi-weight", "dim-report", "zeta", "theorem-check", "subdivide-1",
+        "subdivide-2"])
+def test_csv_has_csv_writer_bytes(tmp_path, argv):
+    # The line-template writer gives the bytes csv.writer gives the
+    # command's rows; subdivide's rows are its labels and pairs as read
+    # back from the JSON document, quoted by the oracle alone.
+    inputs = {"p6": write_p6(tmp_path), "odd": write_odd_labels(tmp_path)}
+    argv = [inputs.get(a, a) for a in argv]
+    args = build_parser().parse_args(argv)
+    header, rows, _ = args.func(args)
+    if argv[0] == "subdivide":
+        q = poset_from_dict(json.loads(run_to_string(argv)))
+        rows = [("element", lab, "") for lab in q.labels]
+        rows += [("relation", a, b) for a, b in relation_pairs(q)]
+    text = run_to_string(argv + ["--format", "csv"])
+    assert text == csv_document(header, rows)
+
+
+def test_csv_blocks_and_percent_cells():
+    # Rows beyond one block, a % in a cell, and no rows at all.
+    header = ["n", "text"]
+    rows = [(n, f"{n}% %s") for n in range(3 * 4096 + 5)]
+    buf = io.StringIO()
+    _emit(header, iter(rows), None, "csv", buf)
+    assert buf.getvalue() == csv_document(header, rows)
+    buf = io.StringIO()
+    _emit(header, iter([]), None, "csv", buf)
+    assert buf.getvalue() == "n,text\n"
+
+
+def test_subdivide_json_quotes_no_label(tmp_path, monkeypatch):
+    # Labels are quoted for CSV only, when its rows are read.
+    def fail(text):
+        raise AssertionError("label quoted for a JSON document")
+
+    monkeypatch.setattr("posetzeta.cli._csv_cell", fail)
+    argv = ["subdivide", "--input", write_odd_labels(tmp_path)]
+    assert json.loads(run_to_string(argv))["elements"][0] == "a,b"
+
+
+@pytest.mark.parametrize("bounds", ["2:2", "2:1000", "999:1001", "grow"])
+def test_pn_chi_rows_are_chi_Pn(monkeypatch, bounds):
+    if bounds == "grow":
+        # A cold cache sieved to 1000, then a range past it.
+        monkeypatch.setattr(primes, "_table_cache", [None])
+        assert squarefree_sieve(2).n == 1000
+        bounds = "990:1500"
+    lo, hi = map(int, bounds.split(":"))
+    args = build_parser().parse_args(["pn", "chi", "--range", bounds])
+    _, rows, _ = args.func(args)
+    expected = [(n, chi_Pn(n)) for n in range(lo, hi + 1)]
+    assert list(rows) == expected
+    _, rows = parse_csv(run_to_string(["pn", "chi", "--range", bounds]))
+    assert rows == [[str(n), str(c)] for n, c in expected]
+
+
 class TestExitCodes:
     def test_success_and_output_file(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -577,6 +664,20 @@ class TestExitCodes:
 
     def test_missing_file(self, tmp_path):
         assert main(["zeta", "--input", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("relation", [
+        "1", "true", "null", '["a", ["b"]]', '["a"]', '["a", "b", "b"]',
+        '{"a": "b"}', '"ab"', "[]", '[1, "b"]', '["a", false]', '["a", null]',
+    ])
+    def test_malformed_relation(self, tmp_path, relation):
+        # Checked in bulk, every malformed relation is still refused.
+        text = '{"elements": ["a", "b"], "relations": [["a", "b"], %s]}'
+        data = json.loads(text % relation)
+        with pytest.raises(InvalidConfig, match="list of string pairs"):
+            poset_from_dict(data)
+        path = tmp_path / "bad.json"
+        path.write_text(text % relation)
+        assert main(["zeta", "--input", str(path)]) == 2
 
     @pytest.mark.parametrize("command", ["zeta", "subdivide"])
     @pytest.mark.parametrize(
