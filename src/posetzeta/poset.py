@@ -4,18 +4,22 @@ The strict order is stored per element as its up-set: the ascending
 tuple of the indices above it, transitively closed at construction time.
 Every walk over "the elements above this one" loops over that row, so
 each costs one step per relation.  The closure is taken inside Kahn's
-topological sort, which runs from the maximal elements down.  The
-chain-count dynamic program counts chains by their least element.
-Chains are enumerated by length and then lexicographically, the element
-order of the subdivision.  All values are immutable after construction.
-A poset file has one writer, ``write_poset``, which lays the document
-out as ``json.dump(..., indent=2)`` would, in chunks.
+topological sort, which runs from the maximal elements down, and skips
+a successor that an up-set already gathered contains, so a closed
+relation list closes in about one step per relation.  The chain-count
+dynamic program counts chains by their least element.  The subdivision
+orders chains by length and then lexicographically, and builds each
+length from the one before: a chain's sub-chains come from its
+parent's.  All values are immutable after construction.  A poset file
+has one writer, ``write_poset``, which lays the document out as
+``json.dump(..., indent=2)`` would, in chunks, with each up-set sorted
+by label rank.
 """
 
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import chain, count, islice
 from json.encoder import encode_basestring_ascii
 
 from .errors import (
@@ -121,9 +125,14 @@ def build_poset(labels, relations):
     while stack:
         i = stack.pop()
         closed += 1
-        acc = set(direct[i])
+        # A successor inside an up-set already taken has its own up-set
+        # inside that one, by transitivity: on a closed relation list
+        # most successors are skipped.
+        acc = set()
         for j in direct[i]:
-            acc.update(above[j])
+            if j not in acc:
+                acc.update(above[j])
+        acc |= direct[i]
         above[i] = sorted(acc)
         for j in lower[i]:
             pending[j] -= 1
@@ -192,41 +201,55 @@ def euler_characteristic(p):
     return sum((-1) ** i * c for i, c in enumerate(chain_vector(p).counts))
 
 
-def _all_chains(p):
-    """All nonempty strict chains as tuples of element indices.
-
-    They come sorted by (length, chain): each length is built by
-    extending the sorted chains one shorter, in order, by the elements
-    above their tops in increasing order.
-    """
-    level = [(i,) for i in range(len(p))]
-    chains = []
-    while level:
-        chains += level
-        level = [c + (j,) for c in level for j in p.above[c[-1]]]
-    return chains
-
-
 def barycentric_subdivision(p):
     """Poset of all nonempty chains of p, ordered by strict inclusion.
 
     Chain elements are labeled by joining the original labels along the
     chain with "|", which makes iterated subdivision deterministic; joined
-    labels that collide raise DuplicateLabel.  Inclusion is transitive, so
-    each chain's index goes straight into the rows of its proper
-    sub-chains; chains are visited in index order, so every row comes
-    out ascending.  It has one element per chain of p, so a caller can
-    bound its size from ``strict_chain_vector(p)`` before building it.
+    labels that collide raise DuplicateLabel.  Chains are indexed by
+    (length, chain), and each length is built from the one before: the
+    proper sub-chains of c + (j,) are those of c, c itself, (j,), and
+    s + (j,) for each proper sub-chain s of c, read from a map, one per
+    top j, of each chain's index to that of the chain extended by j.
+    Inclusion is transitive, so each chain's index goes straight into
+    the rows of its proper sub-chains; chains are made in index order,
+    so every row comes out ascending.  It has one element per chain of
+    p, so a caller can bound its size from ``strict_chain_vector(p)``
+    before building it.
     """
     _require_nonempty(p)
-    chains = _all_chains(p)
-    index = {chain: i for i, chain in enumerate(chains)}
-    above = [[] for _ in chains]
-    for i, chain in enumerate(chains):
-        for k in range(1, len(chain)):
-            for sub in combinations(chain, k):
-                above[index[sub]].append(i)
-    labels = ["|".join(p.labels[j] for j in chain) for chain in chains]
+    n = len(p)
+    labels = list(p.labels)
+    above = [[] for _ in range(n)]
+    # extend[j][index of c] = index of c + (j,)
+    extend = [{} for _ in range(n)]
+    # One length: its chains' tops and proper sub-chains, in index order
+    # from ``start``; only this length and the next are held.  The loops
+    # are plain: CPython 3.11 specializes their appends and lookups, and
+    # map() over bound methods measured slower.
+    start, tops, subs = 0, range(n), [[]] * n
+    while tops:
+        next_tops, next_subs = [], []
+        for c, top, sub in zip(count(start), tops, subs):
+            head = labels[c] + "|"
+            for j in p.above[top]:
+                x = len(labels)
+                ext = extend[j]
+                ext[c] = x
+                labels.append(head + p.labels[j])
+                above.append([])
+                new = sub + [c, j]
+                above[c].append(x)
+                above[j].append(x)
+                for s in sub:
+                    e = ext[s]
+                    new.append(e)
+                    above[s].append(x)
+                    above[e].append(x)
+                next_tops.append(j)
+                next_subs.append(new)
+        start += len(tops)
+        tops, subs = next_tops, next_subs
     return Poset(labels, above)
 
 
@@ -287,8 +310,9 @@ def write_poset(p, out):
 
     The bytes are those of ``json.dump(..., indent=2)`` of the labels and
     the sorted strict pairs [a, b], written in chunks without building
-    that document: each label is encoded once, and the pairs reuse the
-    codes.
+    that document: each label is encoded once, and after the elements
+    each code takes on the end of a pair, so a pair is one head per row
+    and one concatenation.
     """
     # json.dumps of a str, under default settings, returns this C
     # encoder's output, so the bytes are the same without its per-call
@@ -297,16 +321,23 @@ def write_poset(p, out):
     out.write('{\n  "elements": ')
     _write_list(out, enc, 1)
     out.write(',\n  "relations": ')
+    # Each code now ends a pair; the bare codes are not kept.
+    enc = [code + _PAIR_END for code in enc]
     _write_list(out, _pair_blocks(p, enc), 1)
     out.write("\n}")
 
 
-def _pair_blocks(p, enc):
-    # Each pair [a, b] as json.dump(indent=2) lays it out in the relations.
+_PAIR_END = "\n    ]"
+
+
+def _pair_blocks(p, ends):
+    # Each pair [a, b] as json.dump(indent=2) lays it out in the
+    # relations; ends[i] is the code of label i with the pair's end.
+    cut = -len(_PAIR_END)
     for i, js in _label_rows(p):
-        head = "[\n      " + enc[i] + ",\n      "
+        head = "[\n      " + ends[i][:cut] + ",\n      "
         for j in js:
-            yield head + enc[j] + "\n    ]"
+            yield head + ends[j]
 
 
 def _is_string_list(value):

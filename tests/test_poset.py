@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,8 @@ from posetzeta import (
     weak_chain_count,
     write_poset,
 )
-from posetzeta.poset import _all_chains
 from helpers import (
+    FIXED_SEED,
     brute_chains,
     brute_closure,
     brute_strict_chain_counts,
@@ -81,6 +82,21 @@ class TestBuildPoset:
             build_poset(["a", "b"], [("a", "b"), ("b", "a")])
         with pytest.raises(CycleDetected):
             build_poset(["a"], [("a", "a")])
+
+    def test_shuffled_closed_chain(self):
+        # Every pair of a 60-element chain, the elements and the pairs
+        # shuffled: the poset of its cover relations.
+        rng = random.Random(FIXED_SEED)
+        c = [f"c{i}" for i in range(60)]
+        closed = [(a, b) for i, a in enumerate(c) for b in c[i + 1:]]
+        labels = rng.sample(c, len(c))
+        rng.shuffle(closed)
+        p = build_poset(labels, closed)
+        q = build_poset(labels, list(zip(c, c[1:])))
+        assert (p.labels, p.above) == (q.labels, q.above)
+        for i, a in enumerate(p.labels):
+            rank = int(a[1:])
+            assert p.above[i] == tuple(sorted(map(p.index, c[rank + 1:])))
 
 
 class TestChainCounts:
@@ -147,6 +163,14 @@ class TestRandomOracle:
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(dags())
+    def test_closed_pairs_give_the_same_poset(self, dag):
+        labels, relations = dag
+        p = build_poset(labels, relations)
+        q = build_poset(labels, sorted(brute_closure(relations)))
+        assert (q.labels, q.above) == (p.labels, p.above)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dags())
     def test_rows_are_ascending_index_tuples(self, dag):
         p = build_poset(*dag)
         for q in (p, barycentric_subdivision(p)):
@@ -162,9 +186,15 @@ class TestRandomOracle:
         brute = brute_strict_chain_counts(p)
         assert strict_chain_vector(p).counts == brute
         assert dimension(p) == len(brute) - 1
-        assert _all_chains(p) == sorted(
-            brute_chains(p), key=lambda c: (len(c), c)
-        )
+        # The subdivision's elements are the chains, by (length, chain),
+        # unless two joined labels collide.
+        chains = sorted(brute_chains(p), key=lambda c: (len(c), c))
+        joined = tuple("|".join(p.labels[i] for i in c) for c in chains)
+        if len(set(joined)) < len(joined):
+            with pytest.raises(DuplicateLabel):
+                barycentric_subdivision(p)
+        else:
+            assert barycentric_subdivision(p).labels == joined
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(dags())
@@ -216,6 +246,20 @@ class TestSubdivision:
             sd = barycentric_subdivision(p)
             assert euler_characteristic(sd) == euler_characteristic(p)
             assert dimension(sd) == dimension(p)
+
+    def test_chain_rows_closed_form(self):
+        # The subdivision of an m-element chain: a sub-chain of k elements
+        # lies in 2^(m-k) - 1 longer ones, and the relations total
+        # 3^m - 2^(m+1) + 1.  Depths the random DAGs do not reach.
+        for m in range(1, 12):
+            c = [f"c{i}" for i in range(m)]
+            sd = barycentric_subdivision(build_poset(c, list(zip(c, c[1:]))))
+            assert len(sd) == 2 ** m - 1
+            for label, row in zip(sd.labels, sd.above):
+                k = label.count("|") + 1
+                assert len(row) == 2 ** (m - k) - 1
+                assert all(a < b for a, b in zip(row, row[1:]))
+            assert sum(map(len, sd.above)) == 3 ** m - 2 ** (m + 1) + 1
 
     def test_label_collision(self):
         p = build_poset(["a", "b", "a|b"], [("a", "b")])
