@@ -19,7 +19,6 @@ its first call: every other command runs without them.  The parser is
 built once per process.
 """
 
-import csv
 import io
 import json
 import os
@@ -126,13 +125,13 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 def _csv_cell(text):
-    # A label as csv.writer quotes it, on this Python; any other text is
-    # its own cell.  Only a subdivide label can hold one of these.
+    # RFC 4180: a label that holds a comma, a quote, CR or LF is quoted,
+    # with its quotes doubled, the same bytes on every Python (csv.writer
+    # leaves a CR unquoted before 3.13); any other text is its own cell.
+    # Only a subdivide label can hold one of these.
     if not _NEEDS_QUOTES(text):
         return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]  # the cell, without ",\n"
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _emit(header, rows, write_json, fmt, out):

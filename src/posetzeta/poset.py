@@ -347,9 +347,10 @@ def _is_string_list(value):
 def poset_from_dict(data):
     """Poset from a document in the file format, checked before building.
 
-    A document that is not an object with a list of string "elements"
-    and a list of [a, b] string "relations" raises InvalidConfig, and one
-    with no elements raises EmptyPoset.
+    A document that is not an object with a list of string "elements",
+    each Unicode text (no lone surrogate), and a list of [a, b] string
+    "relations" raises InvalidConfig, and one with no elements raises
+    EmptyPoset.
     """
     if not isinstance(data, dict):
         raise InvalidConfig("poset document must be a JSON object")
@@ -357,6 +358,12 @@ def poset_from_dict(data):
     relations = data.get("relations")
     if not _is_string_list(elements):
         raise InvalidConfig('"elements" must be a list of strings')
+    # A JSON escape such as \ud800 decodes to a lone surrogate, which no
+    # output can encode: checked in bulk, by one encode of every label.
+    try:
+        "".join(elements).encode()
+    except UnicodeEncodeError:
+        raise InvalidConfig('"elements" must be Unicode text') from None
     # Checked in bulk, by the sets of types and lengths that occur: a
     # saved poset lists every relation of its closure.
     if not (

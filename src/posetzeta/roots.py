@@ -16,11 +16,11 @@ a start or a root, the signs do not prove it, or a Newton step leaves
 its bracket, the same Aberth iteration runs in fixed point on Gaussian
 integers at the working precision, each root with its own binary
 exponent, warm-started from the doubles when there are any.  Every
-root's backward error is computed exactly on integers from its dyadic
-value and must be at most 2^-(bits/2).  Both routes return Gaussian
-dyadics (x, y, f) = (x + iy) / 2^f, a certified root with y = 0, and
-mpmath enters at the edge only: `_nonzero_roots` makes each root an mpc
-in one line, and `find_roots` each backward error an mpf.  The
+root is a Gaussian dyadic (x, y, f) = (x + iy) / 2^f, a certified root
+with y = 0, cut to the working precision; its backward error is
+computed exactly on integers from that dyadic and must be at most
+2^-(bits/2).  mpmath enters at the edge only: `find_roots` makes each
+dyadic an mpc, exactly, and each backward error an mpf.  The
 trajectory report tracks, per subdivision step, the dominant root
 against its predicted growth and the others against the limit
 polynomial's roots.
@@ -81,17 +81,19 @@ def _horner(coeffs, z):
 def find_roots(p, precision_bits=256):
     """All complex roots of an exact polynomial, deterministically, as mpc.
 
-    Exactly zero low coefficients give exact zero roots, and
-    `_nonzero_roots` gives the rest, each to about `precision_bits + 64`
-    bits: proved real and simple by `_certified_real_roots` when it can,
-    with an imaginary part of exactly 0, else found by `_fixed_aberth`.
-    Either way, every root's backward error |p(z)| / sum |c_i| |z|^i,
-    computed exactly from the root's dyadic value and rounded up by
-    `_backward_error_bound`, must be at most 2^-(precision_bits/2), else
-    NoConvergence is raised; those errors are returned as the residuals.
+    Exactly zero low coefficients give exact zero roots, (0, 0, 0), and
+    `_nonzero_roots` gives the rest as Gaussian dyadics of at most
+    `precision_bits + 64` bits: proved real and simple by
+    `_certified_real_roots` when it can, with an imaginary part of
+    exactly 0, else found by `_fixed_aberth`.  Every root's backward
+    error |p(z)| / sum |c_i| |z|^i, computed exactly from its dyadic and
+    rounded up by `_backward_error_bound`, must be at most
+    2^-(precision_bits/2), else NoConvergence is raised; those errors are
+    returned as the residuals.  Each dyadic fits the working precision,
+    so its mpc is exactly the root whose backward error was bounded.
     Roots are sorted by real part, then imaginary part, and each
     conjugate pair, whose real parts differ by rounding only, puts its
-    member with im < 0 first.
+    member with im < 0 first; each residual moves with its root.
     """
     if p.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
@@ -100,27 +102,27 @@ def find_roots(p, precision_bits=256):
     bits = precision_bits + 64
     ints = _integer_coeffs(p.coeffs)
     zeros = next(i for i, c in enumerate(ints) if c)
+    roots = [(0, 0, 0)] * zeros + _nonzero_roots(ints[zeros:], precision_bits)
     with mp.workprec(bits):
         tol = mp.mpf(2) ** -(precision_bits // 2)
-        roots = [mp.mpc(0)] * zeros + _nonzero_roots(
-            ints[zeros:], precision_bits
+        pairs = sorted(
+            ((mp.mpc(mp.ldexp(x, -f), mp.ldexp(y, -f)),
+              mp.ldexp(*_backward_error_bound(ints, x, y, f, bits)))
+             for x, y, f in roots),
+            key=lambda pair: (pair[0].real, pair[0].imag),
         )
-        roots.sort(key=lambda z: (mp.re(z), mp.im(z)))
         # Neighbours a, b within tol |a| of conj(a) are a conjugate pair.
-        for i in range(len(roots) - 1):
-            a, b = roots[i:i + 2]
+        for i in range(len(pairs) - 1):
+            (a, _), (b, _) = pairs[i:i + 2]
             if a.imag > 0 and abs(b - mp.conj(a)) <= tol * abs(a):
-                roots[i:i + 2] = b, a
-        residuals = [
-            mp.ldexp(*_backward_error_bound(ints, *_mpc_gaussian(z), bits))
-            for z in roots
-        ]
+                pairs[i:i + 2] = pairs[i + 1], pairs[i]
+        roots, residuals = zip(*pairs)
         if any(r > tol for r in residuals):
             raise NoConvergence(
                 f"backward error above 2^-{precision_bits // 2}; "
                 "raise precision"
             )
-        return RootSet(tuple(roots), tuple(residuals), precision_bits)
+        return RootSet(roots, residuals, precision_bits)
 
 
 def _integer_coeffs(coeffs):
@@ -131,33 +133,38 @@ def _integer_coeffs(coeffs):
 
 
 def _nonzero_roots(a, precision_bits):
-    """The roots as mpc, at the caller's working precision, of an integer
-    polynomial with a nonzero constant term: none for a constant,
-    -a0 / a1 for a linear one, else the Gaussian dyadics that
+    """The roots of an integer polynomial with a nonzero constant term, as
+    Gaussian dyadics (x, y, f) with max(|x|, |y|) < 2^bits, bits =
+    precision_bits + 64: none for a constant, -a0 / a1 rounded to nearest
+    (ties to even) for a linear one, else those that
     `_certified_real_roots` proves real from the doubles' real parts,
-    else those of `_fixed_aberth` from the doubles if any, else from the
-    Newton polygon, each to about precision_bits + 64 bits.  Both routes
-    return (x, y, f), so one line makes them mpc."""
-    if len(a) < 3:
-        return [mp.mpc(-mp.mpf(a[0]) / a[1])] if len(a) == 2 else []
+    cut to `bits` bits, else those of `_fixed_aberth` from the doubles if
+    any, else from the Newton polygon."""
+    if len(a) < 2:
+        return []
     bits = precision_bits + 64
+    if len(a) == 2:
+        # r 2^f in [2^(bits - 1), 2^bits) in modulus, then rounded.
+        r = Fraction(-a[0], a[1])
+        f = bits - r.numerator.bit_length() + r.denominator.bit_length()
+        f -= abs(r) * Fraction(2) ** f >= 2 ** bits
+        return [_normalized(round(r * Fraction(2) ** f), 0, f, bits)]
     starts = _newton_polygon_starts(a)
     approx = _float_aberth(a, starts)
-    roots = None
     if approx is not None:
         # Each real part as the dyadic (m, e), exactly m / 2^e, e >= 0.
         ratios = (z.real.as_integer_ratio() for z in approx)
         xs = [(m, den.bit_length() - 1) for m, den in ratios]
         roots = _certified_real_roots(a, xs, bits)
-    if roots is None:
-        # Starts all on the real axis would keep the sweeps of a real
-        # polynomial there (see START_ANGLE), away from any complex root.
-        if approx is not None and any(z.imag for z in approx):
-            starts = [_double_gaussian(z) for z in approx]
-        else:
-            starts = [_polygon_start(r, t) for r, t in starts]
-        roots = _fixed_aberth(a, starts, bits, precision_bits // 2)
-    return [mp.mpc(mp.ldexp(x, -f), mp.ldexp(y, -f)) for x, y, f in roots]
+        if roots is not None:
+            return [_normalized(*z, bits) for z in roots]
+    # Starts all on the real axis would keep the sweeps of a real
+    # polynomial there (see START_ANGLE), away from any complex root.
+    if approx is not None and any(z.imag for z in approx):
+        starts = [_double_gaussian(z) for z in approx]
+    else:
+        starts = [_polygon_start(r, t) for r, t in starts]
+    return _fixed_aberth(a, starts, bits, precision_bits // 2)
 
 
 def _newton_polygon_starts(exact):
@@ -281,14 +288,6 @@ def _polygon_start(log_radius, angle):
     return x, y, f - q
 
 
-def _mpc_gaussian(z):
-    """An mpc exactly, as the Gaussian dyadic (x, y, f)."""
-    # An mpf is held as (sign, mantissa, exponent, bit count).
-    (xs, xm, xe, _), (ys, ym, ye, _) = z.real._mpf_, z.imag._mpf_
-    f = -min(xe, ye)
-    return (-xm if xs else xm) << (xe + f), (-ym if ys else ym) << (ye + f), f
-
-
 def _rounded_div(n, d):
     """n / d rounded to the nearest integer, for d > 0."""
     return (2 * n + d) // (2 * d)
@@ -383,19 +382,17 @@ def _backward_error_bound(a, x, y, f, bits):
     """|p(z)| / sum |a_j| |z|^j at z = (x + iy) / 2^f, rounded up, as
     (q, e): at most q 2^e, with 0 <= q < 2^(bits - 1).
 
-    Both sides are evaluated exactly on integers, over 2^(f n), the
-    modulus of a non-real z rounded down.  The sum is then cut to `bits`
-    bits and |p(z)|^2 by the same factor squared, rounded up, so that the
-    one division, the square root and the result round only upwards.
+    Both sides are evaluated exactly on integers, over 2^(f n), p(z) by
+    `_gaussian_horner` whether z is real or not, and the modulus of a
+    non-real z rounded down.  The sum is then cut to `bits` bits and
+    |p(z)|^2 by the same factor squared, rounded up, so that the one
+    division, the square root and the result round only upwards.
     """
     if f < 0:
         x, y, f = x << -f, y << -f, 0
     c = _scaled(a, f)
-    if y:
-        re, im = _gaussian_horner(c, x, y, 0)
-        norm = re * re + im * im
-    else:
-        norm = _horner(c, x) ** 2
+    re, im = _gaussian_horner(c, x, y, 0)
+    norm = re * re + im * im
     if not norm:
         return 0, 0
     total = _horner([abs(cj) for cj in c], isqrt(x * x + y * y))

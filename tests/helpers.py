@@ -97,12 +97,19 @@ def relation_pairs(p):
 
 def csv_document(header, rows):
     """CSV text by csv.writer, one row per line: the former route of
-    every CSV document, the oracle for the cli's line-template writer."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    every CSV document, the oracle for the cli's line-template writer.
+
+    Each row is written with the terminator CRLF, which makes csv.writer
+    quote a cell holding CR on every Python (before 3.13 it quotes only
+    the characters of its terminator), and the final CRLF is then
+    rewritten to LF.
+    """
+    lines = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def poset_to_dict(p):
@@ -635,6 +642,16 @@ def taylor_by_guarded_entries(d):
         ]
         for i in range(-1, d + 1)
     ]
+
+
+def mpc_gaussian(z):
+    """An mpc exactly, as the Gaussian dyadic (x, y, f): the value
+    (x + iy) / 2^f.  The former bridge of find_roots from its mpc roots
+    back to dyadics; the oracle that reads a returned root exactly."""
+    # An mpf is held as (sign, mantissa, exponent, bit count).
+    (xs, xm, xe, _), (ys, ym, ye, _) = z.real._mpf_, z.imag._mpf_
+    f = -min(xe, ye)
+    return (-xm if xs else xm) << (xe + f), (-ym if ys else ym) << (ye + f), f
 
 
 def sort_like_find_roots(roots, tol):

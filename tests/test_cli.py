@@ -39,6 +39,9 @@ from posetzeta.primes import chi_Pn, squarefree_sieve
 
 # A well-formed poset whose subdivision joins "a" and "b" into a second "a|b".
 LABEL_COLLISION = b'{"elements": ["a", "b", "a|b"], "relations": [["a", "b"]]}'
+# Valid JSON whose first label decodes to a lone surrogate, not Unicode
+# text: no UTF-8 output can hold it.
+LONE_SURROGATE = b'{"elements": ["\\ud800", "c"], "relations": []}'
 
 
 def checkout_env():
@@ -514,6 +517,25 @@ def test_subdivide_json_quotes_no_label(tmp_path, monkeypatch):
     assert json.loads(run_to_string(argv))["elements"][0] == "a,b"
 
 
+@pytest.mark.parametrize("times", ["0", "1", "2"])
+@pytest.mark.parametrize("labels", ["odd", "cr"])
+def test_subdivide_csv_reads_back(tmp_path, labels, times):
+    # csv.reader gives back each row of the subdivide CSV document, a label
+    # with a CR included: csv.writer left a CR unquoted before Python 3.13,
+    # and the reader then split the row there.
+    path = write_odd_labels(tmp_path)
+    if labels == "cr":
+        path = tmp_path / "cr.json"
+        save_poset(build_poset(["a\rb", "c"], [("a\rb", "c")]), path)
+    argv = ["subdivide", "--input", str(path), "--times", times]
+    q = poset_from_dict(json.loads(run_to_string(argv)))
+    rows = [["element", lab, ""] for lab in q.labels]
+    rows += [["relation", a, b] for a, b in relation_pairs(q)]
+    header, read = parse_csv(run_to_string(argv + ["--format", "csv"]))
+    assert header == ["kind", "a", "b"]
+    assert read == rows
+
+
 @pytest.mark.parametrize("bounds", ["2:2", "2:1000", "999:1001", "grow"])
 def test_pn_chi_rows_are_chi_Pn(monkeypatch, bounds):
     if bounds == "grow":
@@ -591,10 +613,14 @@ class TestExitCodes:
         cyclic.write_text(
             '{"elements": ["a", "b"], "relations": [["a", "b"], ["b", "a"]]}'
         )
+        # Refused before the CSV header, which no label could follow.
+        surrogate = tmp_path / "surrogate.json"
+        surrogate.write_bytes(LONE_SURROGATE)
         cases = [
             (["tables", "--kind", "H", "--dmax", "101"], 4),
             (["zeta", "--input", str(tmp_path / "absent.json")], 2),
             (["theorem-check", "--input", str(cyclic)], 2),
+            (["subdivide", "--input", str(surrogate), "--format", "csv"], 2),
             (["pn", "chi", "--range", "6:100000000"], 4),
         ]
         kept, absent = tmp_path / "kept.txt", tmp_path / "absent.txt"
@@ -613,11 +639,13 @@ class TestExitCodes:
     def test_backward_error_check_exits_3(self, tmp_path, monkeypatch, capsys):
         # Roots moved by a relative 2^-40 fail find_roots' final check.  On
         # P_210 the first call, for the targets, certifies its roots; on
-        # P_30 it does not.  Either way they come as mpc.
+        # P_30 it does not.  Either way they come as Gaussian dyadics.
         found = roots_module._nonzero_roots
 
         def perturbed(*args):
-            return [z * (1 + mpmath.mpf(2) ** -40) for z in found(*args)]
+            # Each Gaussian dyadic times 1 + 2^-40, exactly.
+            return [((x << 40) + x, (y << 40) + y, f + 40)
+                    for x, y, f in found(*args)]
 
         monkeypatch.setattr(roots_module, "_nonzero_roots", perturbed)
         for n in (30, 210):
@@ -719,6 +747,7 @@ class TestExitCodes:
                 b'{"elements": [], "relations": []}', id="no-elements"
             ),
             pytest.param(LABEL_COLLISION, id="subdivision-label-collision"),
+            pytest.param(LONE_SURROGATE, id="lone-surrogate"),
         ],
     )
     def test_malformed_poset(self, tmp_path, command, content):

@@ -14,6 +14,7 @@ from helpers import (
     Poly,
     match_by_permutations,
     mp_newton_polygon_starts,
+    mpc_gaussian,
     sign_scan_root_count,
     sort_like_find_roots,
 )
@@ -101,6 +102,13 @@ def recorded(calls, fn):
 def integer_coeffs(poly):
     den = lcm(*(Fraction(c).denominator for c in poly.coeffs))
     return [int(c * den) for c in poly.coeffs]
+
+
+def gaussian_value(z):
+    """The exact value of the Gaussian dyadic (x, y, f), as a pair of
+    Fractions."""
+    x, y, f = z
+    return Fraction(x) / Fraction(2) ** f, Fraction(y) / Fraction(2) ** f
 
 
 def product(factors):
@@ -387,7 +395,7 @@ class TestFixedAberth:
             _fixed_aberth([-1, 0, 1], [(1, 1, 1), (-3, 2, 3)], 320, 128)
 
     def test_integer_sweeps_use_no_mpmath(self, monkeypatch):
-        # Every step below the one mpc builder of `_nonzero_roots` runs
+        # Every step below the one mpc builder of `find_roots` runs
         # without mpmath: the doubles, the certificate and the sweeps.
         monkeypatch.setattr(roots_module, "mp", NoMpmath())
         h = integer_coeffs(H_polynomial(6))
@@ -465,6 +473,9 @@ class TestFindRoots:
         ids=["certified", "doubles", "polygon", "linear", "constant"],
     )
     def test_nonzero_roots_are_mpc_on_every_route(self, coeffs, route):
+        # Below find_roots every route gives Gaussian dyadics (x, y, f) of
+        # ints within 2^bits, bits = 256 + 64, without mpmath; each
+        # becomes exactly one mpc of find_roots.
         doubles, sweeps = [], []
 
         def float_aberth(*args):
@@ -472,15 +483,45 @@ class TestFindRoots:
             return doubles[-1]
 
         fixed_aberth = recorded(sweeps, _fixed_aberth)
+        a = integer_coeffs(ExactPolynomial(coeffs))
         with mock.patch("posetzeta.roots._float_aberth", float_aberth), \
                 mock.patch("posetzeta.roots._fixed_aberth", fixed_aberth), \
-                mp.workprec(320):
-            a = integer_coeffs(ExactPolynomial(coeffs))
+                mock.patch("posetzeta.roots.mp", NoMpmath()):
             roots = _nonzero_roots(a, 256)
         taken = (doubles[0] is None, bool(sweeps)) if doubles else None
         assert taken == route
         assert len(roots) == len(coeffs) - 1
-        assert all(type(z) is mp.mpc for z in roots)
+        for z in roots:
+            assert type(z) is tuple and list(map(type, z)) == [int] * 3
+            assert max(abs(z[0]), abs(z[1])) < 2**320
+        if roots:
+            found = find_roots(ExactPolynomial(coeffs)).roots
+            assert all(type(z) is mp.mpc for z in found)
+            assert sorted(map(gaussian_value, map(mpc_gaussian, found))) == \
+                sorted(map(gaussian_value, roots))
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            ExactPolynomial([Fraction(-1, 3), 7]),
+            H_polynomial(6),
+            ExactPolynomial(((S + 10**400) * (S + 1) * (S + 2)).coeffs),
+            g_k_polynomial(chain(30), 16),
+        ],
+        ids=["linear", "H6", "polygon", "chain-30-k16"],
+    )
+    def test_residuals_are_those_of_the_returned_roots(self, poly):
+        # Each residual is the backward error bound of its root as
+        # returned, read back exactly: nothing is rounded between them.
+        # g_16 of the chain with d = 30 has a root past 2^320.
+        rs = find_roots(poly)
+        a = integer_coeffs(poly)
+        with mp.workprec(320):
+            for z, r in zip(rs.roots, rs.residuals):
+                bound = _backward_error_bound(a, *mpc_gaussian(z), 320)
+                assert r == mp.ldexp(*bound)
+        if poly.degree == 30:
+            assert max(abs(z) for z in rs.roots) > mp.mpf(2) ** 320
 
     def test_linear(self):
         rs = find_roots(ExactPolynomial([2, -1]))
