@@ -62,6 +62,9 @@ from .zeta import zeta_rational
 
 FLOAT_DIGITS = 20
 SUBDIVISION_CAP = 100_000
+# A 14-element chain's subdivision has 4,750,202 relations, 362 MB of JSON
+# written in about 2.3 s; the 15-element chain's has 14,283,372.
+SUBDIVISION_RELATION_CAP = 5_000_000
 # The F and H triangles cost about d^6: at --dmax 100 they take about 1.5 s
 # and 3 s of CPU, and at 140 six to seven times as long.  The f triangle
 # takes 0.03 s at 100 (one run per process on a shared 2-CPU virtual machine).
@@ -191,8 +194,10 @@ def _cmd_zeta(args):
 
 def _cmd_subdivide(args):
     p = load_poset(args.input)
-    # A subdivision's size is the chain sum of the poset it subdivides, so
-    # every iterate is checked against the cap before the first is built.
+    # A subdivision's size is the chain sum of the poset it subdivides, and
+    # each chain of i + 1 elements is above its 2^(i+1) - 2 proper nonempty
+    # sub-chains, so every iterate is checked against both caps before the
+    # first is built.
     # The 2^(d+1) - 1 nonempty sub-chains of a longest chain are elements
     # of every iterate, so the dimension alone refuses first: the chain
     # count costs cubic time on a chain.
@@ -213,6 +218,12 @@ def _cmd_subdivide(args):
         if size > SUBDIVISION_CAP:
             raise SubdivisionTooLarge(
                 f"subdivision has {size} elements, cap is {SUBDIVISION_CAP}"
+            )
+        rels = sum(c * (2 ** (i + 1) - 2) for i, c in enumerate(cv.counts))
+        if rels > SUBDIVISION_RELATION_CAP:
+            raise SubdivisionTooLarge(
+                f"subdivision has {rels} relations, "
+                f"cap is {SUBDIVISION_RELATION_CAP}"
             )
         cv = transfer_iterate(cv, 1)
     for _ in range(times):

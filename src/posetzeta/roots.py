@@ -15,15 +15,15 @@ carries nearly every step.  When a double does not hold the polynomial,
 a start or a root, the signs do not prove it, or a Newton step leaves
 its bracket, the same Aberth iteration runs in fixed point on Gaussian
 integers at the working precision, each root with its own binary
-exponent, warm-started from the doubles when there are any.  Every
-root is a Gaussian dyadic (x, y, f) = (x + iy) / 2^f, a certified root
-with y = 0, cut to the working precision; its backward error is
-computed exactly on integers from that dyadic and must be at most
-2^-(bits/2).  mpmath enters at the edge only: `find_roots` makes each
-dyadic an mpc, exactly, and each backward error an mpf.  The
-trajectory report tracks, per subdivision step, the dominant root
-against its predicted growth and the others against the limit
-polynomial's roots.
+exponent, warm-started from the doubles when there are any.  Every root
+is a Gaussian dyadic (x, y, f) = (x + iy) / 2^f, a certified root with
+y = 0, cut to the working precision; its backward error is computed
+exactly on integers from that dyadic and must be at most 2^-(bits/2).
+mpmath enters at the edge only: `find_roots` decides that test, the
+order and the conjugate pairs on integers, then makes each dyadic an mpc
+and each backward error an mpf, exactly.  The trajectory report tracks,
+per subdivision step, the dominant root against its predicted growth
+and the others against the limit polynomial's roots.
 """
 
 import cmath
@@ -89,40 +89,38 @@ def find_roots(p, precision_bits=256):
     error |p(z)| / sum |c_i| |z|^i, computed exactly from its dyadic and
     rounded up by `_backward_error_bound`, must be at most
     2^-(precision_bits/2), else NoConvergence is raised; those errors are
-    returned as the residuals.  Each dyadic fits the working precision,
-    so its mpc is exactly the root whose backward error was bounded.
-    Roots are sorted by real part, then imaginary part, and each
-    conjugate pair, whose real parts differ by rounding only, puts its
-    member with im < 0 first; each residual moves with its root.
+    the residuals.  Roots are sorted by real part, then imaginary part,
+    and each conjugate pair, whose real parts differ by rounding only,
+    puts its member with im < 0 first, each residual with its root.  All
+    three are decided on integers, the dyadics over one denominator, and
+    only then is each made an mpc, exactly.
     """
     if p.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
     if precision_bits < 53:
         raise ValueError("precision_bits must be >= 53")
-    bits = precision_bits + 64
+    bits, t = precision_bits + 64, precision_bits // 2
     ints = _integer_coeffs(p.coeffs)
     zeros = next(i for i, c in enumerate(ints) if c)
     roots = [(0, 0, 0)] * zeros + _nonzero_roots(ints[zeros:], precision_bits)
+    errors = [_backward_error_bound(ints, x, y, f, bits) for x, y, f in roots]
+    # q 2^e > 2^-t, that is q 2^(e + t) > 1, on integers.
+    if any(q << max(e + t, 0) > 1 << max(-e - t, 0) for q, e in errors):
+        raise NoConvergence(f"backward error above 2^-{t}; raise precision")
+    g = max(f for _, _, f in roots)
+    keys = [(x << (g - f), y << (g - f)) for x, y, f in roots]
+    order = sorted(range(len(roots)), key=keys.__getitem__)
+    # Neighbours a, b within 2^-t |a| of conj(a) are a conjugate pair.
+    for i in range(len(order) - 1):
+        (xa, ya), (xb, yb) = keys[order[i]], keys[order[i + 1]]
+        near = (xb - xa) ** 2 + (yb + ya) ** 2 << 2 * t <= xa * xa + ya * ya
+        if ya > 0 and near:
+            order[i:i + 2] = order[i + 1], order[i]
     with mp.workprec(bits):
-        tol = mp.mpf(2) ** -(precision_bits // 2)
-        pairs = sorted(
-            ((mp.mpc(mp.ldexp(x, -f), mp.ldexp(y, -f)),
-              mp.ldexp(*_backward_error_bound(ints, x, y, f, bits)))
-             for x, y, f in roots),
-            key=lambda pair: (pair[0].real, pair[0].imag),
-        )
-        # Neighbours a, b within tol |a| of conj(a) are a conjugate pair.
-        for i in range(len(pairs) - 1):
-            (a, _), (b, _) = pairs[i:i + 2]
-            if a.imag > 0 and abs(b - mp.conj(a)) <= tol * abs(a):
-                pairs[i:i + 2] = pairs[i + 1], pairs[i]
-        roots, residuals = zip(*pairs)
-        if any(r > tol for r in residuals):
-            raise NoConvergence(
-                f"backward error above 2^-{precision_bits // 2}; "
-                "raise precision"
-            )
-        return RootSet(roots, residuals, precision_bits)
+        return RootSet(
+            tuple(mp.mpc(mp.ldexp(x, -f), mp.ldexp(y, -f))
+                  for x, y, f in map(roots.__getitem__, order)),
+            tuple(mp.ldexp(*errors[i]) for i in order), precision_bits)
 
 
 def _integer_coeffs(coeffs):
@@ -581,10 +579,12 @@ def _assign(cost):
 def _match(roots, targets, precision_bits):
     """Globally minimal-cost assignment of roots to fixed targets.
 
-    Costs are distances.  Assignments whose summed costs agree to about
-    2^-(precision_bits/2) of the largest distance count as tied, and the
-    tie goes to the lexicographically least one (earliest target for the
-    first root, and so on), so rounding noise never decides it.
+    Distances are cut to whole units of 2^u, the power of 2 at or below
+    2^-(precision_bits/2) of the largest (whole numbers stay whole).
+    Equal summed units tie, and the tie goes to the lexicographically
+    least assignment (earliest target for the first root, and so on), so
+    rounding noise never decides it: root i costs its units times
+    cols^rows plus j cols^(rows-1-i) at target j, all integers.
 
     When as many real roots as real targets come in ascending order, as
     `theorem_report` passes them, pairing them in that order is optimal
@@ -597,14 +597,13 @@ def _match(roots, targets, precision_bits):
     if rows == cols and _ascending_reals(roots) and _ascending_reals(targets):
         return tuple(targets), tuple(abs(r - t) for r, t in zip(roots, targets))
     dist = [[abs(r - t) for t in targets] for r in roots]
-    unit = max(map(max, dist)) * mp.mpf(2) ** -(precision_bits // 2)
-    unit /= cols ** rows
-    picks = _assign(
-        [
-            [c + unit * j * cols ** (rows - 1 - i) for j, c in enumerate(row)]
-            for i, row in enumerate(dist)
-        ]
-    )
+    u = mp.frexp(max(map(max, dist)))[1] - 1 - precision_bits // 2
+    scale = cols ** rows
+    low = [cols ** (rows - 1 - i) for i in range(rows)]
+    picks = _assign([
+        [int(mp.ldexp(c, -u)) * scale + j * low[i] for j, c in enumerate(row)]
+        for i, row in enumerate(dist)
+    ])
     matched = tuple(targets[j] for j in picks)
     return matched, tuple(dist[i][j] for i, j in enumerate(picks))
 

@@ -26,7 +26,7 @@ from posetzeta import (
 )
 from posetzeta.poset import ChainVector, _require_nonempty
 from posetzeta.primes import _NOT_SQUAREFREE
-from posetzeta.roots import START_ANGLE
+from posetzeta.roots import START_ANGLE, _assign
 from posetzeta.subdivision import SpectralConstants, big_F_number
 
 FIXED_SEED = 20240823
@@ -249,6 +249,31 @@ def match_by_permutations(roots, targets):
         abs(roots[i] - targets[perm[i]]) for i in range(len(roots))
     )
     return matched, dists
+
+
+def match_by_perturbation(roots, targets, precision_bits):
+    """roots._match's former search: the Hungarian method on mpf costs,
+    each distance plus unit j cols^(rows-1-i), with unit 2^-(bits/2) of
+    the largest distance over cols^rows, so that an assignment's summed
+    perturbation stays below one unit and orders ties lexicographically.
+    The oracle for the integer costs of roots._match; its perturbation
+    falls below one ulp of the working precision once cols^rows passes
+    about 2^192 at 256 bits, so it holds for small sets only.
+    """
+    if not targets:
+        return (), ()
+    rows, cols = len(roots), len(targets)
+    dist = [[abs(r - t) for t in targets] for r in roots]
+    unit = max(map(max, dist)) * mp.mpf(2) ** -(precision_bits // 2)
+    unit /= cols ** rows
+    picks = _assign(
+        [
+            [c + unit * j * cols ** (rows - 1 - i) for j, c in enumerate(row)]
+            for i, row in enumerate(dist)
+        ]
+    )
+    matched = tuple(targets[j] for j in picks)
+    return matched, tuple(dist[i][j] for i, j in enumerate(picks))
 
 
 def mp_newton_polygon_starts(coeffs):

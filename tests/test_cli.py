@@ -215,6 +215,55 @@ class TestSubdivideCommand:
                 in capsys.readouterr().err
             )
 
+    def test_relation_cap_counts_from_the_chain_vector(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A chain of i + 1 elements is above its 2^(i+1) - 2 proper
+        # nonempty sub-chains, so the chain vector gives the next iterate's
+        # relations before it is built: a cap of exactly that count lets
+        # the run through, and one less refuses it and writes nothing.
+        kept = tmp_path / "kept.txt"
+        kept.write_text("sentinel\n")
+        cases = ((210, "1", 1740), (210, "2", 22128), (2310, "1", 61364),
+                 (1000, "2", 295688))
+        for n, times, count in cases:
+            path = tmp_path / f"p{n}.json"
+            save_poset(build_Pn(n), path)
+            argv = ["subdivide", "--input", str(path), "--times", times]
+            cap = "posetzeta.cli.SUBDIVISION_RELATION_CAP"
+            monkeypatch.setattr(cap, count)
+            assert len(json.loads(run_to_string(argv))["relations"]) == count
+            monkeypatch.setattr(cap, count - 1)
+            assert main(argv + ["--output", str(kept)]) == 4
+            assert kept.read_bytes() == b"sentinel\n"
+            assert capsys.readouterr().err == (
+                "error: SubdivisionTooLarge: subdivision has "
+                f"{count} relations, cap is {count - 1}\n"
+            )
+
+    def test_relation_cap_refuses_the_15_element_chain(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Both chains are within the element cap (2^15 - 1 elements at
+        # most); the subdivisions have 3^n - 2^(n+1) + 1 relations:
+        # 4,750,202 (362 MB of JSON) for n = 14, 14,283,372 for n = 15.
+        class Admitted(Exception):
+            pass
+
+        def admitted(p):
+            raise Admitted
+
+        monkeypatch.setattr("posetzeta.cli.barycentric_subdivision", admitted)
+        with pytest.raises(Admitted):
+            run_to_string(["subdivide", "--input", write_chain(tmp_path, 14)])
+        start = time.process_time()
+        assert main(["subdivide", "--input", write_chain(tmp_path, 15)]) == 4
+        assert time.process_time() - start < 1
+        assert (
+            "subdivision has 14283372 relations, cap is 5000000"
+            in capsys.readouterr().err
+        )
+
     def test_long_chain_refused_before_chain_count(self, tmp_path, capsys):
         # The chain count is cubic on a chain: 6 s at 600 elements.  The
         # file lists the cover relations only, 15 KB.

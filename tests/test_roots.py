@@ -13,6 +13,7 @@ from helpers import (
     FIXED_SEED,
     Poly,
     match_by_permutations,
+    match_by_perturbation,
     mp_newton_polygon_starts,
     mpc_gaussian,
     sign_scan_root_count,
@@ -170,6 +171,18 @@ class TestCertifiedRoots:
             assert all(mp.im(z) == 0 for z in rs.roots)
             count = sign_scan_root_count(integer_coeffs(poly), lo, 0, -lo * 100)
             assert count == len(rs.roots) == poly.degree
+
+    @pytest.mark.parametrize("d", range(2, 31))
+    def test_limit_roots_certified_negative_ascending(self, d):
+        # H_d is real-rooted with negative roots (Brenti and Welker 2008),
+        # and the certificate proves it: each root has an imaginary part
+        # of exactly 0, so the sorted pairing of `_match` applies.
+        roots = find_roots(H_polynomial(d)).roots
+        assert len(roots) == H_polynomial(d).degree
+        assert all(z.imag == 0 for z in roots)
+        reals = [z.real for z in roots]
+        assert reals[-1] < 0
+        assert all(a < b for a, b in zip(reals, reals[1:]))
 
     @pytest.mark.parametrize(
         "poly, rel_bits",
@@ -618,6 +631,38 @@ class TestFindRoots:
                 )
         assert pairs == 397
 
+    @pytest.mark.parametrize("bits", [64, 256, 1001])
+    def test_backward_error_limit_is_exact(self, bits, monkeypatch):
+        # A bound q 2^e passes at most 2^-t, t = bits // 2: 2^-t passes
+        # and 1.5 2^-t fails, decided on the integers (q, e).
+        t = bits // 2
+        poly = (S + 1) * (1 + S * S)
+        bound = mock.Mock()
+        monkeypatch.setattr(roots_module, "_backward_error_bound", bound)
+        for q, e in ((1, -t), (2, -t - 1), (1 << t, -2 * t), (0, 0)):
+            bound.return_value = q, e
+            rs = find_roots(poly, bits)
+            assert rs.residuals == (mp.ldexp(q, e),) * 3
+        for q, e in ((3, -t - 1), (1, 1 - t), ((1 << t) + 1, -2 * t)):
+            bound.return_value = q, e
+            with pytest.raises(NoConvergence, match=f"above 2\\^-{t};"):
+                find_roots(poly, bits)
+
+    def test_decisions_use_no_mpmath(self, monkeypatch):
+        # The error test, the order and the conjugate pairs run on
+        # integers; mpmath only builds the returned values.
+        used = set()
+
+        class Builders:
+            def __getattr__(self, name):
+                used.add(name)
+                return getattr(mp, name)
+
+        monkeypatch.setattr(roots_module, "mp", Builders())
+        for poly in ((S + 1) * (1 + S * S) * S, H_polynomial(6)):
+            find_roots(poly)
+        assert used == {"workprec", "mpc", "ldexp"}
+
     def test_determinism(self):
         poly = g_k_polynomial(build_Pn(30), 3)
         first = find_roots(poly).roots
@@ -691,6 +736,48 @@ class TestMatch:
             targets = (mp.mpf("-3.19"), mp.mpf("-0.31"))
             assert _match(roots, targets, 256)[0] == targets
             assert _match(roots, targets[::-1], 256)[0] == targets[::-1]
+
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-6, 6), max_size=2),
+        st.lists(st.integers(-6, 6), max_size=3),
+        st.lists(st.integers(-6, 6), min_size=7, max_size=7),
+        st.integers(0, 2),
+    )
+    def test_ties_match_former_search(self, centres, reals, pool, extra):
+        # Whole numbers and conjugate pairs c -+ i make exact ties: a
+        # pair's two roots lie at one distance from every real target,
+        # and whole-number distances are whole in every unit.  With
+        # imaginary part 1 and coordinates within 6, two sums of
+        # distances tie only when their irrational terms agree as sets,
+        # so the cut to whole units keeps every tie.  The permutation
+        # oracle sums in row order, so a tie is exact there only for at
+        # most one pair, in the first rows.
+        rows = 2 * len(centres) + len(reals)
+        assume(rows >= 1)
+        with mp.workprec(320):
+            roots = tuple(mp.mpc(c, s) for c in centres for s in (-1, 1))
+            roots += tuple(mp.mpc(x) for x in reals)
+            targets = tuple(mp.mpc(t) for t in pool[:min(rows + extra, 7)])
+            got = _match(roots, targets, 256)
+            assert got == match_by_perturbation(roots, targets, 256)
+            if rows <= 6 and len(centres) <= 1:
+                assert got == match_by_permutations(roots, targets)
+
+    def test_tied_conjugate_pairs_take_targets_in_order(self):
+        # 24 pairs c -+ i, each sqrt(2) from its own targets c -+ 1: 2^24
+        # assignments tie at the least total, and the least of them takes
+        # the targets in order.  cols^rows = 48^48 is about 2^268, where
+        # a perturbation of 2^-128 / cols^rows is below one ulp of 320
+        # bits.
+        with mp.workprec(320):
+            centres = range(-240, 0, 10)
+            roots = tuple(mp.mpc(c, s) for c in centres for s in (-1, 1))
+            targets = tuple(mp.mpc(c + s) for c in centres for s in (-1, 1))
+            matched, dists = _match(roots, targets, 256)
+            assert matched == targets
+            assert set(dists) == {mp.sqrt(2)}
 
 
 class TestGk:
