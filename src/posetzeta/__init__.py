@@ -49,8 +49,10 @@ from .primes import (
     AlphaRecord,
     SquarefreeTable,
     alpha_record,
+    alpha_records,
     build_Pn,
     chi_Pn,
+    chi_values,
     dim_asymptotic_report,
     dim_Pn,
     mertens,

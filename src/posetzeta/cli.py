@@ -47,10 +47,10 @@ from .poset import (
     write_poset,
 )
 from .primes import (
-    alpha_record,
+    alpha_records,
+    chi_values,
     dim_asymptotic_report,
     pi_weight,
-    squarefree_sieve,
 )
 from .subdivision import (
     H_vector,
@@ -138,19 +138,22 @@ def _csv_cell(text):
 
 
 def _emit(header, rows, write_json, fmt, out):
-    # CSV rows are tuples, each % of one line template ("%s" of an int is
-    # str, as csv writes it), joined and written in blocks of _CHUNK lines
-    # as they are made.  JSON goes to the command's writer (write_poset, or
-    # json.dump of a fixed-size document); without one the rows are the
-    # document, each one % of an object template (a key's % doubled, a str
-    # cell JSON-encoded, an int as it is) with the bytes of
-    # json.dump(indent=2), written in chunks so no list of rows is held.
+    # CSV rows are tuples of one width per command, the header's.  Each
+    # block of _CHUNK rows is flattened into one tuple of cells and written
+    # with one % of a template of that many lines ("%s" of an int is str, as
+    # csv writes it), as the rows are made.  JSON goes to the command's
+    # writer (write_poset, or json.dump of a fixed-size document); without
+    # one the rows are the document, each one % of an object template (a
+    # key's % doubled, a str cell JSON-encoded, an int as it is) with the
+    # bytes of json.dump(indent=2), written in chunks so no list of rows is
+    # held.
     if fmt == "csv":
-        line = ",".join(["%s"] * len(header)) + "\n"
+        width = len(header)
+        line = ",".join(["%s"] * width) + "\n"
         out.write(line % tuple(header))
-        lines = map(line.__mod__, rows)
-        while block := "".join(islice(lines, _CHUNK)):
-            out.write(block)
+        rows = iter(rows)
+        while cells := tuple(chain.from_iterable(islice(rows, _CHUNK))):
+            out.write((line * (len(cells) // width)) % cells)
         return
     if write_json is None:
         template = "{" + ",".join(
@@ -314,12 +317,11 @@ def _parse_range(text):
 
 
 def _cmd_pn(args):
+    # Both windows check the sieve cap before they return, so a range past
+    # it raises RangeTooLarge before any row.
     ns = args.range
-    table = squarefree_sieve(ns[-1])  # raises RangeTooLarge before any row
     if args.kind == "chi":
-        # chi(P_n) = 1 - M(n), read off the table without slicing it.
-        chi = map((1).__sub__, islice(table.mertens, ns.start, ns.stop))
-        return ["n", "chi"], zip(ns, chi), None
+        return ["n", "chi"], zip(ns, chi_values(ns.start, ns[-1])), None
     rows = (
         (
             rec.n,
@@ -330,7 +332,7 @@ def _cmd_pn(args):
             fmt_rational(rec.H1),
             fmt_rational(rec.alpha),
         )
-        for rec in map(alpha_record, ns)
+        for rec in alpha_records(ns.start, ns[-1])
     )
     header = ["n", "chi", "mertens", "dim", "top_chains", "H1", "alpha"]
     return header, rows, None

@@ -1,18 +1,21 @@
 """Squarefree divisibility posets and their number-theoretic statistics.
 
-One sieve over byte slices records the Mobius function, its Mertens
-prefix sums and the squarefree integers grouped by their number of
-prime factors.  The Euler characteristic is chi(P_n) = 1 - M(n),
-pi_weight is a bisection into one weight's list, and the top-chain
-counts and alpha records are derived from those.
+One sieve writes a code byte for each integer up to n: its number of
+prime factors if it is squarefree, 255 if not.  Next to the codes the
+table keeps, every _BLOCK integers, how many codes of each weight came
+before and the Mertens sum M so far.  A count up to x, pi_weight(w, x)
+or M(x), is one of those prefix values plus one count over the bytes of
+at most one block, and chi(P_n) = 1 - M(n).  The rows of a window of n,
+chi(P_n) or the alpha records, are running sums over the window's code
+bytes.
 """
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice, repeat
+from operator import sub
 
 from .errors import ChiZero, DimensionZero, RangeTooLarge
 from .poset import Poset
@@ -31,41 +34,86 @@ _NOT_SQUAREFREE = 255
 _MU_OF_CODE = bytes((1, 255)[w % 2] for w in range(255)) + b"\0"
 # Adds one to a sieve code, keeping _NOT_SQUAREFREE fixed.
 _PLUS_ONE = bytes(range(1, 256)) + bytes([_NOT_SQUAREFREE])
+# Integers per block of prefix counts: a query counts at most this many
+# code bytes.
+_BLOCK = 512
 
 
 class SquarefreeTable:
-    """Sieve results up to n, kept in typed arrays.  The sieve itself is
-    slice operations over bytes, with no Python step per integer; filling
-    ``by_weight`` takes one step per squarefree integer, which was timed
-    faster than one ``compress`` per weight over translated codes.
+    """Sieve codes of 0..n and their prefix counts per block.
 
-    ``mu[k]`` is the Mobius function, ``mertens[k]`` its prefix sum
-    M(k), and ``by_weight[w]`` lists the squarefree k <= n with exactly w
-    prime factors in ascending order (``by_weight[0]`` holds only 1).
+    ``code[k]`` is the number of prime factors of a squarefree k (0 for
+    k = 1) and _NOT_SQUAREFREE for any other k, 0 included.  The primes
+    p <= r = isqrt(n) are found by Eratosthenes over slices; each marks
+    the multiples of p^2 and adds one to the codes of its multiples by a
+    translate.  A prime p > r divides each of its multiples t * p once,
+    with t <= n // (r + 1) <= r, so t's code is final by then and t * p
+    is coded code[t] + 1 if t is squarefree.  One slice per such t adds
+    the prime flags of (r, n // t] to the codes of t * (r, n // t] as one
+    little-endian integer.  No byte carries: a byte gains 1 only at a
+    prime, where it holds code[t], a weight below 8, and 0 elsewhere.  No
+    Python step runs per integer or per prime above r.
+
+    Each _BLOCK integers the table keeps how many codes of each weight
+    came before, and M: ``count(w, x)`` and ``mertens(x)`` take the value
+    kept at the start of the block that holds x + 1 and count the code
+    bytes from there to x.
     """
 
-    __slots__ = ("n", "mu", "mertens", "by_weight")
+    __slots__ = ("n", "code", "_counts", "_mertens")
 
     def __init__(self, n):
         self.n = n
-        # Eratosthenes over slices, marking the multiples of each square
-        # p^2 on the way; then each prime adds one to the code of its
-        # multiples, which leaves a squarefree k coded by its weight.
+        r = math.isqrt(n)
         is_prime = bytearray([1]) * (n + 1)
         is_prime[:2] = b"\0\0"
         code = bytearray(n + 1)
         code[0] = _NOT_SQUAREFREE
-        for p in compress(range(math.isqrt(n) + 1), is_prime):
+        for p in compress(range(r + 1), is_prime):
             is_prime[p * p::p] = bytes(n // p - p + 1)
             code[p * p::p * p] = bytes([_NOT_SQUAREFREE]) * (n // (p * p))
-        for p in compress(range(n + 1), is_prime):
             code[p::p] = code[p::p].translate(_PLUS_ONE)
-        self.mu = array("b", code.translate(_MU_OF_CODE))
-        self.mertens = array("i", accumulate(self.mu))
-        top = max(set(code) - {_NOT_SQUAREFREE})
-        self.by_weight = tuple(array("i") for _ in range(top + 1))
-        for k in compress(range(n + 1), self.mu):
-            self.by_weight[code[k]].append(k)
+        lo = r + 1
+        t_max = n // lo
+        # The squarefree cofactors t <= t_max, read before any of their
+        # multiples t * p > r is written.
+        for t in compress(range(1, t_max + 1),
+                          code[1:t_max + 1].translate(_MU_OF_CODE)):
+            hi = n // t
+            cells = slice(t * lo, t * hi + 1, t)
+            total = (int.from_bytes(code[cells], "little")
+                     + int.from_bytes(is_prime[lo:hi + 1], "little"))
+            code[cells] = total.to_bytes(hi - lo + 1, "little")
+        self.code = code
+        # Weights run from 0 (k = 1) without a gap up to the largest.
+        weights = 1
+        while weights in code:
+            weights += 1
+        blocks = (n + 1) // _BLOCK
+        starts = range(0, blocks * _BLOCK, _BLOCK)
+        per_block = [
+            list(map(code.count, repeat(w, blocks), starts,
+                     range(_BLOCK, (blocks + 1) * _BLOCK, _BLOCK)))
+            for w in range(weights)
+        ]
+        self._counts = [array("l", accumulate(c, initial=0))
+                        for c in per_block]
+        mu_per_block = map(sub, map(sum, zip(*per_block[0::2])),
+                           map(sum, zip(*per_block[1::2])))
+        self._mertens = array("l", accumulate(mu_per_block, initial=0))
+
+    def count(self, w, x):
+        """Number of k <= x (x <= n) whose code is the weight w."""
+        if w >= len(self._counts):
+            return 0
+        j = (x + 1) // _BLOCK
+        return self._counts[w][j] + self.code.count(w, j * _BLOCK, x + 1)
+
+    def mertens(self, x):
+        """M(x), the sum of mu(k) over 1 <= k <= x (x <= n)."""
+        j = (x + 1) // _BLOCK
+        mu = self.code[j * _BLOCK:x + 1].translate(_MU_OF_CODE)
+        return self._mertens[j] + mu.count(1) - mu.count(255)
 
 
 _table_cache = [None]
@@ -94,7 +142,7 @@ def mertens(n):
     """Partial sum of the Mobius function."""
     if n < 1:
         return 0
-    return squarefree_sieve(max(n, 2)).mertens[n]
+    return squarefree_sieve(max(n, 2)).mertens(n)
 
 
 def build_Pn(n):
@@ -107,10 +155,11 @@ def build_Pn(n):
         raise RangeTooLarge(
             f"n={n} exceeds the explicit-poset cap {DEFAULT_POSET_CAP}"
         )
-    mu = squarefree_sieve(n).mu
-    elements = [k for k in range(2, n + 1) if mu[k]]
+    code = squarefree_sieve(n).code
+    elements = [k for k in range(2, n + 1) if code[k] != _NOT_SQUAREFREE]
     index = {k: i for i, k in enumerate(elements)}
-    rows = ([index[m] for m in range(2 * a, n + 1, a) if mu[m]]
+    rows = ([index[m] for m in range(2 * a, n + 1, a)
+             if code[m] != _NOT_SQUAREFREE]
             for a in elements)
     return Poset(map(str, elements), rows)
 
@@ -121,28 +170,35 @@ def chi_Pn(n):
     By Philip Hall's theorem on the divisors of k, the chains of P_n with
     top element k contribute -mu(k) in all, so chi(P_n) = mu(1) - M(n).
     """
-    return 1 - squarefree_sieve(n).mertens[n]
+    return 1 - squarefree_sieve(n).mertens(n)
 
 
-def dim_Pn(n):
-    """Largest d with the (d+1)-st primorial at most n.
+def _primorials():
+    """The primorials 2, 6, 30, 210, ...
 
     After the primes p_1..p_k, with product q, the next prime is the least
     integer above p_k that is coprime to q: every integer between p_k and
     the next prime has all its prime factors among p_1..p_k.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    d = -1
     q = 1
     p = 2
-    while q * p <= n:
+    while True:
         q *= p
-        d += 1
+        yield q
         p += 1
         while math.gcd(p, q) != 1:
             p += 1
-    return d
+
+
+def dim_Pn(n):
+    """Largest d with the (d+1)-st primorial at most n."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    d = -1
+    for q in _primorials():
+        if q > n:
+            return d
+        d += 1
 
 
 def top_chain_count(n):
@@ -179,14 +235,54 @@ class AlphaRecord:
         return self.alpha
 
 
+def chi_values(lo, hi):
+    """chi(P_n) for n = lo..hi, 2 <= lo <= hi, as a running sum.
+
+    The sieve is checked (and built) before the first value is read.
+    """
+    table = squarefree_sieve(hi)
+    mu = memoryview(table.code[lo:hi + 1].translate(_MU_OF_CODE)).cast("b")
+    chis = accumulate(mu, sub, initial=1 - table.mertens(lo - 1))
+    return islice(chis, 1, None)
+
+
+def alpha_records(lo, hi):
+    """Growth records of the dominant root for P_n, n = lo..hi, lo >= 2.
+
+    The sieve and lo are checked before the first record.  Each record
+    updates chi and the count of weight d + 1 by the code byte of n, and
+    d moves up only at a primorial, the first integer of its weight.
+    """
+    table = squarefree_sieve(hi)
+    return _alpha_window(table, lo, hi, dim_Pn(lo))
+
+
+def _alpha_window(table, lo, hi, d):
+    primorials = islice(_primorials(), d + 1, None)
+    bound = next(primorials)  # the first n of dimension d + 1
+    count = table.count(d + 1, lo - 1)
+    h1 = H_vector(d)[1]
+    orders = math.factorial(d + 1)
+    codes = table.code[lo:hi + 1]
+    for n, c, chi in zip(range(lo, hi + 1), codes, chi_values(lo, hi)):
+        if n == bound:
+            # n is the least integer with d + 2 prime factors.
+            d += 1
+            bound = next(primorials)
+            count = 0
+            h1 = H_vector(d)[1]
+            orders *= d + 1
+        if c == d + 1:
+            count += 1
+        top = orders * count
+        alpha = Fraction(h1 * top, chi) if d and chi else None
+        yield AlphaRecord(n=n, d=d, chi=chi, top_chains=top, H1=h1,
+                          alpha=alpha)
+
+
 def alpha_record(n):
     """Growth record of the dominant root for the poset of [2, n], n >= 2."""
-    d = dim_Pn(n)
-    chi = chi_Pn(n)
-    top = top_chain_count(n)
-    h1 = H_vector(d)[1]
-    alpha = Fraction(h1 * top, chi) if d and chi else None
-    return AlphaRecord(n=n, d=d, chi=chi, top_chains=top, H1=h1, alpha=alpha)
+    return next(alpha_records(n, n))
 
 
 def pi_weight(d, x):
@@ -195,8 +291,9 @@ def pi_weight(d, x):
         raise ValueError("d must be >= 1")
     if x < 2:
         return 0
-    by_weight = squarefree_sieve(x).by_weight
-    return bisect_right(by_weight[d], x) if d < len(by_weight) else 0
+    # A weight the table does not hold, _NOT_SQUAREFREE among them,
+    # counts 0.
+    return squarefree_sieve(x).count(d, x)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,17 @@ import mpmath as mp
 from hypothesis import strategies as st
 
 from posetzeta import (
+    AlphaRecord,
     DivergentAtInfinity,
     ExactMatrix,
     ExactPolynomial,
     ExactRationalFunction,
+    H_vector,
     build_poset,
+    chi_Pn,
+    dim_Pn,
     series_expand,
+    top_chain_count,
 )
 from posetzeta.poset import ChainVector, _require_nonempty
 from posetzeta.primes import _NOT_SQUAREFREE
@@ -623,6 +628,21 @@ def linear_sieve_codes(n):
                 break
             code[i * p] = next_code
     return code
+
+
+def alpha_record_per_n(n):
+    """Growth record of P_n from its own queries: dim_Pn, chi_Pn and
+    top_chain_count, each read off the sieve table for this n alone.
+
+    The former body of primes.alpha_record; the oracle for the running
+    sums of primes.alpha_records.
+    """
+    d = dim_Pn(n)
+    chi = chi_Pn(n)
+    top = top_chain_count(n)
+    h1 = H_vector(d)[1]
+    alpha = Fraction(h1 * top, chi) if d and chi else None
+    return AlphaRecord(n=n, d=d, chi=chi, top_chains=top, H1=h1, alpha=alpha)
 
 
 def descent_by_recursion(d):

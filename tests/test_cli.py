@@ -457,6 +457,10 @@ def test_pi_weight_and_dim_report():
     )
     assert header == ["d", "x", "count"]
     assert rows == [["2", "30", "7"]]
+    # 255 codes the integers that are not squarefree; it is no weight.
+    argv = ["pi-weight", "--d", "255", "--x", "1000"]
+    _, rows = parse_csv(run_to_string(argv))
+    assert rows == [["255", "1000", "0"]]
     header, rows = parse_csv(run_to_string(["dim-report", "--n", "30,210"]))
     assert [r[1] for r in rows] == ["2", "3"]
     assert all(r[-1] == "1" for r in rows)
@@ -545,15 +549,23 @@ def test_csv_has_csv_writer_bytes(tmp_path, argv):
 
 
 def test_csv_blocks_and_percent_cells():
-    # Rows beyond one block, a % in a cell, and no rows at all.
+    # Rows beyond one block, exactly three blocks, one row, a % in a cell,
+    # rows of three cells, a list of rows, and no rows at all.
     header = ["n", "text"]
-    rows = [(n, f"{n}% %s") for n in range(3 * 4096 + 5)]
-    buf = io.StringIO()
-    _emit(header, iter(rows), None, "csv", buf)
-    assert buf.getvalue() == csv_document(header, rows)
+    for count in (3 * 4096 + 5, 3 * 4096, 1):
+        rows = [(n, f"{n}% %s") for n in range(count)]
+        buf = io.StringIO()
+        _emit(header, iter(rows), None, "csv", buf)
+        assert buf.getvalue() == csv_document(header, rows), count
+    header = ["i", "d", "value"]
+    for count in (4096 + 1, 2):
+        rows = [(n, -n, f"{n}/7%") for n in range(count)]
+        buf = io.StringIO()
+        _emit(header, rows, None, "csv", buf)
+        assert buf.getvalue() == csv_document(header, rows), count
     buf = io.StringIO()
     _emit(header, iter([]), None, "csv", buf)
-    assert buf.getvalue() == "n,text\n"
+    assert buf.getvalue() == "i,d,value\n"
 
 
 def test_subdivide_json_quotes_no_label(tmp_path, monkeypatch):

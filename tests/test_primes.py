@@ -1,5 +1,4 @@
 import functools
-from bisect import bisect_right
 from fractions import Fraction as Fr
 from itertools import accumulate, combinations
 from math import factorial, isqrt
@@ -15,6 +14,7 @@ from posetzeta import (
     SquarefreeTable,
     ZeroEulerCharacteristic,
     alpha_record,
+    alpha_records,
     build_poset,
     build_Pn,
     chi_Pn,
@@ -28,8 +28,9 @@ from posetzeta import (
     strict_chain_vector,
     top_chain_count,
 )
-from helpers import FIXED_SEED, linear_sieve_codes
-from posetzeta.primes import DEFAULT_SIEVE_CAP
+from helpers import FIXED_SEED, alpha_record_per_n, linear_sieve_codes
+from posetzeta import primes
+from posetzeta.primes import _BLOCK, DEFAULT_SIEVE_CAP
 from reference_tables import ALPHA_N, CHI_PN
 
 
@@ -62,14 +63,28 @@ def brute_mobius(k):
     return (-1) ** len(facs)
 
 
-def tables_from_codes(codes):
-    """mu, its prefix sums and the weight lists read off sieve codes."""
+def prefix_sums_from_codes(codes):
+    """M(x) and, per weight w, the count of codes w up to x, for every x,
+    read off sieve codes one integer at a time."""
     mu = [0 if c == 255 else (-1) ** c for c in codes]
-    weights = [[] for _ in range(max(set(codes) - {255}) + 1)]
-    for k, c in enumerate(codes):
-        if c != 255:
-            weights[c].append(k)
-    return mu, list(accumulate(mu)), weights
+    weights = max(set(codes) - {255}) + 1
+    counts = [list(accumulate(int(c == w) for c in codes))
+              for w in range(weights)]
+    return list(accumulate(mu)), counts
+
+
+def check_queries(t, codes, xs):
+    # The table's mertens(x) and count(w, x), for every weight the oracle
+    # holds and one past it, and the module's mertens(x) and pi_weight(w, x)
+    # (on the cached table), against the oracle's prefix sums.
+    m_prefix, counts = prefix_sums_from_codes(codes)
+    for x in xs:
+        assert t.mertens(x) == mertens(x) == m_prefix[x], x
+        for w, count in enumerate(counts):
+            assert t.count(w, x) == count[x], (w, x)
+            if w:
+                assert pi_weight(w, x) == (count[x] if x >= 2 else 0)
+        assert t.count(len(counts), x) == 0, x
 
 
 @functools.cache
@@ -81,48 +96,62 @@ def brute_weights(limit):
 class TestSieve:
     def test_small_sets(self):
         t = SquarefreeTable(10)
-        assert list(t.mu) == [0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-        assert list(t.mertens) == [0, 1, 0, -1, -1, -2, -1, -2, -2, -2, -1]
-        assert [list(a) for a in t.by_weight] == [[1], [2, 3, 5, 7], [6, 10]]
+        assert t.code == bytes([255, 0, 1, 1, 255, 1, 2, 1, 255, 255, 2])
+        assert [t.mertens(x) for x in range(11)] == [
+            0, 1, 0, -1, -1, -2, -1, -2, -2, -2, -1
+        ]
+        assert [t.count(w, 10) for w in range(4)] == [1, 4, 2, 0]
 
     def test_against_brute_force(self):
         n = 500
         t = SquarefreeTable(n)
         assert t.n == n
-        assert list(t.mu) == [0] + [brute_mobius(k) for k in range(1, n + 1)]
         weights = brute_weights(n)
-        expected = [[1]] + [
-            [k for k in brute_squarefree(n) if weights[k] == w]
-            for w in range(1, max(weights.values()) + 1)
+        assert list(t.code) == [255, 0] + [
+            weights.get(k, 255) for k in range(2, n + 1)
         ]
-        assert [list(a) for a in t.by_weight] == expected
+        for x in range(n + 1):
+            assert t.mertens(x) == sum(brute_mobius(k)
+                                       for k in range(1, x + 1)), x
 
     def test_against_linear_sieve(self):
-        # The code of k does not depend on n >= k, so the tables of every
-        # n <= 3000 are prefixes of the oracle's at 3000.
-        mu, mertens, weights = tables_from_codes(linear_sieve_codes(3000))
-        for n in range(2, 3001):
+        # The code of k does not depend on n >= k, so the codes of every
+        # n <= 3000 are prefixes of the oracle's at 3000.  Each table is
+        # queried at its own n, and the one at 3000 at every x.
+        codes = linear_sieve_codes(3000)
+        m_prefix, counts = prefix_sums_from_codes(codes)
+        for n in range(1, 3001):
             t = SquarefreeTable(n)
-            assert list(t.mu) == mu[:n + 1], n
-            assert list(t.mertens) == mertens[:n + 1], n
-            trimmed = [w[:bisect_right(w, n)] for w in weights]
-            assert [list(a) for a in t.by_weight] == [w for w in trimmed if w]
+            assert t.code == codes[:n + 1], n
+            assert t.mertens(n) == m_prefix[n], n
+            assert [t.count(w, n) for w in range(len(counts))] == [
+                count[n] for count in counts
+            ], n
+        check_queries(t, codes, range(3001))
 
-    @pytest.mark.parametrize("n", [10**5, 10**6])
+    @pytest.mark.parametrize(
+        "n", [10**5, 10**6, 1009**2 - 1, 1009**2, 1009**2 + 1]
+    )
     def test_against_linear_sieve_large(self, n):
-        mu, mertens, weights = tables_from_codes(linear_sieve_codes(n))
+        # 1009 is prime: below 1009^2 it is one of the primes above isqrt(n),
+        # filled in by cofactor slices, and from 1009^2 on one sieved below.
+        codes = linear_sieve_codes(n)
         t = SquarefreeTable(n)
-        assert list(t.mu) == mu
-        assert list(t.mertens) == mertens
-        assert [list(a) for a in t.by_weight] == weights
+        assert t.code == codes
+        if n == 10**5:
+            # Each block boundary, one before it and one after it.
+            edges = range(_BLOCK, n + 2, _BLOCK)
+            xs = sorted({x for b in edges for x in (b - 2, b - 1, b)
+                         if x <= n} | {0, 1, n})
+            check_queries(t, codes, xs)
 
     def test_omega_and_weight(self):
-        # The cached table may reach past 30; weights are read up to 30.
+        # The cached table may reach past 30; counts are read up to 30.
         t = squarefree_sieve(30)
         assert t.n >= 30
-        assert [k for k in t.by_weight[3] if k <= 30] == [30]
-        assert 7 in t.by_weight[1]
-        assert 30 not in t.by_weight[2]
+        assert (t.code[30], t.code[7], t.code[12]) == (3, 1, 255)
+        assert [t.count(w, 30) for w in range(5)] == [1, 10, 7, 1, 0]
+        assert t.count(255, 30) == 0
 
     def test_cap(self):
         # chi_Pn checks n only through the sieve, so it raises the same.
@@ -233,6 +262,15 @@ class TestPiWeight:
         with pytest.raises(ValueError):
             pi_weight(0, 30)
 
+    def test_weights_the_table_does_not_hold(self):
+        # 255 is the code of the integers that are not squarefree, and a
+        # byte count of 256 or more would raise: both count nothing.
+        for x in (30, 1000, 10**5):
+            assert pi_weight(255, x) == 0, x
+            assert squarefree_sieve(x).code[:x + 1].count(255) > 0
+            for d in (9, 254, 256, 1000, 10**30):
+                assert pi_weight(d, x) == 0, (d, x)
+
 
 class TestTopChains:
     def test_values(self):
@@ -265,6 +303,29 @@ class TestTopChains:
 
 
 class TestAlpha:
+    @pytest.mark.parametrize(
+        "lo, hi", [(2, 3000), (29990, 30040), (510500, 510520)]
+    )
+    def test_window_matches_per_n_records(self, lo, hi):
+        # 2:3000 crosses the primorials 6, 30, 210 and 2310, 29990:30040
+        # crosses 30030 and 510500:510520 crosses 510510.
+        got = list(alpha_records(lo, hi))
+        assert got == [alpha_record_per_n(n) for n in range(lo, hi + 1)]
+        assert [alpha_record(n) for n in (lo, hi)] == [got[0], got[-1]]
+
+    def test_window_past_a_cold_cache(self, monkeypatch):
+        monkeypatch.setattr(primes, "_table_cache", [None])
+        assert squarefree_sieve(2).n == 1000
+        got = list(alpha_records(1500, 2400))
+        assert squarefree_sieve(2).n >= 2400
+        assert got == [alpha_record_per_n(n) for n in range(1500, 2401)]
+
+    def test_window_checks_before_the_first_record(self):
+        with pytest.raises(RangeTooLarge):
+            alpha_records(2, DEFAULT_SIEVE_CAP + 1)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            alpha_records(1, 10)
+
     def test_reference_tables(self):
         for n, expected in ALPHA_N.items():
             assert alpha_record(n).require_alpha() == expected, n
