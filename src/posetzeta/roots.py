@@ -19,11 +19,11 @@ exponent, warm-started from the doubles when there are any.  Every root
 is a Gaussian dyadic (x, y, f) = (x + iy) / 2^f, a certified root with
 y = 0, cut to the working precision; its backward error is computed
 exactly on integers from that dyadic and must be at most 2^-(bits/2).
-mpmath enters at the edge only: `find_roots` decides that test, the
-order and the conjugate pairs on integers, then makes each dyadic an mpc
-and each backward error an mpf, exactly.  The trajectory report tracks,
-per subdivision step, the dominant root against its predicted growth
-and the others against the limit polynomial's roots.
+That test, the order, the conjugate pairs and, in the trajectory report,
+the dominant root, its realness and the matching are all decided on
+those integers; mpmath only builds the values returned.  The trajectory
+report tracks, per subdivision step, the dominant root against its
+predicted growth and the others against the limit polynomial's roots.
 """
 
 import cmath
@@ -42,6 +42,7 @@ from .errors import (
 )
 from .poset import chain_vector, euler_characteristic
 from .subdivision import H_polynomial, H_vector, transfer_iterate
+# g_k_polynomial stays importable from here for perfbench/checks.py.
 from .zeta import g_from_chain_vector, g_k_polynomial  # noqa: F401
 
 MAX_SWEEPS = 1000
@@ -64,6 +65,8 @@ class RootSet:
     roots: tuple
     residuals: tuple  # backward error |p(z)| / sum |c_i| |z|^i per root
     precision_bits: int
+    gaussians: tuple  # (x, y) per root: roots[i] is (x + iy) / 2^exponent
+    exponent: int
 
 
 def _to_mpf(fr):
@@ -79,7 +82,7 @@ def _horner(coeffs, z):
 
 
 def find_roots(p, precision_bits=256):
-    """All complex roots of an exact polynomial, deterministically, as mpc.
+    """All complex roots of an exact polynomial, deterministically.
 
     Exactly zero low coefficients give exact zero roots, (0, 0, 0), and
     `_nonzero_roots` gives the rest as Gaussian dyadics of at most
@@ -92,8 +95,9 @@ def find_roots(p, precision_bits=256):
     the residuals.  Roots are sorted by real part, then imaginary part,
     and each conjugate pair, whose real parts differ by rounding only,
     puts its member with im < 0 first, each residual with its root.  All
-    three are decided on integers, the dyadics over one denominator, and
-    only then is each made an mpc, exactly.
+    three are decided on integers, the dyadics over one denominator 2^g,
+    and only then is each made an mpc, exactly; those integers and g are
+    returned with them, in the same order.
     """
     if p.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
@@ -120,7 +124,8 @@ def find_roots(p, precision_bits=256):
         return RootSet(
             tuple(mp.mpc(mp.ldexp(x, -f), mp.ldexp(y, -f))
                   for x, y, f in map(roots.__getitem__, order)),
-            tuple(mp.ldexp(*errors[i]) for i in order), precision_bits)
+            tuple(mp.ldexp(*errors[i]) for i in order), precision_bits,
+            tuple(map(keys.__getitem__, order)), g)
 
 
 def _integer_coeffs(coeffs):
@@ -510,27 +515,27 @@ class TrajectoryReport:
 
 
 def _is_real(z, precision_bits):
-    """Numerically real: |im z| <= 2^-(precision_bits/4) |z|."""
-    return abs(mp.im(z)) <= mp.mpf(2) ** -(precision_bits // 4) * abs(z)
+    """Numerically real: |y| <= 2^-(precision_bits/4) |z| for z = (x, y)."""
+    return z[1] ** 2 << 2 * (precision_bits // 4) <= z[0] ** 2 + z[1] ** 2
 
 
 def _pick_beta1(roots, precision_bits):
-    """The root of largest modulus, picked the same way in any order.
+    """The index of the root of largest modulus among integer pairs
+    (x, y) over one power of 2, picked the same way in any order.
 
-    Moduli within relative 2^-(precision_bits/2) of the largest count as
-    tied, since they differ by rounding only.  Among tied roots a
-    numerically real one (`_is_real`) wins, then a non-real one with
-    im > 0; the smaller real part breaks what is left.  The sign of a
-    numerically real root's im is noise, so it is not consulted.
+    Squared moduli x^2 + y^2 within relative 2^-(precision_bits/2) of the
+    largest count as tied, since they differ by rounding only.  Among
+    tied roots a numerically real one (`_is_real`) wins, then a non-real
+    one with y > 0; the smaller x breaks what is left.  The sign of a
+    numerically real root's y is noise, so it is not consulted.
     """
-    mods = [abs(z) for z in roots]
-    floor = max(mods) * (1 - mp.mpf(2) ** -(precision_bits // 2))
-
-    def key(z):
-        real = _is_real(z, precision_bits)
-        return (not real, not real and mp.im(z) < 0, mp.re(z), mp.im(z))
-
-    return min((z for z, m in zip(roots, mods) if m >= floor), key=key)
+    t = precision_bits // 2
+    norms = [x * x + y * y for x, y in roots]
+    floor = (max(norms) << t) - max(norms)
+    real = [_is_real(z, precision_bits) for z in roots]
+    key = [(not r, not r and y < 0, x, y) for (x, y), r in zip(roots, real)]
+    return min((i for i, n in enumerate(norms) if n << t >= floor),
+               key=key.__getitem__)
 
 
 def _assign(cost):
@@ -577,41 +582,31 @@ def _assign(cost):
 
 
 def _match(roots, targets, precision_bits):
-    """Globally minimal-cost assignment of roots to fixed targets.
+    """Each root's target index in a globally minimal-cost assignment;
+    roots and targets are integer pairs (x, y) over one power of 2, no
+    more roots than targets, each side in `find_roots`' order.
 
     Distances are cut to whole units of 2^u, the power of 2 at or below
-    2^-(precision_bits/2) of the largest (whole numbers stay whole).
-    Equal summed units tie, and the tie goes to the lexicographically
-    least assignment (earliest target for the first root, and so on), so
+    2^-(precision_bits/2) of the largest (whole numbers stay whole): the
+    distance sqrt(c) is isqrt(c 2^-2u) units.  Equal summed units tie,
+    and the tie goes to the lexicographically least assignment, so
     rounding noise never decides it: root i costs its units times
-    cols^rows plus j cols^(rows-1-i) at target j, all integers.
-
-    When as many real roots as real targets come in ascending order, as
-    `theorem_report` passes them, pairing them in that order is optimal
-    (on a line, crossing pairs never cost less than uncrossed ones) and
-    is the least assignment of all, so the Hungarian search is skipped.
+    cols^rows plus j cols^(rows-1-i) at target j.  As many roots as
+    targets, all real, are ascending in that order, and pairing them in
+    it is optimal (on a line, crossing pairs never cost less) and the
+    least assignment, so the Hungarian search is skipped.
     """
-    if not targets:
-        return (), ()
     rows, cols = len(roots), len(targets)
-    if rows == cols and _ascending_reals(roots) and _ascending_reals(targets):
-        return tuple(targets), tuple(abs(r - t) for r, t in zip(roots, targets))
-    dist = [[abs(r - t) for t in targets] for r in roots]
-    u = mp.frexp(max(map(max, dist)))[1] - 1 - precision_bits // 2
+    if rows == cols and not any(y for _, y in (*roots, *targets)):
+        return tuple(range(rows))
+    sq = [[(x - a) ** 2 + (y - b) ** 2 for a, b in targets] for x, y in roots]
+    s = 2 * (precision_bits // 2 - (max(map(max, sq)).bit_length() - 1) // 2)
     scale = cols ** rows
     low = [cols ** (rows - 1 - i) for i in range(rows)]
-    picks = _assign([
-        [int(mp.ldexp(c, -u)) * scale + j * low[i] for j, c in enumerate(row)]
-        for i, row in enumerate(dist)
-    ])
-    matched = tuple(targets[j] for j in picks)
-    return matched, tuple(dist[i][j] for i, j in enumerate(picks))
-
-
-def _ascending_reals(zs):
-    return all(not z.imag for z in zs) and all(
-        a.real <= b.real for a, b in zip(zs, zs[1:])
-    )
+    return tuple(_assign([
+        [isqrt(_shift(c, s)) * scale + j * low[i] for j, c in enumerate(row)]
+        for i, row in enumerate(sq)
+    ]))
 
 
 def _holds_from(flags):
@@ -631,55 +626,57 @@ def theorem_report(p, k_max, precision_bits=256):
     if chi == 0:
         raise ZeroEulerCharacteristic("the growth law requires chi != 0")
     h1 = H_vector(d)[1]
-    targets = ()
+    targets = RootSet((), (), precision_bits, (), 0)  # none when d = 1
     if d >= 2:
-        targets = find_roots(H_polynomial(d), precision_bits).roots
-    records = []
+        targets = find_roots(H_polynomial(d), precision_bits)
+    records, real, tops = [], [], []
     cv_k = cv  # the chain vector after k subdivisions
     with mp.workprec(precision_bits + 64):
         for k in range(k_max + 1):
             if k:
                 cv_k = transfer_iterate(cv_k, 1)
-            gk = g_from_chain_vector(cv_k)
-            roots = find_roots(gk, precision_bits).roots
-            beta1 = _pick_beta1(roots, precision_bits)
-            others = tuple(z for z in roots if z is not beta1)
-            matched, dists = _match(others, targets, precision_bits)
-            beta1_abs = abs(beta1)
+            rs = find_roots(g_from_chain_vector(cv_k), precision_bits)
+            i = _pick_beta1(rs.gaussians, precision_bits)
+            x, y = rs.gaussians[i]
+            real.append(_is_real((x, y), precision_bits))
+            tops.append((x * x + y * y, rs.exponent))
+            # The other roots and the targets over one power of 2.
+            e = max(rs.exponent, targets.exponent)
+            zs, ts = (
+                [(a << e - g, b << e - g) for a, b in pairs] for pairs, g in (
+                    (rs.gaussians[:i] + rs.gaussians[i + 1:], rs.exponent),
+                    (targets.gaussians, targets.exponent)))
+            picks = _match(zs, ts, precision_bits)
+            near = [(a - u) ** 2 + (b - v) ** 2
+                    for (a, b), (u, v) in zip(zs, map(ts.__getitem__, picks))]
+            others = rs.roots[:i] + rs.roots[i + 1:]
+            matched = tuple(map(targets.roots.__getitem__, picks))
+            dists = tuple(abs(r - t) for r, t in zip(others, matched))
+            beta1_abs = abs(rs.roots[i])
             growth = Fraction(factorial(d + 1)) ** k * h1 * cv[d]
-            records.append(
-                TrajectoryRecord(
-                    k=k,
-                    beta1=beta1,
-                    beta1_abs=beta1_abs,
-                    es_ratio=beta1_abs * chi / _to_mpf(growth),
-                    other_roots=others,
-                    matched_targets=matched,
-                    matched_distances=dists,
-                    max_match_distance=max(dists, default=mp.mpf(0)),
-                    product_of_others=mp.fprod(others),
-                )
-            )
-        real_from = _holds_from(
-            [_is_real(r.beta1, precision_bits) for r in records]
-        )
-        increasing_from = _holds_from(
-            [b.beta1_abs > a.beta1_abs for a, b in zip(records, records[1:])]
-        )
-        # Both conditions are monotone in k, so both hold from the later.
-        k0 = None
-        if real_from is not None and increasing_from is not None:
-            k0 = max(real_from, increasing_from)
-        final = records[-1]
-        return TrajectoryReport(
-            d=d,
-            chi=chi,
-            precision_bits=precision_bits,
-            records=tuple(records),
-            burn_in_k0=k0,
-            es_ratio_final=final.es_ratio,
-            product_final=final.product_of_others,
-            max_match_distance_final=final.max_match_distance,
-            beta1_real_from_k0=real_from is not None,
-            modulus_increasing_from_k0=increasing_from is not None,
-        )
+            records.append(TrajectoryRecord(
+                k=k, beta1=rs.roots[i], beta1_abs=beta1_abs,
+                es_ratio=beta1_abs * chi / _to_mpf(growth),
+                other_roots=others, matched_targets=matched,
+                matched_distances=dists,
+                max_match_distance=(
+                    dists[near.index(max(near))] if near else mp.mpf(0)),
+                product_of_others=mp.fprod(others)))
+    real_from = _holds_from(real)
+    # |beta1|^2 is n / 4^g at each step: compared exactly.
+    increasing_from = _holds_from([
+        nb << 2 * max(ga - gb, 0) > na << 2 * max(gb - ga, 0)
+        for (na, ga), (nb, gb) in zip(tops, tops[1:])
+    ])
+    # Both conditions are monotone in k, so both hold from the later.
+    k0 = None
+    if real_from is not None and increasing_from is not None:
+        k0 = max(real_from, increasing_from)
+    final = records[-1]
+    return TrajectoryReport(
+        d=d, chi=chi, precision_bits=precision_bits, records=tuple(records),
+        burn_in_k0=k0, es_ratio_final=final.es_ratio,
+        product_final=final.product_of_others,
+        max_match_distance_final=final.max_match_distance,
+        beta1_real_from_k0=real_from is not None,
+        modulus_increasing_from_k0=increasing_from is not None)

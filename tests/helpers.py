@@ -31,7 +31,7 @@ from posetzeta import (
 )
 from posetzeta.poset import ChainVector, _require_nonempty
 from posetzeta.primes import _NOT_SQUAREFREE
-from posetzeta.roots import START_ANGLE, _assign
+from posetzeta.roots import START_ANGLE, RootSet, _assign
 from posetzeta.subdivision import SpectralConstants, big_F_number
 
 FIXED_SEED = 20240823
@@ -63,13 +63,14 @@ def chain_vectors(max_dim=20, max_count=2 ** 64):
 
 
 @st.composite
-def dags(draw):
-    """Hypothesis strategy: (labels, relations) of a DAG on 1..7 elements.
+def dags(draw, max_elements=7):
+    """Hypothesis strategy: (labels, relations) of a DAG on 1..max_elements
+    elements.
 
     Edges run forward in a hidden order of the elements, and labels are
     listed in another order, so the listing need not be topological.
     """
-    n = draw(st.integers(1, 7))
+    n = draw(st.integers(1, max_elements))
     labels = draw(
         st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n,
                  unique=True)
@@ -279,6 +280,75 @@ def match_by_perturbation(roots, targets, precision_bits):
     )
     matched = tuple(targets[j] for j in picks)
     return matched, tuple(dist[i][j] for i, j in enumerate(picks))
+
+
+def match_by_mpf_units(roots, targets, precision_bits):
+    """roots._match's former body on mpc values: each mpf distance cut to
+    whole units of 2^u, the power of 2 at or below 2^-(precision_bits/2)
+    of the largest, through mp.frexp and mp.ldexp, with the same integer
+    tie key, and the sorted pairing when as many roots as targets are
+    exactly real and ascending.  The oracle for the integer distances of
+    roots._match."""
+    if not targets:
+        return (), ()
+    rows, cols = len(roots), len(targets)
+
+    def ascending_reals(zs):
+        return all(not z.imag for z in zs) and all(
+            a.real <= b.real for a, b in zip(zs, zs[1:])
+        )
+
+    if rows == cols and ascending_reals(roots) and ascending_reals(targets):
+        return tuple(targets), tuple(abs(r - t) for r, t in zip(roots, targets))
+    dist = [[abs(r - t) for t in targets] for r in roots]
+    u = mp.frexp(max(map(max, dist)))[1] - 1 - precision_bits // 2
+    scale = cols ** rows
+    low = [cols ** (rows - 1 - i) for i in range(rows)]
+    picks = _assign([
+        [int(mp.ldexp(c, -u)) * scale + j * low[i] for j, c in enumerate(row)]
+        for i, row in enumerate(dist)
+    ])
+    matched = tuple(targets[j] for j in picks)
+    return matched, tuple(dist[i][j] for i, j in enumerate(picks))
+
+
+def is_real_by_mpf(z, precision_bits):
+    """roots._is_real's former body on an mpc: |im z| <= 2^-(bits/4) |z|."""
+    return abs(mp.im(z)) <= mp.mpf(2) ** -(precision_bits // 4) * abs(z)
+
+
+def pick_beta1_by_mpf(roots, precision_bits):
+    """roots._pick_beta1's former body on mpc values, returning the root:
+    moduli within relative 2^-(bits/2) of the largest tie, and among them
+    a numerically real root wins, then im > 0, then the smaller real part.
+    The oracle for the integer decisions of roots._pick_beta1."""
+    mods = [abs(z) for z in roots]
+    floor = max(mods) * (1 - mp.mpf(2) ** -(precision_bits // 2))
+
+    def key(z):
+        real = is_real_by_mpf(z, precision_bits)
+        return (not real, not real and mp.im(z) < 0, mp.re(z), mp.im(z))
+
+    return min((z for z, m in zip(roots, mods) if m >= floor), key=key)
+
+
+def gaussian_pairs(*sides):
+    """The numbers of each side (mpc, mpf, complex or int) exactly, as
+    integer pairs (x, y) over one power of 2, 2^g for every side, as
+    roots._pick_beta1 and roots._match take them.  Returns the list of
+    pairs of each side, then g."""
+    dyadics = [[mpc_gaussian(mp.convert(z)) for z in side] for side in sides]
+    g = max((f for side in dyadics for _, _, f in side), default=0)
+    pairs = [[(x << g - f, y << g - f) for x, y, f in side] for side in dyadics]
+    return (*pairs, g)
+
+
+def root_set(roots, precision_bits):
+    """A RootSet of the given mpc roots, in that order, with zero residuals
+    and the exact form find_roots gives."""
+    pairs, g = gaussian_pairs(roots)
+    return RootSet(tuple(roots), (0,) * len(roots), precision_bits,
+                   tuple(pairs), g)
 
 
 def mp_newton_polygon_starts(coeffs):

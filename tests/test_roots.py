@@ -1,3 +1,4 @@
+import csv
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -12,10 +13,15 @@ from hypothesis import strategies as st
 from helpers import (
     FIXED_SEED,
     Poly,
+    dags,
+    gaussian_pairs,
+    match_by_mpf_units,
     match_by_permutations,
     match_by_perturbation,
     mp_newton_polygon_starts,
     mpc_gaussian,
+    pick_beta1_by_mpf,
+    root_set,
     sign_scan_root_count,
     sort_like_find_roots,
 )
@@ -28,20 +34,24 @@ from posetzeta import (
     ZeroEulerCharacteristic,
     build_poset,
     build_Pn,
+    chain_vector,
+    euler_characteristic,
     find_roots,
     g_k_polynomial,
+    save_poset,
     simplex_face_poset,
     strict_chain_vector,
     theorem_report,
 )
 from posetzeta import roots as roots_module
+from posetzeta.cli import fmt_float, main
 from posetzeta.roots import (
-    RootSet,
     _aberth,
     _backward_error_bound,
     _certified_real_roots,
     _fixed_aberth,
     _float_aberth,
+    _is_real,
     _match,
     _newton_in_bracket,
     _newton_polygon_starts,
@@ -293,6 +303,13 @@ class TestAberth:
 def chain(d):
     labels = [f"c{i}" for i in range(d + 1)]
     return build_poset(labels, list(zip(labels, labels[1:])))
+
+
+def fan():
+    """a < b, c, d < e: chain vector (5, 7, 3), chi = 1, and g_0 = 5 - 3s +
+    s^2 has the conjugate roots (3 -+ i sqrt(11)) / 2."""
+    return build_poset(list("abcde"), [("a", x) for x in "bcd"]
+                       + [(x, "e") for x in "bcd"])
 
 
 def spread_polynomial(rng):
@@ -662,6 +679,45 @@ class TestFindRoots:
         for poly in ((S + 1) * (1 + S * S) * S, H_polynomial(6)):
             find_roots(poly)
         assert used == {"workprec", "mpc", "ldexp"}
+        # So do the dominant root, its realness, the matching (the
+        # Hungarian search on the fan, the sorted pairing on P_30) and both
+        # flags of theorem_report: no mpf or mpc is compared or tested for
+        # truth, and mpmath only builds the values of the records.
+        used.clear()
+
+        def compared(*args):
+            raise AssertionError("an mpmath value was compared")
+
+        for cls in (mp.mpf, mp.mpc):
+            for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__",
+                         "__ne__", "__bool__"):
+                monkeypatch.setattr(cls, name, compared)
+        for poset, k_max in ((fan(), 4), (build_Pn(30), 3), (chain(1), 2)):
+            theorem_report(poset, k_max)
+        assert used == {"workprec", "mpc", "ldexp", "mpf", "fprod"}
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            ExactPolynomial([0, 0, 1, 1]),
+            1 + S * S,
+            H_polynomial(6),
+            ExactPolynomial(((S + 10**400) * (S + 1) * (S + 2)).coeffs),
+            g_k_polynomial(chain(30), 16),
+        ],
+        ids=["zeros", "pair", "H6", "polygon", "chain-30-k16"],
+    )
+    def test_exact_form_is_the_returned_roots(self, poly):
+        # Root i is exactly gaussians[i] over 2^exponent, in the order of
+        # roots, which is ascending in (x, y) but for conjugate pairs.
+        rs = find_roots(poly)
+        assert len(rs.gaussians) == len(rs.roots)
+        for (x, y), z in zip(rs.gaussians, rs.roots):
+            assert type(x) is int and type(y) is int
+            assert gaussian_value((x, y, rs.exponent)) == \
+                gaussian_value(mpc_gaussian(z))
+        for (xa, ya), (xb, yb) in zip(rs.gaussians, rs.gaussians[1:]):
+            assert (xa, ya) <= (xb, yb) or ya > 0 > yb
 
     def test_determinism(self):
         poly = g_k_polynomial(build_Pn(30), 3)
@@ -672,8 +728,20 @@ class TestFindRoots:
         ]
 
 
+def match(roots, targets, precision_bits=256):
+    """roots._match on the exact pairs of the values, as (matched
+    targets, distances), the form of the oracles."""
+    rp, tp, _ = gaussian_pairs(roots, targets)
+    picks = _match(rp, tp, precision_bits)
+    assert sorted(picks) == sorted(set(picks))
+    matched = tuple(targets[j] for j in picks)
+    return matched, tuple(abs(r - t) for r, t in zip(roots, matched))
+
+
 class TestPickBeta1:
     def test_independent_of_order_and_noise(self):
+        # Each case on the exact integer pairs, against the former mpf
+        # decision.
         with mp.workprec(320):
             noise = mp.mpf(2) ** -300
             pair = mp.mpc(3, 4)
@@ -691,8 +759,18 @@ class TestPickBeta1:
             ]
             for roots, want in cases:
                 for perm in permutations(roots):
-                    got = _pick_beta1(list(perm), 256)
+                    pairs, _ = gaussian_pairs(perm)
+                    got = perm[_pick_beta1(pairs, 256)]
+                    assert got == pick_beta1_by_mpf(list(perm), 256)
                     assert abs(got - want) < mp.mpf(2) ** -90
+
+    def test_real_test_is_relative_to_modulus(self):
+        # |y| <= 2^-(bits/4) |z| on the pairs, at any common power of 2.
+        for scale in (0, 40, 400):
+            assert _is_real((3 << scale, 0), 256)
+            assert _is_real((1 << 64 + scale, 1 << scale), 256)
+            assert not _is_real((1 << 63 + scale, 1 << scale), 256)
+            assert not _is_real((0, -1 << scale), 256)
 
 
 class TestMatch:
@@ -706,9 +784,9 @@ class TestMatch:
             n = rng.randint(1, 7)
             roots = tuple(point() for _ in range(n))
             targets = tuple(point() for _ in range(rng.randint(n, 7)))
-            assert _match(roots, targets, 256) == match_by_permutations(
-                roots, targets
-            )
+            got = match(roots, targets)
+            assert got == match_by_permutations(roots, targets)
+            assert got == match_by_mpf_units(roots, targets, 256)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(
@@ -725,8 +803,9 @@ class TestMatch:
         # both sides ascending the Hungarian search is never entered.
         roots, targets = (tuple(complex(x) for x in sorted(v)) for v in pair)
         with mock.patch("posetzeta.roots._assign", side_effect=AssertionError):
-            got = _match(roots, targets, 256)
+            got = match(roots, targets)
         assert got == match_by_permutations(roots, targets)
+        assert got == match_by_mpf_units(roots, targets, 256)
 
     def test_tie_goes_to_earliest_target(self):
         # On one line both assignments of two roots to two targets cost
@@ -734,9 +813,9 @@ class TestMatch:
         with mp.workprec(320):
             roots = (mp.mpf("1.53"), mp.mpf("2.43"))
             targets = (mp.mpf("-3.19"), mp.mpf("-0.31"))
-            assert _match(roots, targets, 256)[0] == targets
-            assert _match(roots, targets[::-1], 256)[0] == targets[::-1]
-
+            for ts in (targets, targets[::-1]):
+                assert match(roots, ts)[0] == ts
+                assert match_by_mpf_units(roots, ts, 256)[0] == ts
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
@@ -760,8 +839,14 @@ class TestMatch:
             roots = tuple(mp.mpc(c, s) for c in centres for s in (-1, 1))
             roots += tuple(mp.mpc(x) for x in reals)
             targets = tuple(mp.mpc(t) for t in pool[:min(rows + extra, 7)])
-            got = _match(roots, targets, 256)
+            if not centres and len(targets) == rows:
+                # As many real roots as real targets: each side ascending,
+                # in find_roots' order, as `_match` takes them.
+                roots, targets = (tuple(sorted(v, key=mp.re))
+                                  for v in (roots, targets))
+            got = match(roots, targets)
             assert got == match_by_perturbation(roots, targets, 256)
+            assert got == match_by_mpf_units(roots, targets, 256)
             if rows <= 6 and len(centres) <= 1:
                 assert got == match_by_permutations(roots, targets)
 
@@ -775,9 +860,34 @@ class TestMatch:
             centres = range(-240, 0, 10)
             roots = tuple(mp.mpc(c, s) for c in centres for s in (-1, 1))
             targets = tuple(mp.mpc(c + s) for c in centres for s in (-1, 1))
-            matched, dists = _match(roots, targets, 256)
+            matched, dists = match(roots, targets)
             assert matched == targets
             assert set(dists) == {mp.sqrt(2)}
+            assert (matched, dists) == match_by_mpf_units(roots, targets, 256)
+
+    def test_every_distance_zero(self):
+        # Every unit count is 0, so every assignment ties and the least
+        # one wins, on the Hungarian search and on the sorted pairing.
+        with mp.workprec(320):
+            for z, rows, cols in ((mp.mpc(1, 1), 2, 3), (mp.mpc(0), 3, 3)):
+                roots, targets = (z,) * rows, (z,) * cols
+                rp, tp, _ = gaussian_pairs(roots, targets)
+                assert _match(rp, tp, 256) == tuple(range(rows))
+                assert match(roots, targets) == \
+                    match_by_mpf_units(roots, targets, 256)
+
+    def test_small_distances_keep_their_bits(self):
+        # On Gaussian integers the largest distance, sqrt(5), has 2
+        # integer bits of the 128 a unit needs: pairing in order costs
+        # 2 sqrt(5), crossed 4, and both cut to 4 whole units when the
+        # square root is taken before the shift.
+        roots = (0j, 3 + 2j)
+        targets = (1 + 2j, 2 + 0j)
+        rp, tp, g = gaussian_pairs(roots, targets)
+        assert g == 0
+        assert _match(rp, tp, 256) == (1, 0)
+        assert match(roots, targets) == match_by_mpf_units(roots, targets, 256)
+        assert match(roots, targets) == match_by_permutations(roots, targets)
 
 
 class TestGk:
@@ -836,7 +946,7 @@ class TestTheoremReport:
         def fake_find_roots(poly, precision_bits):
             k = len(calls)
             calls.append(k)
-            return RootSet((mp.mpc(10 ** (k + 3), "0.01"),), (0,), 53)
+            return root_set((mp.mpc(10 ** (k + 3), "0.01"),), 53)
 
         monkeypatch.setattr("posetzeta.roots.find_roots", fake_find_roots)
         chain = build_poset(["a", "b"], [("a", "b")])  # d = 1: no targets
@@ -850,7 +960,7 @@ class TestTheoremReport:
         def fake_find_roots(poly, precision_bits):
             k = len(calls)
             calls.append(k)
-            return RootSet((mp.mpc(mp.mpf(10) ** -(k + 1)),), (0,), 53)
+            return root_set((mp.mpc(mp.mpf(10) ** -(k + 1)),), 53)
 
         calls = []
         monkeypatch.setattr("posetzeta.roots.find_roots", fake_find_roots)
@@ -908,3 +1018,60 @@ class TestTheoremReport:
         monkeypatch.setattr("posetzeta.roots.chain_vector", fail)
         with pytest.raises(ValueError, match="k_max must be >= 0"):
             theorem_report(build_Pn(30), -1)
+
+
+class TestRandomPosets:
+    def test_paper_statements_at_their_own_rates(self, tmp_path):
+        # On random posets of up to 8 elements: dimension 0 and chi = 0 are
+        # refused; otherwise, from d = 2 on, beta1 is real and growing from
+        # some k0 on, the distances to the roots of H_d and es_ratio -
+        # sign(chi) each shrink by the factor d + 1 per step, to within
+        # 0.02 at k = 10..13, and the bounded roots' product tends to that
+        # of H_d, (-1)^(d-1).  The same posets run through the CLI in CSV
+        # and JSON, and the CSV rows are the report's values.
+        path, out = tmp_path / "p.json", tmp_path / "out"
+        seen = set()
+
+        @settings(derandomize=True, max_examples=500, deadline=None,
+                  database=None)
+        @given(dags(max_elements=8))
+        def check(dag):
+            p = build_poset(*dag)
+            cv = chain_vector(p)
+            d, chi = cv.dim, euler_characteristic(cv)
+            if d < 1 or chi == 0:
+                with pytest.raises(
+                    DimensionZero if d < 1 else ZeroEulerCharacteristic
+                ):
+                    theorem_report(p, 14, 256)
+                return
+            if d < 2:
+                return
+            rep = theorem_report(p, 14, 256)
+            assert rep.burn_in_k0 is not None
+            assert rep.beta1_real_from_k0 and rep.modulus_increasing_from_k0
+            sign = 1 if chi > 0 else -1
+            for a, b in zip(rep.records[10:14], rep.records[11:15]):
+                dist = b.max_match_distance * (d + 1) / a.max_match_distance
+                es = (b.es_ratio - sign) * (d + 1) / (a.es_ratio - sign)
+                assert abs(dist - 1) <= 0.02 and abs(es - 1) <= 0.02, a.k
+            assert abs(rep.product_final - (-1) ** (d - 1)) <= 1e-3
+            assert all(r.max_match_distance == max(r.matched_distances)
+                       for r in rep.records)
+            save_poset(p, str(path))
+            argv = ["theorem-check", "--input", str(path), "--kmax", "14"]
+            for fmt in ("json", "csv"):
+                assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
+            with open(out, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows == [
+                [str(r.k), *map(fmt_float, (
+                    r.beta1.real, r.beta1.imag, r.beta1_abs, r.es_ratio,
+                    r.product_of_others.real, r.product_of_others.imag,
+                    r.max_match_distance)), "256"]
+                for r in rep.records
+            ]
+            seen.add((tuple(p.labels), tuple(p.above)))
+
+        check()
+        assert len(seen) >= 200
