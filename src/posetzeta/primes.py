@@ -37,6 +37,9 @@ _PLUS_ONE = bytes(range(1, 256)) + bytes([_NOT_SQUAREFREE])
 # Integers per block of prefix counts: a query counts at most this many
 # code bytes.
 _BLOCK = 512
+# Cells per integer addition of the primes above isqrt(n): each piece is
+# held a few times over as bytes and ints, so this bounds that memory.
+_PIECE = 1 << 20
 
 
 class SquarefreeTable:
@@ -48,11 +51,12 @@ class SquarefreeTable:
     the multiples of p^2 and adds one to the codes of its multiples by a
     translate.  A prime p > r divides each of its multiples t * p once,
     with t <= n // (r + 1) <= r, so t's code is final by then and t * p
-    is coded code[t] + 1 if t is squarefree.  One slice per such t adds
-    the prime flags of (r, n // t] to the codes of t * (r, n // t] as one
-    little-endian integer.  No byte carries: a byte gains 1 only at a
-    prime, where it holds code[t], a weight below 8, and 0 elsewhere.  No
-    Python step runs per integer or per prime above r.
+    is coded code[t] + 1 if t is squarefree.  Per such t, the prime flags
+    of (r, n // t] are added to the codes of t * (r, n // t], each piece
+    of at most _PIECE cells as one little-endian integer.  No byte
+    carries: a byte gains 1 only at a prime, where it holds code[t], a
+    weight below 8, and 0 elsewhere.  No Python step runs per integer or
+    per prime above r.
 
     Each _BLOCK integers the table keeps how many codes of each weight
     came before, and M: ``count(w, x)`` and ``mertens(x)`` take the value
@@ -79,11 +83,13 @@ class SquarefreeTable:
         # multiples t * p > r is written.
         for t in compress(range(1, t_max + 1),
                           code[1:t_max + 1].translate(_MU_OF_CODE)):
-            hi = n // t
-            cells = slice(t * lo, t * hi + 1, t)
-            total = (int.from_bytes(code[cells], "little")
-                     + int.from_bytes(is_prime[lo:hi + 1], "little"))
-            code[cells] = total.to_bytes(hi - lo + 1, "little")
+            hi = n // t + 1
+            for a in range(lo, hi, _PIECE):
+                b = min(a + _PIECE, hi)
+                cells = slice(t * a, t * b, t)
+                total = (int.from_bytes(code[cells], "little")
+                         + int.from_bytes(is_prime[a:b], "little"))
+                code[cells] = total.to_bytes(b - a, "little")
         self.code = code
         # Weights run from 0 (k = 1) without a gap up to the largest.
         weights = 1

@@ -4,11 +4,11 @@ Roots are found in two routes, both started on one circle per edge of
 the Newton polygon (Bini, "Numerical computation of polynomial zeros by
 means of Aberth's method", 1996), read in doubles from the exact
 coefficients.  The fast route proves them real: Aberth-Ehrlich
-iteration in complex doubles gives approximations, taken exactly as
-dyadics (m, e) = m / 2^e; the exact integer polynomial changes sign
-between each pair of neighbouring ones (and beyond each end), so every
-root is real and alone in its bracket, and fixed-point Newton on
-integers refines it there to a dyadic.
+iteration in complex doubles gives approximations, whose real parts are
+taken exactly as Gaussian dyadics (m, 0, e); the exact integer
+polynomial changes sign between each pair of neighbouring ones (and
+beyond each end), so every root is real and alone in its bracket, and
+fixed-point Newton on integers refines it there.
 Barycentric subdivision makes the numerators real-rooted (Brenti and
 Welker, "f-vectors of barycentric subdivisions", 2008), so this route
 carries nearly every step.  When a double does not hold the polynomial,
@@ -141,8 +141,8 @@ def _nonzero_roots(a, precision_bits):
     precision_bits + 64: none for a constant, -a0 / a1 rounded to nearest
     (ties to even) for a linear one, else those that
     `_certified_real_roots` proves real from the doubles' real parts,
-    cut to `bits` bits, else those of `_fixed_aberth` from the doubles if
-    any, else from the Newton polygon."""
+    else those of `_fixed_aberth` from the doubles if any, else from the
+    Newton polygon."""
     if len(a) < 2:
         return []
     bits = precision_bits + 64
@@ -155,12 +155,12 @@ def _nonzero_roots(a, precision_bits):
     starts = _newton_polygon_starts(a)
     approx = _float_aberth(a, starts)
     if approx is not None:
-        # Each real part as the dyadic (m, e), exactly m / 2^e, e >= 0.
+        # Each real part exactly, as the Gaussian dyadic (m, 0, e).
         ratios = (z.real.as_integer_ratio() for z in approx)
-        xs = [(m, den.bit_length() - 1) for m, den in ratios]
+        xs = [(m, 0, den.bit_length() - 1) for m, den in ratios]
         roots = _certified_real_roots(a, xs, bits)
         if roots is not None:
-            return [_normalized(*z, bits) for z in roots]
+            return roots
     # Starts all on the real axis would keep the sweeps of a real
     # polynomial there (see START_ANGLE), away from any complex root.
     if approx is not None and any(z.imag for z in approx):
@@ -409,24 +409,24 @@ def _backward_error_bound(a, x, y, f, bits):
     return -(-root // total), -s
 
 
-def _certified_real_roots(a, xs, bits):
-    """The roots, ascending, as Gaussian dyadics (X, 0, f) to about
-    `bits` bits, or None.
+def _certified_real_roots(a, approx, bits):
+    """The roots, ascending, as Gaussian dyadics (x, 0, f) with |x| cut
+    to `bits` bits, or None.
 
     `a` are the integer coefficients, with a nonzero constant term, and
-    `xs` one real approximation per root, in any order, as dyadics
-    (m, e), each m / 2^e; they are sorted here, over one denominator.
-    The polynomial is evaluated exactly, so at any size, at the midpoint
-    of each pair of neighbouring approximations and at the mirror image
-    of the outer midpoint in each end one.  If its sign changes n times
-    over those n + 1 points, each of the n brackets holds one real root,
-    and `_newton_in_bracket` refines it.  None when the signs change
-    fewer times or a refinement fails.
+    `approx` one approximation per root, in any order, as Gaussian
+    dyadics (x, y, f); only their real parts x / 2^f are read, sorted
+    here over one denominator.  The polynomial is evaluated exactly, so
+    at any size, at the midpoint of each pair of neighbouring real parts
+    and at the mirror image of the outer midpoint in each end one.  If
+    its sign changes n times over those n + 1 points, each of the n
+    brackets holds one real root, and `_newton_in_bracket` refines it.
+    None when the signs change fewer times or a refinement fails.
     """
-    # The approximations as integers over 2^(g - 1), in ascending order,
-    # and the points over 2^g.
-    g = max(e for _, e in xs) + 1
-    ms = sorted(m << (g - 1 - e) for m, e in xs)
+    # The real parts as integers over 2^(g - 1), in ascending order, and
+    # the points over 2^g.
+    g = max(0, *(f for _, _, f in approx)) + 1
+    ms = sorted(x << (g - 1 - f) for x, _, f in approx)
     points = [3 * ms[0] - ms[1], *map(add, ms, ms[1:]), 3 * ms[-1] - ms[-2]]
     c = _scaled(a, g)
     signs = [(v > 0) - (v < 0) for v in (_horner(c, m) for m in points)]
@@ -435,10 +435,10 @@ def _certified_real_roots(a, xs, bits):
     if not all(s * t < 0 for s, t in zip(signs, signs[1:])):
         return None
     roots = [
-        _newton_in_bracket(a, (m, g - 1), lo, hi, g, bits)
+        _newton_in_bracket(a, (m, 0, g - 1), lo, hi, g, bits)
         for m, lo, hi in zip(ms, points, points[1:])
     ]
-    return None if None in roots else [(x, 0, f) for x, f in roots]
+    return None if None in roots else roots
 
 
 def _scaled(a, e):
@@ -447,25 +447,25 @@ def _scaled(a, e):
     return [c << (e * (n - j)) for j, c in enumerate(a)]
 
 
-def _newton_in_bracket(a, x, lo, hi, g, bits):
-    """The root of the integer polynomial `a` in (lo / 2^g, hi / 2^g), to
-    about `bits` bits, by Newton in fixed point from the dyadic x = (m, e),
-    that is m / 2^e.
+def _newton_in_bracket(a, z, lo, hi, g, bits):
+    """The root of the integer polynomial `a` in (lo / 2^g, hi / 2^g), as
+    the Gaussian dyadic (x, 0, f) with |x| cut to `bits` bits, by Newton
+    in fixed point from the real part of the Gaussian dyadic z.
 
     The root is held as X / 2^f, f chosen so that X has about `bits`
     bits, and each step subtracts P(X) // P'(X), with P the polynomial
     `_scaled` by f: p(x) / p'(x) in units of 2^-f.  Iteration ends at a
-    step of at most one unit, with the dyadic root (X, f).  None when a
-    step leaves the bracket, the derivative vanishes, MAX_NEWTON steps
-    do not settle, or X has fewer than bits - 1 bits: the root is far
-    smaller than `x`, as when the double it came from underflowed.
+    step of at most one unit.  None when a step leaves the bracket, the
+    derivative vanishes, MAX_NEWTON steps do not settle, or X has fewer
+    than bits - 1 bits: the root is far smaller than z, as when the
+    double it came from underflowed.
     """
-    m, e = x
+    m, _, e = z
     f = max(bits - m.bit_length() + e, 0)
     c = _scaled(a, f)
     dc = [j * cj for j, cj in enumerate(c)][1:]
     lo, hi = lo << f, hi << f  # the bracket over 2^(f + g)
-    fixed = (m << f) >> e
+    fixed = _shift(m, f - e)
     for _ in range(MAX_NEWTON):
         slope = _horner(dc, fixed)
         if not slope:
@@ -477,7 +477,7 @@ def _newton_in_bracket(a, x, lo, hi, g, bits):
         if abs(step) <= 1:
             if fixed.bit_length() < bits - 1:
                 return None
-            return fixed, f
+            return _normalized(fixed, 0, f, bits)
     return None
 
 

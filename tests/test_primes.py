@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from fractions import Fraction as Fr
 from itertools import accumulate, combinations
 from math import factorial, isqrt
@@ -130,11 +131,12 @@ class TestSieve:
         check_queries(t, codes, range(3001))
 
     @pytest.mark.parametrize(
-        "n", [10**5, 10**6, 1009**2 - 1, 1009**2, 1009**2 + 1]
+        "n", [10**5, 10**6, 1009**2 - 1, 1009**2, 1009**2 + 1, 2**20 + 2**11]
     )
     def test_against_linear_sieve_large(self, n):
         # 1009 is prime: below 1009^2 it is one of the primes above isqrt(n),
         # filled in by cofactor slices, and from 1009^2 on one sieved below.
+        # At 2^20 + 2^11 the slice of the cofactor 1 spans two pieces.
         codes = linear_sieve_codes(n)
         t = SquarefreeTable(n)
         assert t.code == codes
@@ -144,6 +146,20 @@ class TestSieve:
             xs = sorted({x for b in edges for x in (b - 2, b - 1, b)
                          if x <= n} | {0, 1, n})
             check_queries(t, codes, xs)
+
+    def test_build_peak_memory(self):
+        # The codes and the prime flags take 2 bytes per integer; the
+        # primes above isqrt(n) are added piece by piece, so the build
+        # holds less than 4 at its peak (over 6 with one slice per
+        # cofactor).
+        n = 4_000_000
+        tracemalloc.start()
+        try:
+            SquarefreeTable(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n
 
     def test_omega_and_weight(self):
         # The cached table may reach past 30; counts are read up to 30.

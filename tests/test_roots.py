@@ -56,6 +56,7 @@ from posetzeta.roots import (
     _newton_in_bracket,
     _newton_polygon_starts,
     _nonzero_roots,
+    _normalized,
     _pick_beta1,
     _polygon_start,
     _to_mpf,
@@ -171,6 +172,35 @@ class TestCertifiedRoots:
         assert _certified_real_roots(coeffs, shuffled, 320) == roots
         assert _certified_real_roots(coeffs, xs[::-1], 320) == roots
 
+    @pytest.mark.parametrize("d", range(3, 31))
+    def test_exact_roots_round_trip(self, d):
+        # find_roots' exact form, fed back as approximations in any
+        # order, comes back real, each root within one unit in the last
+        # place of the one fed in: the entry of a warm start from roots
+        # already known.
+        h = H_polynomial(d)
+        rs = find_roots(h)
+        fed = [(x, 0, rs.exponent) for x, _ in rs.gaussians]
+        shuffled = fed[:]
+        random.Random(FIXED_SEED + d).shuffle(shuffled)
+        roots = _certified_real_roots(integer_coeffs(h), shuffled, 320)
+        assert [y for _, y, _ in roots] == [0] * len(fed)
+        for z, w in zip(roots, fed):
+            unit = Fraction(1, 2 ** _normalized(*w, 320)[2])
+            assert abs(dyadic(z) - dyadic(w)) <= unit
+
+    def test_roots_past_working_bits_round_trip(self):
+        # Roots past 2^bits have dyadics with negative exponents, and
+        # fed back they come back exactly.
+        a = integer_coeffs((S - 2**400) * (S - 3 * 2**400))
+        rs = find_roots(ExactPolynomial(a))
+        assert rs.exponent < 0
+        fed = [(x, 0, rs.exponent) for x, _ in rs.gaussians]
+        roots = _certified_real_roots(a, fed[::-1], 320)
+        assert [(dyadic(z), z[1]) for z in roots] == [
+            (2**400, 0), (3 * 2**400, 0)
+        ]
+
     def test_sign_scan_confirms_certified_count(self):
         # Cells of 0.01 are finer than the gaps between these roots.
         cases = [(H_polynomial(d), -30) for d in range(2, 7)] + [
@@ -232,12 +262,12 @@ class TestCertifiedRoots:
 
 
 def dyadic(x):
-    """The dyadic (m, e) of a double, and the exact value m / 2^e of one."""
+    """A double exactly, as the Gaussian dyadic (m, 0, e), and the exact
+    real part x / 2^f of a Gaussian dyadic (x, y, f)."""
     if isinstance(x, float):
         m, den = x.as_integer_ratio()
-        return m, den.bit_length() - 1
-    m, e = x
-    return Fraction(m, 2**e)
+        return m, 0, den.bit_length() - 1
+    return Fraction(x[0]) / Fraction(2) ** x[2]
 
 
 class TestFallbackExits:
@@ -281,8 +311,8 @@ class TestFallbackExits:
         big = 3 << 1022
         a = [-big, sign * (1 - big), 1]
         want = sorted([sign * big, -sign])
-        roots = _certified_real_roots(a, [(x, 0) for x in want], 320)
-        got = [(dyadic((x, f)), y) for x, y, f in roots]
+        roots = _certified_real_roots(a, [(x, 0, 0) for x in want], 320)
+        got = [(dyadic(z), z[1]) for z in roots]
         assert got == [(b, 0) for b in want]
         assert [mp.re(z) for z in find_roots(ExactPolynomial(a)).roots] == want
 
