@@ -28,6 +28,7 @@ from argparse import ArgumentParser, ArgumentTypeError
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, islice
+from math import gcd
 
 from .errors import (
     InvalidConfig,
@@ -53,9 +54,9 @@ from .primes import (
     pi_weight,
 )
 from .subdivision import (
-    H_vector,
-    big_F_number,
-    f_number,
+    _F_column,
+    _H_column,
+    _f_triangle,
     transfer_iterate,
 )
 from .zeta import zeta_rational
@@ -65,9 +66,9 @@ SUBDIVISION_CAP = 100_000
 # A 14-element chain's subdivision has 4,750,202 relations, 362 MB of JSON
 # written in about 2.3 s; the 15-element chain's has 14,283,372.
 SUBDIVISION_RELATION_CAP = 5_000_000
-# The F and H triangles cost about d^6: at --dmax 100 they take about 1.5 s
-# and 3 s of CPU, and at 140 six to seven times as long.  The f triangle
-# takes 0.03 s at 100 (one run per process on a shared 2-CPU virtual machine).
+# The F and H triangles cost about d^6: at --dmax 100 they take about 0.9 s
+# and 1.0 s of CPU, and at 140 about seven times as long.  The f triangle
+# takes 0.01 s at 100 (one run per process on a shared 2-CPU virtual machine).
 TABLES_DMAX_CAP = 100
 # theorem-check grows with both: the chain with d = 8 takes about 1 s of
 # CPU at --kmax 100 and about 3 s at --kmax 24 with --precision-bits
@@ -101,13 +102,21 @@ def _str_to_int(s):
     return _str_to_int(s[:-k]) * 10**k + _str_to_int(s[-k:])
 
 
+def _ratio_to_str(n, den):
+    # "p/q" of n / den in lowest terms (den > 0), or p alone if q is 1.
+    if den != 1:
+        g = gcd(n, den)
+        if den != g:
+            return f"{_int_to_str(n // g)}/{_int_to_str(den // g)}"
+        n //= g
+    return _int_to_str(n)
+
+
 def fmt_rational(x):
     """Text of an int, a Fraction, or None (as "NA")."""
     if x is None:
         return "NA"
-    if x.denominator == 1:
-        return _int_to_str(x.numerator)
-    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
+    return _ratio_to_str(x.numerator, x.denominator)
 
 
 def parse_rational(s):
@@ -170,15 +179,29 @@ def _emit(header, rows, write_json, fmt, out):
 def _cmd_tables(args):
     if args.dmax > TABLES_DMAX_CAP:
         raise RangeTooLarge(f"--dmax {args.dmax} exceeds {TABLES_DMAX_CAP}")
+    # Every table prints from integers, and none builds a Fraction: f
+    # from the rows of its triangle, F and H column by column from the
+    # numerators over each column's one denominator.
     ds = range(args.dmax + 1)
     if args.kind == "f":
-        cells = ((i, d, f_number(i, d)) for i in ds for d in ds)
-    elif args.kind == "F":
-        cells = ((i, d, big_F_number(i, d)) for d in ds for i in range(d + 1))
-    else:  # H
-        cells = ((i, d, h) for d in ds for i, h in enumerate(H_vector(d)))
-    rows = ((i, d, fmt_rational(v)) for i, d, v in cells)
-    return ["i", "d", "value"], rows, None
+        rows = _f_triangle(args.dmax)
+        cells = ((i, d, _int_to_str(rows[d + 1][i + 1]) if i <= d else "0")
+                 for i in ds for d in ds)
+    else:
+        column = _F_column if args.kind == "F" else _H_column
+        cells = (cell for d in ds for cell in _column_cells(d, *column(d)))
+    return ["i", "d", "value"], cells, None
+
+
+def _column_cells(d, nums, den):
+    # Rows (i, d, nums[i] / den) of one column of F or H.  Each distinct
+    # numerator is reduced and formatted once: H's are symmetric in i.
+    texts = {}
+    for i, n in enumerate(nums):
+        text = texts.get(n)
+        if text is None:
+            text = texts[n] = _ratio_to_str(n, den)
+        yield i, d, text
 
 
 def _cmd_zeta(args):

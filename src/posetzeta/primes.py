@@ -37,9 +37,18 @@ _PLUS_ONE = bytes(range(1, 256)) + bytes([_NOT_SQUAREFREE])
 # Integers per block of prefix counts: a query counts at most this many
 # code bytes.
 _BLOCK = 512
-# Cells per integer addition of the primes above isqrt(n): each piece is
-# held a few times over as bytes and ints, so this bounds that memory.
+# Cells per slice of the Eratosthenes strides and per integer addition
+# of the primes above isqrt(n): each piece is held a few times over as
+# bytes and ints, so this bounds the memory beside the two tables.
 _PIECE = 1 << 20
+
+
+def _strides(start, n, step):
+    # The slices of start, start + step, ... up to n, each of at most
+    # _PIECE cells, with their numbers of cells.
+    for a in range(start, n + 1, step * _PIECE):
+        k = min(_PIECE, (n - a) // step + 1)
+        yield slice(a, a + k * step, step), k
 
 
 class SquarefreeTable:
@@ -47,10 +56,11 @@ class SquarefreeTable:
 
     ``code[k]`` is the number of prime factors of a squarefree k (0 for
     k = 1) and _NOT_SQUAREFREE for any other k, 0 included.  The primes
-    p <= r = isqrt(n) are found by Eratosthenes over slices; each marks
-    the multiples of p^2 and adds one to the codes of its multiples by a
-    translate.  A prime p > r divides each of its multiples t * p once,
-    with t <= n // (r + 1) <= r, so t's code is final by then and t * p
+    p <= r = isqrt(n) are found by Eratosthenes over strided slices of
+    at most _PIECE cells; each marks the multiples of p^2 and adds one to
+    the codes of its multiples by a translate.  A prime p > r divides
+    each of its multiples t * p once, with t <= n // (r + 1) <= r, so
+    t's code is final by then and t * p
     is coded code[t] + 1 if t is squarefree.  Per such t, the prime flags
     of (r, n // t] are added to the codes of t * (r, n // t], each piece
     of at most _PIECE cells as one little-endian integer.  No byte
@@ -74,9 +84,12 @@ class SquarefreeTable:
         code = bytearray(n + 1)
         code[0] = _NOT_SQUAREFREE
         for p in compress(range(r + 1), is_prime):
-            is_prime[p * p::p] = bytes(n // p - p + 1)
-            code[p * p::p * p] = bytes([_NOT_SQUAREFREE]) * (n // (p * p))
-            code[p::p] = code[p::p].translate(_PLUS_ONE)
+            for cells, k in _strides(p * p, n, p):
+                is_prime[cells] = bytes(k)
+            for cells, k in _strides(p * p, n, p * p):
+                code[cells] = bytes([_NOT_SQUAREFREE]) * k
+            for cells, _ in _strides(p, n, p):
+                code[cells] = code[cells].translate(_PLUS_ONE)
         lo = r + 1
         t_max = n // lo
         # The squarefree cofactors t <= t_max, read before any of their

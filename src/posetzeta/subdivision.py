@@ -55,19 +55,26 @@ def f_number(i, d):
 @cache
 def _F_column(d):
     # Integers a_0..a_d and den with F_{i,d} = a_i / den, by integer
-    # back-substitution of f F = (d+1)! F from a_d = den = 1.
+    # back-substitution of f F = (d+1)! F from a_d = den = 1.  Step i
+    # solves a_i = s / m, m = (d+1)! - (i+1)!, and puts the entries above
+    # it over m (both reduced by gcd(s, m)).  Each entry is kept at the
+    # scale it was made at, with its step's m_i: step i forms s by Horner
+    # from j = d down, s = s m_j + f_{i,j} kept_j, and the entries are
+    # scaled once at the end, a_j = kept_j prod_{k<j} m_k, den = prod m_k.
     rows = _f_triangle(d)
-    a = [0] * d + [1]
-    den = 1
+    kept = [0] * d + [1]
+    ms = [1] * (d + 1)
+    fact = factorial(d + 1)
     for i in range(d - 1, -1, -1):
-        s = sum(map(mul, (r[i + 1] for r in rows[i + 2:d + 2]), a[i + 1:]))
-        m = factorial(d + 1) - factorial(i + 1)
+        s = 0
+        for j in range(d, i, -1):
+            s = s * ms[j] + rows[j + 1][i + 1] * kept[j]
+        m = fact - factorial(i + 1)
         g = gcd(s, m)
-        m //= g
-        a[i + 1:] = [x * m for x in a[i + 1:]]
-        den *= m
-        a[i] = s // g
-    return tuple(a), den
+        ms[i] = m // g
+        kept[i] = s // g
+    scales = list(accumulate(ms, mul, initial=1))
+    return tuple(map(mul, kept, scales)), scales[-1]
 
 
 def big_F_number(i, d):
@@ -102,11 +109,23 @@ def H_vector(d):
 
 @cache
 def _H_vector(d):
+    h, den = _H_column(d)
+    return tuple(Fraction(x, den) for x in h)
+
+
+@cache
+def _H_column(d):
+    # Integers h_0..h_{d+1} and den with H_{i,d} = h_i / den: the Taylor
+    # shift to s - 1 of sum_i a_i s^(d-i), (a, den) = _F_column(d), by
+    # repeated synthetic division by s + 1 in place, then h_{d+1} = 0.
     if d == 0:
-        return (Fraction(0), Fraction(1))
+        return (0, 1), 1
     a, den = _F_column(d)
-    shifted = ExactPolynomial(reversed(a)).shifted(-1).coeffs + (0,)
-    return tuple(Fraction(h, den) for h in shifted)
+    h = list(reversed(a))
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            h[j] -= h[j + 1]
+    return (*h, 0), den
 
 
 def H_polynomial(d):

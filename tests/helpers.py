@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import mpmath as mp
 from hypothesis import strategies as st
@@ -26,6 +26,7 @@ from posetzeta import (
     build_poset,
     chi_Pn,
     dim_Pn,
+    f_number,
     series_expand,
     top_chain_count,
 )
@@ -571,7 +572,7 @@ def shift_by_composition(p, a):
     """p(s + a) by Horner-style composition with s + a.
 
     The oracle for the synthetic-division Taylor shift
-    ExactPolynomial.shifted, which g_from_chain_vector and H_vector use.
+    ExactPolynomial.shifted, which g_from_chain_vector uses.
     """
     out = Poly()
     s_plus_a = Poly([a, 1])
@@ -646,6 +647,40 @@ def big_F_by_recurrence(i, d):
         for j in range(i + 1, d + 1)
     )
     return Fraction(total, factorial(d + 1) - factorial(i + 1))
+
+
+@cache
+def F_column_by_rescaling(d):
+    """(a, den) with F_{i,d} = a_i / den, rescaling every entry per step.
+
+    The former body of subdivision._F_column: each step of the integer
+    back-substitution multiplies all the entries above it by its m.  The
+    oracle for the column kept unscaled and scaled once at the end.
+    """
+    a = [0] * d + [1]
+    den = 1
+    for i in range(d - 1, -1, -1):
+        s = sum(f_number(i, j) * a[j] for j in range(i + 1, d + 1))
+        m = factorial(d + 1) - factorial(i + 1)
+        g = gcd(s, m)
+        m //= g
+        a[i + 1:] = [x * m for x in a[i + 1:]]
+        den *= m
+        a[i] = s // g
+    return tuple(a), den
+
+
+def H_vector_by_shift(d):
+    """(H_0, ..., H_{d+1}) as Fractions, by ExactPolynomial.shifted.
+
+    The former body of subdivision._H_vector; the oracle for the integer
+    Taylor shift of subdivision._H_column.
+    """
+    if d == 0:
+        return (Fraction(0), Fraction(1))
+    a, den = F_column_by_rescaling(d)
+    shifted = ExactPolynomial(reversed(a)).shifted(-1).coeffs + (0,)
+    return tuple(Fraction(h, den) for h in shifted)
 
 
 def spectral_constants_by_big_F(start):

@@ -14,7 +14,14 @@ import mpmath
 import pytest
 
 import posetzeta
-from helpers import csv_document, poset_to_dict, relation_pairs
+from helpers import (
+    F_column_by_rescaling,
+    H_vector_by_shift,
+    csv_document,
+    f_by_inclusion_exclusion,
+    poset_to_dict,
+    relation_pairs,
+)
 from posetzeta import (
     build_poset,
     build_Pn,
@@ -26,6 +33,7 @@ from posetzeta import primes
 from posetzeta import roots as roots_module
 from posetzeta.cli import (
     _emit,
+    _ratio_to_str,
     build_parser,
     fmt_rational,
     main,
@@ -106,6 +114,59 @@ def test_fmt_parse_under_smallest_int_str_limit():
         assert parse_rational(text) == x
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_one_printer_for_ratios():
+    # fmt_rational and the F and H tables print through _ratio_to_str,
+    # which reduces n / den itself.
+    assert _ratio_to_str(0, 7) == "0"
+    assert _ratio_to_str(-6, 4) == "-3/2"
+    assert _ratio_to_str(12, 4) == "3"
+    assert fmt_rational(Fr(-6, 4)) == _ratio_to_str(-3, 2)
+
+
+def test_ratio_split_under_smallest_int_str_limit():
+    den = 7 ** 900  # 761 digits
+    den_text = str(den)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int <-> str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = _ratio_to_str(-3 * (10 ** 2000 + 1), 3 * den)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text == "-1" + "0" * 1999 + "1/" + den_text
+
+
+def oracle_table(kind, dmax):
+    # Rows of tables --kind f|F|H from the slow routes of tests/helpers.
+    ds = range(dmax + 1)
+    if kind == "f":
+        return [(i, d, str(f_by_inclusion_exclusion(i, d)))
+                for i in ds for d in ds]
+    if kind == "F":
+        columns = (
+            [Fr(x, den) for x in a]
+            for a, den in map(F_column_by_rescaling, ds)
+        )
+    else:
+        columns = map(H_vector_by_shift, ds)
+    return [(i, d, fmt_rational(v))
+            for d, column in zip(ds, columns) for i, v in enumerate(column)]
+
+
+@pytest.mark.parametrize("kind", ["f", "F", "H"])
+def test_tables_match_slow_routes(kind):
+    header = ["i", "d", "value"]
+    for dmax in (*range(16), 40):
+        rows = oracle_table(kind, dmax)
+        argv = ["tables", "--kind", kind, "--dmax", str(dmax)]
+        assert run_to_string(argv) == csv_document(header, rows), dmax
+        doc = [dict(zip(header, row)) for row in rows]
+        assert run_to_string([*argv, "--format", "json"]) == (
+            json.dumps(doc, indent=2) + "\n"
+        ), dmax
 
 
 class TestTables:

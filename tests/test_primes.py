@@ -161,6 +161,27 @@ class TestSieve:
             tracemalloc.stop()
         assert peak < 4 * n
 
+    @pytest.mark.parametrize("piece", [1, 7, 64])
+    def test_pieces_of_any_size(self, monkeypatch, piece):
+        # With pieces this small every Eratosthenes stride and every
+        # cofactor slice crosses piece boundaries.
+        n = 10**4 + 7
+        monkeypatch.setattr(primes, "_PIECE", piece)
+        assert SquarefreeTable(n).code == linear_sieve_codes(n)
+
+    def test_build_peak_memory_at_cap(self):
+        # At the sieve cap the Eratosthenes strides are written in pieces
+        # too: one stride of p = 2 as a single slice and its translate took
+        # the peak to 3 bytes per integer.
+        n = DEFAULT_SIEVE_CAP
+        tracemalloc.start()
+        try:
+            SquarefreeTable(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * n
+
     def test_omega_and_weight(self):
         # The cached table may reach past 30; counts are read up to 30.
         t = squarefree_sieve(30)

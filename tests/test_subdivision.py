@@ -33,8 +33,11 @@ from posetzeta import (
     transfer_iterate,
     verify_similarity,
 )
+from posetzeta.subdivision import _F_column, _H_column
 from posetzeta.zeta import g_from_chain_vector
 from helpers import (
+    F_column_by_rescaling,
+    H_vector_by_shift,
     big_F_by_recurrence,
     chain_vectors,
     descent_by_recursion,
@@ -165,6 +168,20 @@ def test_numbers_match_slow_routes():
         if d:
             shifted = shift_by_composition(oracle, -1)
             assert H_vector(d) == tuple(shifted[k] for k in range(d + 2)), d
+
+
+def test_F_column_matches_rescaling():
+    for d in range(61):
+        assert _F_column(d) == F_column_by_rescaling(d), d
+
+
+def test_H_column_matches_shift():
+    for d in range(61):
+        h, den = _H_column(d)
+        assert len(h) == d + 2 and all(type(x) is int for x in h), d
+        oracle = H_vector_by_shift(d)
+        assert tuple(Fr(x, den) for x in h) == oracle, d
+        assert H_vector(d) == oracle, d
 
 
 class TestDescentMatrix:
