@@ -54,9 +54,8 @@ from .primes import (
     pi_weight,
 )
 from .subdivision import (
-    _F_column,
-    _H_column,
-    _f_triangle,
+    f_number,
+    integer_column,
     transfer_iterate,
 )
 from .zeta import zeta_rational
@@ -66,9 +65,9 @@ SUBDIVISION_CAP = 100_000
 # A 14-element chain's subdivision has 4,750,202 relations, 362 MB of JSON
 # written in about 2.3 s; the 15-element chain's has 14,283,372.
 SUBDIVISION_RELATION_CAP = 5_000_000
-# The F and H triangles cost about d^6: at --dmax 100 they take about 0.9 s
-# and 1.0 s of CPU, and at 140 about seven times as long.  The f triangle
-# takes 0.01 s at 100 (one run per process on a shared 2-CPU virtual machine).
+# The F and H triangles cost about d^6: at --dmax 100 they take about 1 s
+# and 1.2 s of CPU, and at 140 about seven times as long.  The f triangle
+# takes 0.02 s at 100 (one run per process on a shared 2-CPU virtual machine).
 TABLES_DMAX_CAP = 100
 # theorem-check grows with both: the chain with d = 8 takes about 1 s of
 # CPU at --kmax 100 and about 3 s at --kmax 24 with --precision-bits
@@ -180,16 +179,14 @@ def _cmd_tables(args):
     if args.dmax > TABLES_DMAX_CAP:
         raise RangeTooLarge(f"--dmax {args.dmax} exceeds {TABLES_DMAX_CAP}")
     # Every table prints from integers, and none builds a Fraction: f
-    # from the rows of its triangle, F and H column by column from the
-    # numerators over each column's one denominator.
+    # cell by cell, F and H column by column from the numerators over
+    # each column's one denominator.
     ds = range(args.dmax + 1)
     if args.kind == "f":
-        rows = _f_triangle(args.dmax)
-        cells = ((i, d, _int_to_str(rows[d + 1][i + 1]) if i <= d else "0")
-                 for i in ds for d in ds)
+        cells = ((i, d, _int_to_str(f_number(i, d))) for i in ds for d in ds)
     else:
-        column = _F_column if args.kind == "F" else _H_column
-        cells = (cell for d in ds for cell in _column_cells(d, *column(d)))
+        cells = (cell for d in ds
+                 for cell in _column_cells(d, *integer_column(args.kind, d)))
     return ["i", "d", "value"], cells, None
 
 

@@ -60,12 +60,11 @@ class SquarefreeTable:
     at most _PIECE cells; each marks the multiples of p^2 and adds one to
     the codes of its multiples by a translate.  A prime p > r divides
     each of its multiples t * p once, with t <= n // (r + 1) <= r, so
-    t's code is final by then and t * p
-    is coded code[t] + 1 if t is squarefree.  Per such t, the prime flags
-    of (r, n // t] are added to the codes of t * (r, n // t], each piece
-    of at most _PIECE cells as one little-endian integer.  No byte
-    carries: a byte gains 1 only at a prime, where it holds code[t], a
-    weight below 8, and 0 elsewhere.  No Python step runs per integer or
+    t's code is final by then and t * p is coded code[t] + 1 if t is
+    squarefree.  Per such t, the prime flags of (r, n // t] are added to
+    the codes of t * (r, n // t], each piece of at most _PIECE cells as
+    one little-endian integer.  No byte carries: a byte gains 1 only at
+    a prime, where it holds code[t], a weight below 8, and 0 elsewhere.  No Python step runs per integer or
     per prime above r.
 
     Each _BLOCK integers the table keeps how many codes of each weight
@@ -96,13 +95,11 @@ class SquarefreeTable:
         # multiples t * p > r is written.
         for t in compress(range(1, t_max + 1),
                           code[1:t_max + 1].translate(_MU_OF_CODE)):
-            hi = n // t + 1
-            for a in range(lo, hi, _PIECE):
-                b = min(a + _PIECE, hi)
-                cells = slice(t * a, t * b, t)
+            for cells, k in _strides(t * lo, n, t):
+                a = cells.start // t
                 total = (int.from_bytes(code[cells], "little")
-                         + int.from_bytes(is_prime[a:b], "little"))
-                code[cells] = total.to_bytes(b - a, "little")
+                         + int.from_bytes(is_prime[a:a + k], "little"))
+                code[cells] = total.to_bytes(k, "little")
         self.code = code
         # Weights run from 0 (k = 1) without a gap up to the largest.
         weights = 1

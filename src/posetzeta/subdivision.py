@@ -116,16 +116,24 @@ def _H_vector(d):
 @cache
 def _H_column(d):
     # Integers h_0..h_{d+1} and den with H_{i,d} = h_i / den: the Taylor
-    # shift to s - 1 of sum_i a_i s^(d-i), (a, den) = _F_column(d), by
-    # repeated synthetic division by s + 1 in place, then h_{d+1} = 0.
+    # shift to s - 1 of sum_i a_i s^(d-i), (a, den) = _F_column(d), then
+    # h_{d+1} = 0.
     if d == 0:
         return (0, 1), 1
     a, den = _F_column(d)
-    h = list(reversed(a))
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            h[j] -= h[j + 1]
-    return (*h, 0), den
+    return ExactPolynomial(reversed(a)).shifted(-1).coeffs + (0,), den
+
+
+def integer_column(kind, d):
+    """Integers (n_0, ...) and den with X_{i,d} = n_i / den, X = kind.
+
+    kind is "F" (i = 0..d) or "H" (i = 0..d+1), d >= 0: the exact
+    columns behind big_F_number and H_vector, for printing without a
+    Fraction per entry.  den is positive and need not be coprime to n_i.
+    """
+    if d < 0:
+        raise IndexOutOfRange("d must be >= 0")
+    return (_F_column if kind == "F" else _H_column)(d)
 
 
 def H_polynomial(d):

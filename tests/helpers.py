@@ -670,17 +670,19 @@ def F_column_by_rescaling(d):
     return tuple(a), den
 
 
-def H_vector_by_shift(d):
-    """(H_0, ..., H_{d+1}) as Fractions, by ExactPolynomial.shifted.
+@cache
+def H_vector_by_composition(d):
+    """(H_0, ..., H_{d+1}) as Fractions, by composition with s - 1.
 
-    The former body of subdivision._H_vector; the oracle for the integer
-    Taylor shift of subdivision._H_column.
+    The oracle for subdivision._H_column, whose Taylor shift is
+    ExactPolynomial.shifted: this one composes the rescaled F column,
+    over its denominator, with s - 1 by ring arithmetic.
     """
     if d == 0:
         return (Fraction(0), Fraction(1))
     a, den = F_column_by_rescaling(d)
-    shifted = ExactPolynomial(reversed(a)).shifted(-1).coeffs + (0,)
-    return tuple(Fraction(h, den) for h in shifted)
+    shifted = shift_by_composition(Poly(reversed(a)), -1)
+    return tuple(Fraction(shifted[k], den) for k in range(d + 2))
 
 
 def spectral_constants_by_big_F(start):

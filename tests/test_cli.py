@@ -16,7 +16,7 @@ import pytest
 import posetzeta
 from helpers import (
     F_column_by_rescaling,
-    H_vector_by_shift,
+    H_vector_by_composition,
     csv_document,
     f_by_inclusion_exclusion,
     poset_to_dict,
@@ -151,7 +151,7 @@ def oracle_table(kind, dmax):
             for a, den in map(F_column_by_rescaling, ds)
         )
     else:
-        columns = map(H_vector_by_shift, ds)
+        columns = map(H_vector_by_composition, ds)
     return [(i, d, fmt_rational(v))
             for d, column in zip(ds, columns) for i, v in enumerate(column)]
 

@@ -151,15 +151,17 @@ class TestSieve:
         # The codes and the prime flags take 2 bytes per integer; the
         # primes above isqrt(n) are added piece by piece, so the build
         # holds less than 4 at its peak (over 6 with one slice per
-        # cofactor).
-        n = 4_000_000
-        tracemalloc.start()
-        try:
-            SquarefreeTable(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * n
+        # cofactor).  At the sieve cap the Eratosthenes strides are
+        # written in pieces too, which keeps it below 2.75 (3 with the
+        # stride of p = 2 as one slice and its translate).
+        for n, per_integer in ((4_000_000, 4), (DEFAULT_SIEVE_CAP, 2.75)):
+            tracemalloc.start()
+            try:
+                SquarefreeTable(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < per_integer * n, n
 
     @pytest.mark.parametrize("piece", [1, 7, 64])
     def test_pieces_of_any_size(self, monkeypatch, piece):
@@ -168,19 +170,6 @@ class TestSieve:
         n = 10**4 + 7
         monkeypatch.setattr(primes, "_PIECE", piece)
         assert SquarefreeTable(n).code == linear_sieve_codes(n)
-
-    def test_build_peak_memory_at_cap(self):
-        # At the sieve cap the Eratosthenes strides are written in pieces
-        # too: one stride of p = 2 as a single slice and its translate took
-        # the peak to 3 bytes per integer.
-        n = DEFAULT_SIEVE_CAP
-        tracemalloc.start()
-        try:
-            SquarefreeTable(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.75 * n
 
     def test_omega_and_weight(self):
         # The cached table may reach past 30; counts are read up to 30.

@@ -33,11 +33,11 @@ from posetzeta import (
     transfer_iterate,
     verify_similarity,
 )
-from posetzeta.subdivision import _F_column, _H_column
+from posetzeta.subdivision import integer_column
 from posetzeta.zeta import g_from_chain_vector
 from helpers import (
     F_column_by_rescaling,
-    H_vector_by_shift,
+    H_vector_by_composition,
     big_F_by_recurrence,
     chain_vectors,
     descent_by_recursion,
@@ -172,14 +172,14 @@ def test_numbers_match_slow_routes():
 
 def test_F_column_matches_rescaling():
     for d in range(61):
-        assert _F_column(d) == F_column_by_rescaling(d), d
+        assert integer_column("F", d) == F_column_by_rescaling(d), d
 
 
-def test_H_column_matches_shift():
+def test_H_column_matches_composition():
     for d in range(61):
-        h, den = _H_column(d)
+        h, den = integer_column("H", d)
         assert len(h) == d + 2 and all(type(x) is int for x in h), d
-        oracle = H_vector_by_shift(d)
+        oracle = H_vector_by_composition(d)
         assert tuple(Fr(x, den) for x in h) == oracle, d
         assert H_vector(d) == oracle, d
 
