@@ -260,10 +260,10 @@ def _subdivide_rows(p):
     cells = list(map(_csv_cell, p.labels))
     for cell in cells:
         yield "element", cell, ""
-    for i, js in _label_rows(p):
+    for i, row in _label_rows(p, cells):
         a = cells[i]
-        for j in js:
-            yield "relation", a, cells[j]
+        for b in row:
+            yield "relation", a, b
 
 
 _TRAJECTORY_HEADER = [

@@ -1,19 +1,22 @@
 """Finite posets, chain counting, and explicit barycentric subdivision.
 
-The strict order is stored per element as its up-set: the ascending
-tuple of the indices above it, transitively closed at construction time.
-Every walk over "the elements above this one" loops over that row, so
-each costs one step per relation.  The closure is taken inside Kahn's
-topological sort, which runs from the maximal elements down, and skips
-a successor that an up-set already gathered contains, so a closed
+The strict order is stored per element as its down-set: the tuple of
+the indices below it, transitively closed at construction time.  Every
+walk over "the elements below this one" loops over that row, so each
+costs one step per relation; the up-sets are its transposition, built
+once on first read.  The closure is taken inside Kahn's topological
+sort, which runs from the minimal elements up and merges each element's
+direct predecessors latest-closed first, so a predecessor below another
+one is skipped whatever order the elements are listed in: a closed
 relation list closes in about one step per relation.  The chain-count
-dynamic program counts chains by their least element.  The subdivision
-orders chains by length and then lexicographically, and builds each
-length from the one before: a chain's sub-chains come from its
-parent's.  All values are immutable after construction.  A poset file
-has one writer, ``write_poset``, which lays the document out as
-``json.dump(..., indent=2)`` would, in chunks, with each up-set sorted
-by label rank.
+dynamic program counts chains by their greatest element.  The
+subdivision orders chains by length and then lexicographically, and
+builds each length from the one before: a chain's down-set is its
+proper sub-chains, which come from its parent's.  All values are
+immutable after construction.  A poset file has one writer,
+``write_poset``, which lays the document out as ``json.dump(...,
+indent=2)`` would, in chunks, with the pairs put in order by one walk
+over the elements in label order.
 """
 
 import json
@@ -34,16 +37,18 @@ from .errors import (
 class Poset:
     """Finite strict partial order over labeled elements.
 
-    ``above[i]`` is the ascending tuple of the indices j with element
-    i < element j; it is always the full transitive closure.  Labels are
+    ``below[i]`` is the tuple of the indices j with element j < element
+    i, in no particular order; it is always the full transitive closure.
+    ``above`` is its transposition, each row ascending.  Labels are
     unique; a repeated label raises DuplicateLabel.
     """
 
-    __slots__ = ("labels", "above", "_index")
+    __slots__ = ("labels", "below", "_above", "_index")
 
-    def __init__(self, labels, above):
+    def __init__(self, labels, below):
         self.labels = tuple(labels)
-        self.above = tuple(map(tuple, above))
+        self.below = tuple(map(tuple, below))
+        self._above = None
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self._index) != len(self.labels):
             dup = Counter(self.labels).most_common(1)[0][0]
@@ -51,6 +56,21 @@ class Poset:
 
     def __len__(self):
         return len(self.labels)
+
+    @property
+    def above(self):
+        """``above[i]``: the ascending tuple of the indices above i.
+
+        Transposed from ``below`` on first read and kept: only the
+        subdivision reads it, to extend each chain at its top.
+        """
+        if self._above is None:
+            rows = [[] for _ in self.labels]
+            for j, row in enumerate(self.below):
+                for i in row:
+                    rows[i].append(j)
+            self._above = tuple(map(tuple, rows))
+        return self._above
 
     def index(self, label):
         try:
@@ -60,7 +80,7 @@ class Poset:
 
     def less(self, a, b):
         """True iff a < b (labels)."""
-        return self.index(b) in self.above[self.index(a)]
+        return self.index(a) in self.below[self.index(b)]
 
     def __repr__(self):
         return f"Poset({len(self)} elements)"
@@ -107,40 +127,45 @@ def build_poset(labels, relations):
     index = Poset(labels, ()).index  # checks and looks up the labels
     n = len(labels)
     direct = [set() for _ in range(n)]
-    lower = [set() for _ in range(n)]
+    upper = [set() for _ in range(n)]
     for a, b in relations:
         i, j = index(a), index(b)
         if i == j:
             raise CycleDetected(f"relation {a!r} < {a!r}")
-        direct[i].add(j)
-        lower[j].add(i)
+        direct[j].add(i)
+        upper[i].add(j)
 
-    # Kahn's sort from the maximal elements down: an element is popped
-    # once all its direct successors are closed, so it closes in one pass.
-    # Elements never popped lie on or below a cycle.
+    # Kahn's sort from the minimal elements up: an element is popped once
+    # all its direct predecessors are closed, so it closes in one pass.
+    # pos[i] is the position at which i was popped.  Elements never popped
+    # lie on or above a cycle.
     pending = [len(d) for d in direct]
     stack = [i for i in range(n) if not pending[i]]
-    above = [()] * n
+    below = [()] * n
+    pos = [0] * n
     closed = 0
     while stack:
         i = stack.pop()
+        pos[i] = closed
         closed += 1
-        # A successor inside an up-set already taken has its own up-set
-        # inside that one, by transitivity: on a closed relation list
-        # most successors are skipped.
+        # A predecessor inside a down-set already taken has its own
+        # down-set inside that one, by transitivity.  One below another
+        # was closed before it, so taking the latest-closed first skips
+        # it: on a closed relation list, in any listing order, all but
+        # one predecessor is skipped.
         acc = set()
-        for j in direct[i]:
+        for j in sorted(direct[i], key=pos.__getitem__, reverse=True):
             if j not in acc:
-                acc.update(above[j])
+                acc.update(below[j])
         acc |= direct[i]
-        above[i] = sorted(acc)
-        for j in lower[i]:
+        below[i] = tuple(acc)
+        for j in upper[i]:
             pending[j] -= 1
             if not pending[j]:
                 stack.append(j)
     if closed != n:
         raise CycleDetected("relations contain a cycle")
-    return Poset(labels, above)
+    return Poset(labels, below)
 
 
 def _require_nonempty(p):
@@ -151,15 +176,15 @@ def _require_nonempty(p):
 def strict_chain_vector(p):
     """Counts of strictly increasing sequences of each length.
 
-    ``cur[i]`` counts the chains of the current length with least
-    element i; one step puts an element below each chain.
+    ``cur[i]`` counts the chains of the current length with greatest
+    element i; one step puts an element above each chain.
     """
     _require_nonempty(p)
     n = len(p)
     cur = [1] * n
     counts = [n]
     while True:
-        nxt = [sum(map(cur.__getitem__, row)) for row in p.above]
+        nxt = [sum(map(cur.__getitem__, row)) for row in p.below]
         s = sum(nxt)
         if s == 0:
             break
@@ -171,12 +196,12 @@ def strict_chain_vector(p):
 def dimension(p):
     """Length of the longest strict chain."""
     _require_nonempty(p)
-    # Longest-path DP over the closed relation.  An element above i has
-    # a strictly smaller up-set, so rising up-set size is a valid order.
-    above = p.above
+    # Longest-path DP over the closed relation.  An element below i has
+    # a strictly smaller down-set, so rising down-set size is a valid order.
+    below = p.below
     height = [0] * len(p)
-    for i in sorted(range(len(p)), key=lambda i: len(above[i])):
-        height[i] = max((height[j] + 1 for j in above[i]), default=0)
+    for i in sorted(range(len(p)), key=lambda i: len(below[i])):
+        height[i] = max((height[j] + 1 for j in below[i]), default=0)
     return max(height)
 
 
@@ -189,7 +214,7 @@ def weak_chain_count(p, i):
     _require_nonempty(p)
     if i < 0:
         raise ValueError("length must be >= 0")
-    rows = p.above
+    rows = p.below
     w = [1] * len(p)
     for _ in range(i):
         w = [w[a] + sum(map(w.__getitem__, row)) for a, row in enumerate(rows)]
@@ -211,46 +236,37 @@ def barycentric_subdivision(p):
     proper sub-chains of c + (j,) are those of c, c itself, (j,), and
     s + (j,) for each proper sub-chain s of c, read from a map, one per
     top j, of each chain's index to that of the chain extended by j.
-    Inclusion is transitive, so each chain's index goes straight into
-    the rows of its proper sub-chains; chains are made in index order,
-    so every row comes out ascending.  It has one element per chain of
-    p, so a caller can bound its size from ``strict_chain_vector(p)``
-    before building it.
+    Inclusion is transitive, so that tuple of sub-chains is the new
+    chain's down-set as it stands.  It has one element per chain of p, so
+    a caller can bound its size from ``strict_chain_vector(p)`` before
+    building it.
     """
     _require_nonempty(p)
     n = len(p)
-    labels = list(p.labels)
-    above = [[] for _ in range(n)]
+    above, names = p.above, p.labels
+    labels = list(names)
+    # The proper sub-chains of each chain, the one-element chains' first.
+    below = [()] * n
     # extend[j][index of c] = index of c + (j,)
     extend = [{} for _ in range(n)]
-    # One length: its chains' tops and proper sub-chains, in index order
-    # from ``start``; only this length and the next are held.  The loops
-    # are plain: CPython 3.11 specializes their appends and lookups, and
-    # map() over bound methods measured slower.
-    start, tops, subs = 0, range(n), [[]] * n
+    # One length: its chains' tops, in index order from ``start``; their
+    # down-sets are read from ``below``.  The loops are plain: CPython
+    # 3.11 specializes their appends and lookups.
+    start, tops = 0, range(n)
     while tops:
-        next_tops, next_subs = [], []
-        for c, top, sub in zip(count(start), tops, subs):
+        next_tops = []
+        for c, top in zip(count(start), tops):
             head = labels[c] + "|"
-            for j in p.above[top]:
-                x = len(labels)
+            sub = below[c]
+            for j in above[top]:
                 ext = extend[j]
-                ext[c] = x
-                labels.append(head + p.labels[j])
-                above.append([])
-                new = sub + [c, j]
-                above[c].append(x)
-                above[j].append(x)
-                for s in sub:
-                    e = ext[s]
-                    new.append(e)
-                    above[s].append(x)
-                    above[e].append(x)
+                ext[c] = len(labels)
+                labels.append(head + names[j])
+                below.append((*sub, c, j, *map(ext.__getitem__, sub)))
                 next_tops.append(j)
-                next_subs.append(new)
         start += len(tops)
-        tops, subs = next_tops, next_subs
-    return Poset(labels, above)
+        tops = next_tops
+    return Poset(labels, below)
 
 
 def simplex_face_poset(num_vertices):
@@ -261,25 +277,29 @@ def simplex_face_poset(num_vertices):
     if num_vertices < 1:
         raise ValueError("need at least one vertex")
     labels = (f"v{i}" for i in range(1, num_vertices + 1))
-    rows = (range(i + 1, num_vertices) for i in range(num_vertices))
+    rows = map(range, range(num_vertices))
     return barycentric_subdivision(Poset(labels, rows))
 
 
-def _label_rows(p):
-    """Each element's up-set in the file's pair order.
+def _label_rows(p, values):
+    """Each element's up-set in the file's pair order, as ``values``.
 
-    Yields (i, js) for the elements i in label order, with js the indices
-    above i, also in label order.  Labels are unique, so this is the order
-    of sorting the pairs [a, b] themselves; the labels are ranked once,
-    and the rows are sorted by rank, so no string is compared again.
+    Yields (i, row) for the elements i in label order, with row the
+    values[j] of the elements j above i, also in label order.  Labels
+    are unique, so this is the order of sorting the pairs [a, b]
+    themselves.  One walk over the elements in label order appends each
+    values[j] to the rows of its down-set, so every row comes out in
+    order without a sort and no up-set is built.
     """
     labels = p.labels
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    rank = [0] * len(labels)
-    for r, i in enumerate(order):
-        rank[i] = r
+    rows = [[] for _ in labels]
+    for j in order:
+        v = values[j]
+        for i in p.below[j]:
+            rows[i].append(v)
     for i in order:
-        yield i, sorted(p.above[i], key=rank.__getitem__)
+        yield i, rows[i]
 
 
 # Items per write: a few thousand keep the writes few and the pieces small.
@@ -289,19 +309,25 @@ _CHUNK = 4096
 def _write_list(out, items, depth):
     # A list of encoded items as json.dump(indent=2) lays it out at this
     # depth, written one chunk at a time.
+    sep = ",\n" + "  " * (depth + 1)
     items = iter(items)
-    chunk = list(islice(items, _CHUNK))
-    if not chunk:
+    chunks = iter(lambda: list(islice(items, _CHUNK)), [])
+    _write_joined(out, map(sep.join, chunks), depth)
+
+
+def _write_joined(out, pieces, depth):
+    # The same list from pieces that each hold a run of its items already
+    # joined by the separator: one write per piece.
+    sep = ",\n" + "  " * (depth + 1)
+    first = next(pieces, None)
+    if first is None:
         out.write("[]")
         return
-    sep = ",\n" + "  " * (depth + 1)
     out.write("[" + sep[1:])
-    while True:
-        out.write(sep.join(chunk))
-        chunk = list(islice(items, _CHUNK))
-        if not chunk:
-            break
+    out.write(first)
+    for piece in pieces:
         out.write(sep)
+        out.write(piece)
     out.write("\n" + "  " * depth + "]")
 
 
@@ -311,8 +337,8 @@ def write_poset(p, out):
     The bytes are those of ``json.dump(..., indent=2)`` of the labels and
     the sorted strict pairs [a, b], written in chunks without building
     that document: each label is encoded once, and after the elements
-    each code takes on the end of a pair, so a pair is one head per row
-    and one concatenation.
+    each code takes on the end of a pair, so the pairs of one row are one
+    join of their ends.
     """
     # json.dumps of a str, under default settings, returns this C
     # encoder's output, so the bytes are the same without its per-call
@@ -323,21 +349,37 @@ def write_poset(p, out):
     out.write(',\n  "relations": ')
     # Each code now ends a pair; the bare codes are not kept.
     enc = [code + _PAIR_END for code in enc]
-    _write_list(out, _pair_blocks(p, enc), 1)
+    _write_joined(out, _pair_chunks(p, enc), 1)
     out.write("\n}")
 
 
+# The end of a pair [a, b] and the separator between pairs, as
+# json.dump(indent=2) lays them out in the relations.
 _PAIR_END = "\n    ]"
+_PAIR_SEP = ",\n    "
 
 
-def _pair_blocks(p, ends):
-    # Each pair [a, b] as json.dump(indent=2) lays it out in the
-    # relations; ends[i] is the code of label i with the pair's end.
+def _pair_chunks(p, ends):
+    # The relations' pairs, joined by their separator, _CHUNK pairs to a
+    # piece; ends[i] is the code of label i with the pair's end.  The
+    # pairs of one row share their head, so each run of a row is one join.
     cut = -len(_PAIR_END)
-    for i, js in _label_rows(p):
+    parts, room = [], _CHUNK
+    for i, row in _label_rows(p, ends):
+        if not row:
+            continue
         head = "[\n      " + ends[i][:cut] + ",\n      "
-        for j in js:
-            yield head + ends[j]
+        glue = _PAIR_SEP + head
+        while len(row) >= room:
+            parts.append(head + glue.join(row[:room]))
+            yield _PAIR_SEP.join(parts)
+            row = row[room:]
+            parts, room = [], _CHUNK
+        if row:
+            parts.append(head + glue.join(row))
+            room -= len(row)
+    if parts:
+        yield _PAIR_SEP.join(parts)
 
 
 def _is_string_list(value):

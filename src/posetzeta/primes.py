@@ -164,8 +164,9 @@ def mertens(n):
 def build_Pn(n):
     """Divisibility poset of squarefree integers in [2, n].
 
-    The squarefree multiples of an element, in ascending order, are the
-    elements above it, so they are its closed row as they come.
+    The elements below an element are its squarefree divisors above 1,
+    already closed: each element goes into the row of each of its
+    squarefree proper multiples.
     """
     if n > DEFAULT_POSET_CAP:
         raise RangeTooLarge(
@@ -174,9 +175,11 @@ def build_Pn(n):
     code = squarefree_sieve(n).code
     elements = [k for k in range(2, n + 1) if code[k] != _NOT_SQUAREFREE]
     index = {k: i for i, k in enumerate(elements)}
-    rows = ([index[m] for m in range(2 * a, n + 1, a)
-             if code[m] != _NOT_SQUAREFREE]
-            for a in elements)
+    rows = [[] for _ in elements]
+    for i, a in enumerate(elements):
+        for m in range(2 * a, n + 1, a):
+            if code[m] != _NOT_SQUAREFREE:
+                rows[index[m]].append(i)
     return Poset(map(str, elements), rows)
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,14 @@ from posetzeta import (
     CycleDetected,
     DuplicateLabel,
     EmptyPoset,
+    Poset,
     UnknownLabel,
     barycentric_subdivision,
     build_poset,
     dimension,
     euler_characteristic,
     poset_from_dict,
+    save_poset,
     simplex_face_poset,
     strict_chain_vector,
     weak_chain_count,
@@ -34,6 +37,7 @@ from helpers import (
     random_posets,
     subdivision_via_relations,
 )
+from posetzeta.cli import run
 
 
 def p6():
@@ -97,6 +101,35 @@ class TestBuildPoset:
         for i, a in enumerate(p.labels):
             rank = int(a[1:])
             assert p.above[i] == tuple(sorted(map(p.index, c[rank + 1:])))
+
+    @pytest.mark.parametrize("listing", ["bottom-up", "top-down", "shuffled"])
+    def test_closure_skips_in_any_listing_order(self, listing):
+        # Every pair of a 200-element chain: each element's predecessors
+        # are merged latest-closed first, so only the one just below it
+        # is merged, whatever order the elements are listed in.
+        n = 200
+        c = [f"c{i}" for i in range(n)]
+        closed = [(a, b) for i, a in enumerate(c) for b in c[i + 1:]]
+        labels = {
+            "bottom-up": c,
+            "top-down": c[::-1],
+            "shuffled": random.Random(FIXED_SEED).sample(c, n),
+        }[listing]
+        updates = 0
+
+        def count(frame, event, arg):
+            nonlocal updates
+            if event == "c_call" and getattr(arg, "__name__", "") == "update":
+                updates += isinstance(getattr(arg, "__self__", None), set)
+
+        old = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            p = build_poset(labels, closed)
+        finally:
+            sys.setprofile(old)
+        assert updates < n
+        assert p.above == build_poset(labels, list(zip(c, c[1:]))).above
 
 
 class TestChainCounts:
@@ -210,6 +243,34 @@ class TestRandomOracle:
         p = build_poset(*dag)
         q = poset_from_dict(json.loads(json.dumps(poset_to_dict(p))))
         assert (q.labels, q.above) == (p.labels, p.above)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dags())
+    def test_down_sets_vs_brute_force(self, dag):
+        labels, relations = dag
+        p = build_poset(labels, relations)
+        less = brute_closure(relations)
+        # A subdivision's elements are the chains of p, by (length, chain),
+        # and a chain's down-set is its proper sub-chains.
+        chains = sorted(brute_chains(p), key=lambda c: (len(c), c))
+        joined = ["|".join(p.labels[i] for i in c) for c in chains]
+        cases = [(p, lambda a, b: (labels[a], labels[b]) in less)]
+        if len(set(joined)) == len(joined):
+            cases.append((barycentric_subdivision(p),
+                          lambda a, b: set(chains[a]) < set(chains[b])))
+        for q, below_oracle in cases:
+            n = len(q)
+            for i, row in enumerate(q.below):
+                assert isinstance(row, tuple) and len(set(row)) == len(row)
+                want = {j for j in range(n) if below_oracle(j, i)}
+                assert set(row) == want
+                assert want == {
+                    j for j in range(n) if q.less(q.labels[j], q.labels[i])
+                }
+            assert q.above == tuple(
+                tuple(j for j in range(n) if i in q.below[j])
+                for i in range(n)
+            )
 
     def test_strict_counts_vs_brute_force(self):
         for p in random_posets(60):
@@ -355,6 +416,26 @@ class TestWritePoset:
         p = build_poset(*dag)
         for q in (p, barycentric_subdivision(p)):
             assert written(q) == dumped_poset(q)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_subdivide_reads_up_sets_only_to_extend(
+        self, fmt, tmp_path, monkeypatch
+    ):
+        # subdivide --times 2 reads the up-sets of the two posets it
+        # subdivides, and not those of the one it writes.
+        p = p30_explicit()
+        save_poset(p, tmp_path / "p30.json")
+        read = []
+        up_sets = Poset.above.fget
+        monkeypatch.setattr(
+            Poset, "above",
+            property(lambda q: read.append(len(q)) or up_sets(q)),
+        )
+        argv = ["subdivide", "--input", str(tmp_path / "p30.json"),
+                "--times", "2", "--format", fmt]
+        run(argv, out=io.StringIO())
+        once = len(barycentric_subdivision(p))
+        assert set(read) == {len(p), once}
 
 
 @pytest.mark.parametrize(
