@@ -80,8 +80,8 @@ from .zeta import g_k_polynomial, zeta_rational
 
 __version__ = "0.1.0"
 
-# The root finder and mpmath, which only it needs, load on the first use
-# of one of these names (PEP 562), so the exact layers start without them.
+# The root finder and its Dyadic values load on the first use of one of
+# these names (PEP 562), so the exact layers start without compiling them.
 _ROOT_NAMES = frozenset(
     {"roots", "RootSet", "TrajectoryReport", "find_roots", "theorem_report"}
 )

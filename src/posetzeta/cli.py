@@ -8,15 +8,16 @@ with nothing printed, when the reader of stdout closes it early, as
 ``--output`` is opened, so that file is neither created nor truncated.
 Exact rationals are always serialized as "p/q" strings (or a bare
 integer).  Floats appear in root-tracking output, where each is a field
-of its step's record, printed once with 20 significant digits from the
-mpf as computed, alongside the precision used (an imaginary part proved
+of its step's record, a Gaussian dyadic at the working precision, printed
+once with 20 significant digits from every bit it holds, as mpmath's
+nstr prints them, alongside the precision used (an imaginary part proved
 zero prints as 0.0), and in the dim-report estimate and ratio, printed
 by repr().  Each command returns its CSV header and rows, as tuples, and
 the writer of its JSON document if that is not the list of row objects.
 
-Only theorem-check (alias zeros) imports mpmath and the root finder, at
-its first call: every other command runs without them.  The parser is
-built once per process.
+Only theorem-check (alias zeros) imports the root finder, at its first
+call: every other command runs without it.  No command imports mpmath.
+The parser is built once per process.
 """
 
 import io
@@ -69,9 +70,9 @@ SUBDIVISION_RELATION_CAP = 5_000_000
 # and 1.2 s of CPU, and at 140 about seven times as long.  The f triangle
 # takes 0.02 s at 100 (one run per process on a shared 2-CPU virtual machine).
 TABLES_DMAX_CAP = 100
-# theorem-check grows with both: the chain with d = 8 takes about 1 s of
-# CPU at --kmax 100 and about 3 s at --kmax 24 with --precision-bits
-# 4096 (best of 3 on a shared 2-CPU virtual machine).
+# theorem-check grows with both: the chain with d = 8 takes about 0.8 s of
+# process CPU at --kmax 100 and about 3.3 s at --kmax 24 with
+# --precision-bits 4096 (best of 3 on a shared 2-CPU virtual machine).
 THEOREM_KMAX_CAP = 100
 THEOREM_PRECISION_BITS_CAP = 4096
 
@@ -126,10 +127,9 @@ def parse_rational(s):
 
 
 def fmt_float(x):
-    """FLOAT_DIGITS significant digits of an mpf, from every bit it holds."""
-    import mpmath as mp
-
-    return mp.nstr(x, FLOAT_DIGITS, strip_zeros=False)
+    """FLOAT_DIGITS significant digits of a real `Dyadic`, from every bit
+    it holds, as mpmath's nstr(x, FLOAT_DIGITS, strip_zeros=False)."""
+    return x.nstr(FLOAT_DIGITS)
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search

@@ -21,19 +21,20 @@ y = 0, cut to the working precision; its backward error is computed
 exactly on integers from that dyadic and must be at most 2^-(bits/2).
 That test, the order, the conjugate pairs and, in the trajectory report,
 the dominant root, its realness and the matching are all decided on
-those integers; mpmath only builds the values returned.  The trajectory
-report tracks, per subdivision step, the dominant root against its
-predicted growth and the others against the limit polynomial's roots.
+those integers, and the values returned and reported are `Dyadic`s built
+from them, which round as mpmath did.  The trajectory report tracks, per
+subdivision step, the dominant root against its predicted growth and the
+others against the limit polynomial's roots.
 """
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import exp, factorial, floor, isqrt, lcm, log, pi
-from operator import add
+from operator import add, mul
 
-import mpmath as mp
-
+from .dyadic import Dyadic, rounded
 from .errors import (
     DegreeZero,
     DimensionZero,
@@ -62,15 +63,12 @@ START_ANGLE = 0.7
 
 @dataclass(frozen=True)
 class RootSet:
+    # Each root and residual a Dyadic at precision precision_bits + 64.
     roots: tuple
     residuals: tuple  # backward error |p(z)| / sum |c_i| |z|^i per root
     precision_bits: int
     gaussians: tuple  # (x, y) per root: roots[i] is (x + iy) / 2^exponent
     exponent: int
-
-
-def _to_mpf(fr):
-    return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
 
 
 def _horner(coeffs, z):
@@ -96,8 +94,8 @@ def find_roots(p, precision_bits=256):
     and each conjugate pair, whose real parts differ by rounding only,
     puts its member with im < 0 first, each residual with its root.  All
     three are decided on integers, the dyadics over one denominator 2^g,
-    and only then is each made an mpc, exactly; those integers and g are
-    returned with them, in the same order.
+    and only then is each made a `Dyadic`, exactly; those integers and g
+    are returned with them, in the same order.
     """
     if p.degree < 1:
         raise DegreeZero("root finding needs degree >= 1")
@@ -120,12 +118,12 @@ def find_roots(p, precision_bits=256):
         near = (xb - xa) ** 2 + (yb + ya) ** 2 << 2 * t <= xa * xa + ya * ya
         if ya > 0 and near:
             order[i:i + 2] = order[i + 1], order[i]
-    with mp.workprec(bits):
-        return RootSet(
-            tuple(mp.mpc(mp.ldexp(x, -f), mp.ldexp(y, -f))
-                  for x, y, f in map(roots.__getitem__, order)),
-            tuple(mp.ldexp(*errors[i]) for i in order), precision_bits,
-            tuple(map(keys.__getitem__, order)), g)
+    return RootSet(
+        tuple(Dyadic(x, y, -f, bits)
+              for x, y, f in map(roots.__getitem__, order)),
+        tuple(Dyadic(q, 0, e, bits)
+              for q, e in map(errors.__getitem__, order)),
+        precision_bits, tuple(map(keys.__getitem__, order)), g)
 
 
 def _integer_coeffs(coeffs):
@@ -484,10 +482,11 @@ def _newton_in_bracket(a, z, lo, hi, g, bits):
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """The roots of g_k, and every value printed for step k, each computed
-    once.  es_ratio is |beta1| chi / (H_1 N_d (d+1)!^k), N_d read before
-    subdividing.  |beta1| grows like |alpha| (d+1)!^k, alpha = H_1 N_d /
-    chi, so es_ratio tends to sign(chi): to -1 for P_95.
-    max_match_distance is the mpf 0 when there are no targets (d = 1)."""
+    once, all `Dyadic`s at precision precision_bits + 64.  es_ratio is
+    |beta1| chi / (H_1 N_d (d+1)!^k), N_d read before subdividing.
+    |beta1| grows like |alpha| (d+1)!^k, alpha = H_1 N_d / chi, so es_ratio
+    tends to sign(chi): to -1 for P_95.  With no targets (d = 1),
+    max_match_distance is 0 and product_of_others the empty product, 1."""
 
     k: int
     beta1: object
@@ -630,38 +629,43 @@ def theorem_report(p, k_max, precision_bits=256):
     if d >= 2:
         targets = find_roots(H_polynomial(d), precision_bits)
     records, real, tops = [], [], []
+    bits = precision_bits + 64
     cv_k = cv  # the chain vector after k subdivisions
-    with mp.workprec(precision_bits + 64):
-        for k in range(k_max + 1):
-            if k:
-                cv_k = transfer_iterate(cv_k, 1)
-            rs = find_roots(g_from_chain_vector(cv_k), precision_bits)
-            i = _pick_beta1(rs.gaussians, precision_bits)
-            x, y = rs.gaussians[i]
-            real.append(_is_real((x, y), precision_bits))
-            tops.append((x * x + y * y, rs.exponent))
-            # The other roots and the targets over one power of 2.
-            e = max(rs.exponent, targets.exponent)
-            zs, ts = (
-                [(a << e - g, b << e - g) for a, b in pairs] for pairs, g in (
-                    (rs.gaussians[:i] + rs.gaussians[i + 1:], rs.exponent),
-                    (targets.gaussians, targets.exponent)))
-            picks = _match(zs, ts, precision_bits)
-            near = [(a - u) ** 2 + (b - v) ** 2
-                    for (a, b), (u, v) in zip(zs, map(ts.__getitem__, picks))]
-            others = rs.roots[:i] + rs.roots[i + 1:]
-            matched = tuple(map(targets.roots.__getitem__, picks))
-            dists = tuple(abs(r - t) for r, t in zip(others, matched))
-            beta1_abs = abs(rs.roots[i])
-            growth = Fraction(factorial(d + 1)) ** k * h1 * cv[d]
-            records.append(TrajectoryRecord(
-                k=k, beta1=rs.roots[i], beta1_abs=beta1_abs,
-                es_ratio=beta1_abs * chi / _to_mpf(growth),
-                other_roots=others, matched_targets=matched,
-                matched_distances=dists,
-                max_match_distance=(
-                    dists[near.index(max(near))] if near else mp.mpf(0)),
-                product_of_others=mp.fprod(others)))
+    for k in range(k_max + 1):
+        if k:
+            cv_k = transfer_iterate(cv_k, 1)
+        rs = find_roots(g_from_chain_vector(cv_k), precision_bits)
+        i = _pick_beta1(rs.gaussians, precision_bits)
+        x, y = rs.gaussians[i]
+        real.append(_is_real((x, y), precision_bits))
+        tops.append((x * x + y * y, rs.exponent))
+        # The other roots and the targets over one power of 2.
+        e = max(rs.exponent, targets.exponent)
+        zs, ts = (
+            [(a << e - g, b << e - g) for a, b in pairs] for pairs, g in (
+                (rs.gaussians[:i] + rs.gaussians[i + 1:], rs.exponent),
+                (targets.gaussians, targets.exponent)))
+        picks = _match(zs, ts, precision_bits)
+        near = [(a - u) ** 2 + (b - v) ** 2
+                for (a, b), (u, v) in zip(zs, map(ts.__getitem__, picks))]
+        others = rs.roots[:i] + rs.roots[i + 1:]
+        matched = tuple(map(targets.roots.__getitem__, picks))
+        dists = tuple(abs(r - t) for r, t in zip(others, matched))
+        beta1_abs = abs(rs.roots[i])
+        growth = Fraction(factorial(d + 1)) ** k * h1 * cv[d]
+        # As mpf(a) / mpf(b) was: each side rounded, then divided.
+        predicted = (rounded(growth.numerator, 0, 0, bits)
+                     / rounded(growth.denominator, 0, 0, bits))
+        records.append(TrajectoryRecord(
+            k=k, beta1=rs.roots[i], beta1_abs=beta1_abs,
+            es_ratio=beta1_abs * chi / predicted,
+            other_roots=others, matched_targets=matched,
+            matched_distances=dists,
+            max_match_distance=(
+                dists[near.index(max(near))] if near
+                else Dyadic(0, 0, 0, bits)),
+            # As mp.fprod was: from 1, left to right.
+            product_of_others=reduce(mul, others, Dyadic(1, 0, 0, bits))))
     real_from = _holds_from(real)
     # |beta1|^2 is n / 4^g at each step: compared exactly.
     increasing_from = _holds_from([

@@ -30,6 +30,7 @@ from posetzeta import (
     series_expand,
     top_chain_count,
 )
+from posetzeta.dyadic import Dyadic
 from posetzeta.poset import ChainVector, _require_nonempty
 from posetzeta.primes import _NOT_SQUAREFREE
 from posetzeta.roots import START_ANGLE, RootSet, _assign
@@ -338,18 +339,26 @@ def gaussian_pairs(*sides):
     integer pairs (x, y) over one power of 2, 2^g for every side, as
     roots._pick_beta1 and roots._match take them.  Returns the list of
     pairs of each side, then g."""
-    dyadics = [[mpc_gaussian(mp.convert(z)) for z in side] for side in sides]
+    dyadics = [[mpc_gaussian(z) for z in side] for side in sides]
     g = max((f for side in dyadics for _, _, f in side), default=0)
     pairs = [[(x << g - f, y << g - f) for x, y, f in side] for side in dyadics]
     return (*pairs, g)
 
 
+def to_mpf(fr):
+    """A Fraction as an mpf at the working precision: numerator and
+    denominator each rounded, then divided."""
+    return mp.mpf(fr.numerator) / mp.mpf(fr.denominator)
+
+
 def root_set(roots, precision_bits):
-    """A RootSet of the given mpc roots, in that order, with zero residuals
-    and the exact form find_roots gives."""
+    """A RootSet of the given mpc roots, in that order, as the Dyadics of
+    find_roots at precision_bits + 64 from the same exact pairs, with zero
+    residuals and the exact form find_roots gives."""
     pairs, g = gaussian_pairs(roots)
-    return RootSet(tuple(roots), (0,) * len(roots), precision_bits,
-                   tuple(pairs), g)
+    bits = precision_bits + 64
+    return RootSet(tuple(Dyadic(x, y, -g, bits) for x, y in pairs),
+                   (0,) * len(roots), precision_bits, tuple(pairs), g)
 
 
 def mp_newton_polygon_starts(coeffs):
@@ -799,7 +808,9 @@ def taylor_by_guarded_entries(d):
 def mpc_gaussian(z):
     """An mpc exactly, as the Gaussian dyadic (x, y, f): the value
     (x + iy) / 2^f.  The former bridge of find_roots from its mpc roots
-    back to dyadics; the oracle that reads a returned root exactly."""
+    back to dyadics; the oracle that reads a returned root exactly, after
+    mpmath's own conversion of it."""
+    z = mp.convert(z)
     # An mpf is held as (sign, mantissa, exponent, bit count).
     (xs, xm, xe, _), (ys, ym, ye, _) = z.real._mpf_, z.imag._mpf_
     f = -min(xe, ye)

@@ -424,7 +424,8 @@ class TestZerosCommands:
         report = roots_module.theorem_report(build_Pn(210), 4)
 
         def text(x):
-            return mpmath.nstr(x, 20, strip_zeros=False)
+            # mpmath's own digits of the value, converted exactly.
+            return mpmath.nstr(mpmath.convert(x), 20, strip_zeros=False)
 
         expected = [
             [
@@ -952,7 +953,7 @@ class TestCachedParser:
             assert capsys.readouterr().out.encode() == fresh.stdout
 
 
-ROOT_PATH = ("mpmath", "posetzeta.roots")
+ROOT_PATH = ("mpmath", "posetzeta.dyadic", "posetzeta.roots")
 
 
 def root_path_loaded_by(code, *argv, cwd=None):
@@ -1009,10 +1010,39 @@ class TestRootPathImports:
         assert roots_module.g_k_polynomial is posetzeta.zeta.g_k_polynomial
 
     def test_theorem_check_loads_the_root_path(self, tmp_path):
+        # The root finder and its values, and no mpmath.
         write_p6(tmp_path)
         argv = ["theorem-check", "--input", "p6.json", "--kmax", "2"]
         loaded = root_path_loaded_by(self.RUN_MAIN, *argv, cwd=tmp_path)
-        assert loaded == sorted(ROOT_PATH)
+        assert loaded == ["posetzeta.dyadic", "posetzeta.roots"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "poset",
+        [
+            # The Hungarian search, and a beta1 from a conjugate pair.
+            build_poset(list("abcde"), [("a", x) for x in "bcd"]
+                        + [(x, "e") for x in "bcd"]),
+            # The fixed-point sweeps, and the noise of a conjugate pair.
+            build_poset(list("abcde"), [("b", "c"), ("c", "d"), ("d", "e")]),
+        ],
+        ids=["fan", "chain-beside-point"],
+    )
+    def test_theorem_check_runs_without_mpmath(self, tmp_path, poset, fmt):
+        # An interpreter that cannot import mpmath prints the same bytes
+        # as one that can.
+        save_poset(poset, tmp_path / "p.json")
+        argv = ["theorem-check", "--input", "p.json", "--kmax", "4",
+                "--format", fmt]
+        outs = []
+        for block in ("", "sys.modules['mpmath'] = None\n"):
+            res = subprocess.run(
+                [sys.executable, "-c", "import sys\n" + block
+                 + self.RUN_MAIN, *argv],
+                capture_output=True, cwd=tmp_path, env=checkout_env())
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] == outs[1] and outs[0].count(b"\n") > 5
 
 
 class TestPackageNamespace:

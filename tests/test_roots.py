@@ -1,5 +1,8 @@
 import csv
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import isfinite, lcm
@@ -24,6 +27,7 @@ from helpers import (
     root_set,
     sign_scan_root_count,
     sort_like_find_roots,
+    to_mpf,
 )
 from posetzeta import (
     DegreeZero,
@@ -45,6 +49,7 @@ from posetzeta import (
 )
 from posetzeta import roots as roots_module
 from posetzeta.cli import fmt_float, main
+from posetzeta.dyadic import Dyadic
 from posetzeta.roots import (
     _aberth,
     _backward_error_bound,
@@ -59,7 +64,6 @@ from posetzeta.roots import (
     _normalized,
     _pick_beta1,
     _polygon_start,
-    _to_mpf,
 )
 from posetzeta.zeta import g_from_chain_vector
 
@@ -70,10 +74,10 @@ def p6():
 
 def assert_backward_errors(poly, roots, bits):
     """|p(z)| <= 2^-(bits/2) * sum |c_i| |z|^i for every root, evaluated
-    from the exact coefficients at higher precision."""
+    in mpmath, from the exact coefficients at higher precision."""
     with mp.workprec(2 * bits):
         coeffs = [mp.mpf(c.numerator) / c.denominator for c in poly.coeffs]
-        for z in roots:
+        for z in map(mp.convert, roots):
             value = abs(mp.polyval(coeffs[::-1], z))
             scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
             assert value <= mp.mpf(2) ** -(bits // 2) * scale, z
@@ -85,7 +89,7 @@ def aberth_oracle(poly, bits=256):
     find_roots sorts."""
     zeros = next(i for i, c in enumerate(poly.coeffs) if c)
     with mp.workprec(bits + 64):
-        coeffs = [_to_mpf(c) for c in poly.coeffs[zeros:]]
+        coeffs = [to_mpf(c) for c in poly.coeffs[zeros:]]
         with mp.workprec(53):
             starts = mp_newton_polygon_starts(coeffs)
         tol = mp.mpf(2) ** -(bits // 2)
@@ -385,13 +389,6 @@ def exact_value(coeffs, z):
     return re, im
 
 
-class NoMpmath:
-    """Stands in for the mpmath module: any use of it fails."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"mp.{name} used")
-
-
 class TestFixedAberth:
     def test_spread_roots_match_oracle(self):
         sweeps = []
@@ -429,8 +426,8 @@ class TestFixedAberth:
         for poly in polys:
             rs = find_roots(poly)
             with mp.workprec(2 * (256 + 64)):
-                coeffs = [_to_mpf(c) for c in poly.coeffs]
-                for z, r in zip(rs.roots, rs.residuals):
+                coeffs = [to_mpf(c) for c in poly.coeffs]
+                for z, r in zip(map(mp.convert, rs.roots), rs.residuals):
                     assert r <= mp.mpf(2) ** -128
                     if not r:
                         # Rounding would make mpmath's value positive.
@@ -455,9 +452,9 @@ class TestFixedAberth:
             _fixed_aberth([-1, 0, 1], [(1, 1, 1), (-3, 2, 3)], 320, 128)
 
     def test_integer_sweeps_use_no_mpmath(self, monkeypatch):
-        # Every step below the one mpc builder of `find_roots` runs
-        # without mpmath: the doubles, the certificate and the sweeps.
-        monkeypatch.setattr(roots_module, "mp", NoMpmath())
+        # Every step of `find_roots` runs without mpmath: the doubles, the
+        # certificate and the sweeps import none of it.
+        monkeypatch.setitem(sys.modules, "mpmath", None)
         h = integer_coeffs(H_polynomial(6))
         approx = _float_aberth(h, _newton_polygon_starts(h))
         assert _certified_real_roots(h, [dyadic(z.real) for z in approx], 320)
@@ -497,7 +494,7 @@ class TestNewtonPolygonStarts:
         for coeffs in cases:
             got = _newton_polygon_starts(coeffs)
             with mp.workprec(53):
-                want = mp_newton_polygon_starts([_to_mpf(c) for c in coeffs])
+                want = mp_newton_polygon_starts([to_mpf(c) for c in coeffs])
             assert len(got) == len(want) == len(coeffs) - 1
             with mp.workprec(128):
                 for (r, t), w in zip(got, want):
@@ -535,7 +532,8 @@ class TestFindRoots:
     def test_nonzero_roots_are_mpc_on_every_route(self, coeffs, route):
         # Below find_roots every route gives Gaussian dyadics (x, y, f) of
         # ints within 2^bits, bits = 256 + 64, without mpmath; each
-        # becomes exactly one mpc of find_roots.
+        # becomes exactly one Dyadic of find_roots, equal through
+        # `_mpmath_` to the mpc that find_roots built from it in mpmath.
         doubles, sweeps = [], []
 
         def float_aberth(*args):
@@ -546,7 +544,7 @@ class TestFindRoots:
         a = integer_coeffs(ExactPolynomial(coeffs))
         with mock.patch("posetzeta.roots._float_aberth", float_aberth), \
                 mock.patch("posetzeta.roots._fixed_aberth", fixed_aberth), \
-                mock.patch("posetzeta.roots.mp", NoMpmath()):
+                mock.patch.dict(sys.modules, {"mpmath": None}):
             roots = _nonzero_roots(a, 256)
         taken = (doubles[0] is None, bool(sweeps)) if doubles else None
         assert taken == route
@@ -555,8 +553,14 @@ class TestFindRoots:
             assert type(z) is tuple and list(map(type, z)) == [int] * 3
             assert max(abs(z[0]), abs(z[1])) < 2**320
         if roots:
-            found = find_roots(ExactPolynomial(coeffs)).roots
-            assert all(type(z) is mp.mpc for z in found)
+            rs = find_roots(ExactPolynomial(coeffs))
+            found = rs.roots
+            assert all(type(z) is Dyadic for z in found)
+            with mp.workprec(320):
+                for z, (x, y) in zip(found, rs.gaussians):
+                    want = mp.mpc(mp.ldexp(x, -rs.exponent),
+                                  mp.ldexp(y, -rs.exponent))
+                    assert mp.convert(z) == want
             assert sorted(map(gaussian_value, map(mpc_gaussian, found))) == \
                 sorted(map(gaussian_value, roots))
 
@@ -643,7 +647,8 @@ class TestFindRoots:
         poly = g_k_polynomial(simplex_face_poset(6), 8)
         rs = find_roots(poly)
         assert len(rs.roots) == 5
-        assert mp.nstr(max(abs(z) for z in rs.roots), 2) == "6.6e+23"
+        assert mp.nstr(mp.convert(max(abs(z) for z in rs.roots)), 2) == \
+            "6.6e+23"
         assert all(r <= mp.mpf(2) ** -128 for r in rs.residuals)
         assert_backward_errors(poly, rs.roots, 256)
 
@@ -695,36 +700,33 @@ class TestFindRoots:
             with pytest.raises(NoConvergence, match=f"above 2\\^-{t};"):
                 find_roots(poly, bits)
 
-    def test_decisions_use_no_mpmath(self, monkeypatch):
+    def test_decisions_use_no_mpmath(self):
         # The error test, the order and the conjugate pairs run on
-        # integers; mpmath only builds the returned values.
-        used = set()
-
-        class Builders:
-            def __getattr__(self, name):
-                used.add(name)
-                return getattr(mp, name)
-
-        monkeypatch.setattr(roots_module, "mp", Builders())
-        for poly in ((S + 1) * (1 + S * S) * S, H_polynomial(6)):
-            find_roots(poly)
-        assert used == {"workprec", "mpc", "ldexp"}
-        # So do the dominant root, its realness, the matching (the
-        # Hungarian search on the fan, the sorted pairing on P_30) and both
-        # flags of theorem_report: no mpf or mpc is compared or tested for
-        # truth, and mpmath only builds the values of the records.
-        used.clear()
-
-        def compared(*args):
-            raise AssertionError("an mpmath value was compared")
-
-        for cls in (mp.mpf, mp.mpc):
-            for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__",
-                         "__ne__", "__bool__"):
-                monkeypatch.setattr(cls, name, compared)
-        for poset, k_max in ((fan(), 4), (build_Pn(30), 3), (chain(1), 2)):
-            theorem_report(poset, k_max)
-        assert used == {"workprec", "mpc", "ldexp", "mpf", "fprod"}
+        # integers, and so do the dominant root, its realness, the matching
+        # (the Hungarian search on the fan, the sorted pairing on P_30) and
+        # both flags of theorem_report; the values returned are Dyadics.
+        # An interpreter that cannot import mpmath runs them all.
+        code = """
+import sys
+sys.modules["mpmath"] = None
+from posetzeta import ExactPolynomial, H_polynomial, build_Pn, build_poset
+from posetzeta.roots import find_roots, theorem_report
+# (s + 1) (1 + s^2) s and H_6.
+for poly in (ExactPolynomial([0, 1, 1, 1, 1]), H_polynomial(6)):
+    find_roots(poly)
+fan = build_poset(list("abcde"), [("a", x) for x in "bcd"]
+                  + [(x, "e") for x in "bcd"])
+chain = build_poset(["a", "b"], [("a", "b")])
+for poset, k_max in ((fan, 4), (build_Pn(30), 3), (chain, 2)):
+    theorem_report(poset, k_max)
+print(sorted(m for m in sys.modules if m.startswith("mpmath")))
+"""
+        src = os.path.dirname(os.path.dirname(roots_module.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "['mpmath']\n"
 
     @pytest.mark.parametrize(
         "poly",
@@ -944,9 +946,12 @@ class TestTheoremReport:
             assert abs(rec.beta1 - (2 ** rec.k + 1)) < mp.mpf(2) ** -120
             assert rec.other_roots == ()
         assert rep.burn_in_k0 == 0
-        # No targets at d = 1: every distance is the mpf 0.
-        assert all(type(rec.max_match_distance) is mp.mpf
-                   and rec.max_match_distance == 0 for rec in rep.records)
+        # No targets at d = 1: every distance is the Dyadic 0, the mpf 0
+        # through `_mpmath_`.
+        assert all(type(rec.max_match_distance) is Dyadic
+                   and rec.max_match_distance == 0
+                   and mp.convert(rec.max_match_distance) == mp.mpf(0)
+                   for rec in rep.records)
         final = rep.records[-1]
         expected = mp.mpf(2 ** 10 + 1) / 2 ** 10
         assert abs(final.es_ratio - expected) < mp.mpf(2) ** -100
@@ -1008,8 +1013,14 @@ class TestTheoremReport:
         assert abs(rep.product_final - (-1)) < mp.mpf("2e-3")
         assert rep.max_match_distance_final < mp.mpf("2e-3")
         for rec in rep.records:
-            assert type(rec.max_match_distance) is mp.mpf
+            assert type(rec.max_match_distance) is Dyadic
             assert rec.max_match_distance == max(rec.matched_distances)
+            # Each distance is the mpf that mpmath computes from the same
+            # roots at the working precision.
+            with mp.workprec(320):
+                assert [mp.convert(x) for x in rec.matched_distances] == [
+                    abs(mp.convert(r) - mp.convert(t)) for r, t in
+                    zip(rec.other_roots, rec.matched_targets)]
         assert rep.burn_in_k0 is not None
         # Dominant modulus grows without bound.
         mods = [rec.beta1_abs for rec in rep.records[2:]]
@@ -1019,7 +1030,7 @@ class TestTheoremReport:
         # chi(P_95) = -1: es_ratio tends to sign(chi) = -1, not to 1.
         rep = theorem_report(strict_chain_vector(build_Pn(95)), 8)
         assert rep.d == 2 and rep.chi == -1
-        assert abs(rep.es_ratio_final + 1) < mp.mpf("0.01")
+        assert abs(rep.es_ratio_final - (-1)) < mp.mpf("0.01")
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
     def test_simplex_converges(self, n):
@@ -1084,8 +1095,9 @@ class TestRandomPosets:
             for a, b in zip(rep.records[10:14], rep.records[11:15]):
                 dist = b.max_match_distance * (d + 1) / a.max_match_distance
                 es = (b.es_ratio - sign) * (d + 1) / (a.es_ratio - sign)
-                assert abs(dist - 1) <= 0.02 and abs(es - 1) <= 0.02, a.k
-            assert abs(rep.product_final - (-1) ** (d - 1)) <= 1e-3
+                tol = mp.mpf(0.02)
+                assert abs(dist - 1) <= tol and abs(es - 1) <= tol, a.k
+            assert abs(rep.product_final - (-1) ** (d - 1)) <= mp.mpf(1e-3)
             assert all(r.max_match_distance == max(r.matched_distances)
                        for r in rep.records)
             save_poset(p, str(path))
