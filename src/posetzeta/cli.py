@@ -12,8 +12,8 @@ of its step's record, a Gaussian dyadic at the working precision, printed
 once with 20 significant digits from every bit it holds, as mpmath's
 nstr prints them, alongside the precision used (an imaginary part proved
 zero prints as 0.0), and in the dim-report estimate and ratio, printed
-by repr().  Each command returns its CSV header and rows, as tuples, and
-the writer of its JSON document if that is not the list of row objects.
+by repr().  Each command returns its CSV header, its rows as tuples and
+the documents that are not its rows, all written by poset's one writer.
 
 Only theorem-check (alias zeros) imports the root finder, at its first
 call: every other command runs without it.  No command imports mpmath.
@@ -27,8 +27,7 @@ import re
 import sys
 from argparse import ArgumentParser, ArgumentTypeError
 from fractions import Fraction
-from functools import cache, partial
-from itertools import chain, islice
+from functools import cache
 from math import gcd
 
 from .errors import (
@@ -39,14 +38,16 @@ from .errors import (
     SubdivisionTooLarge,
 )
 from .poset import (
-    _CHUNK,
-    _label_rows,
-    _write_list,
     barycentric_subdivision,
+    csv_lines,
     dimension,
+    json_list,
+    json_objects,
     load_poset,
+    pair_runs,
+    poset_json,
     strict_chain_vector,
-    write_poset,
+    write_json,
 )
 from .primes import (
     alpha_records,
@@ -145,34 +146,18 @@ def _csv_cell(text):
     return '"' + text.replace('"', '""') + '"'
 
 
-def _emit(header, rows, write_json, fmt, out):
-    # CSV rows are tuples of one width per command, the header's.  Each
-    # block of _CHUNK rows is flattened into one tuple of cells and written
-    # with one % of a template of that many lines ("%s" of an int is str, as
-    # csv writes it), as the rows are made.  JSON goes to the command's
-    # writer (write_poset, or json.dump of a fixed-size document); without
-    # one the rows are the document, each one % of an object template (a
-    # key's % doubled, a str cell JSON-encoded, an int as it is) with the
-    # bytes of json.dump(indent=2), written in chunks so no list of rows is
-    # held.
+def _emit(header, rows, docs, fmt, out):
+    # A command's document in a format is docs[fmt] if it has one: for CSV
+    # its runs of lines, for JSON a write_json value.  Otherwise it is the
+    # rows, written as they are made: CSV lines under the header line, or a
+    # JSON list of one object per row.
+    doc = docs.get(fmt)
     if fmt == "csv":
-        width = len(header)
-        line = ",".join(["%s"] * width) + "\n"
-        out.write(line % tuple(header))
-        rows = iter(rows)
-        while cells := tuple(chain.from_iterable(islice(rows, _CHUNK))):
-            out.write((line * (len(cells) // width)) % cells)
-        return
-    if write_json is None:
-        template = "{" + ",".join(
-            f"\n    {json.dumps(h).replace('%', '%%')}: %s" for h in header
-        ) + "\n  }"
-        objs = (template % tuple([json.dumps(x) if isinstance(x, str) else x
-                                  for x in row]) for row in rows)
-        _write_list(out, objs, 0)
+        for run in csv_lines(header, rows) if doc is None else doc:
+            out.write(run)
     else:
-        write_json(out)
-    out.write("\n")
+        write_json(out, json_objects(header, rows, 0) if doc is None else doc)
+        out.write("\n")
 
 
 def _cmd_tables(args):
@@ -187,7 +172,7 @@ def _cmd_tables(args):
     else:
         cells = (cell for d in ds
                  for cell in _column_cells(d, *integer_column(args.kind, d)))
-    return ["i", "d", "value"], cells, None
+    return ["i", "d", "value"], cells, {}
 
 
 def _column_cells(d, nums, den):
@@ -204,15 +189,11 @@ def _column_cells(d, nums, den):
 def _cmd_zeta(args):
     p = load_poset(args.input)
     z = zeta_rational(p)
-    num = [fmt_rational(c) for c in z.numerator.coeffs]
-    den = [fmt_rational(c) for c in z.denominator.coeffs]
-    rows = chain(
-        (("numerator", e, c) for e, c in enumerate(num)),
-        (("denominator", e, c) for e, c in enumerate(den)),
-    )
-    doc = {"numerator": num, "denominator": den}
-    header = ["part", "exponent", "coefficient"]
-    return header, rows, partial(json.dump, doc, indent=2)
+    parts = {"numerator": z.numerator, "denominator": z.denominator}
+    parts = {k: list(map(fmt_rational, v.coeffs)) for k, v in parts.items()}
+    rows = [(k, e, c) for k, cs in parts.items() for e, c in enumerate(cs)]
+    doc = {k: json_list(map(json.dumps, cs), 1) for k, cs in parts.items()}
+    return ["part", "exponent", "coefficient"], rows, {"json": doc}
 
 
 def _cmd_subdivide(args):
@@ -251,19 +232,19 @@ def _cmd_subdivide(args):
         cv = transfer_iterate(cv, 1)
     for _ in range(times):
         p = barycentric_subdivision(p)
-    return ["kind", "a", "b"], _subdivide_rows(p), partial(write_poset, p)
+    header = ["kind", "a", "b"]
+    # Only the document asked for is made: each quotes or encodes labels.
+    if args.format == "csv":
+        return header, (), {"csv": _subdivide_csv(header, p)}
+    return header, (), {"json": poset_json(p)}
 
 
-def _subdivide_rows(p):
-    # The JSON document never reads these rows, so the labels are quoted
-    # only once a CSV writer asks for the first row.
+def _subdivide_csv(header, p):
+    # The labels are quoted only once CSV is written, and each label row's
+    # pairs are one join, by the code that writes a poset file's pairs.
     cells = list(map(_csv_cell, p.labels))
-    for cell in cells:
-        yield "element", cell, ""
-    for i, row in _label_rows(p, cells):
-        a = cells[i]
-        for b in row:
-            yield "relation", a, b
+    yield from csv_lines(header, (("element", cell, "") for cell in cells))
+    yield from pair_runs(p, cells, "relation,%s,", "\n", "")
 
 
 _TRAJECTORY_HEADER = [
@@ -292,16 +273,16 @@ def _cmd_theorem_check(args):
         )), report.precision_bits)
         for rec in report.records
     ]
-    objs = [dict(zip(_TRAJECTORY_HEADER, row)) for row in rows]
     doc = {
-        "rows": objs,
-        "burn_in_k0": report.burn_in_k0,
-        "beta1_real_from_k0": report.beta1_real_from_k0,
-        "modulus_increasing_from_k0": report.modulus_increasing_from_k0,
-        "es_ratio_final": objs[-1]["es_ratio"],
-        "max_match_distance_final": objs[-1]["max_match_distance"],
+        "rows": json_objects(_TRAJECTORY_HEADER, rows, 1),
+        "burn_in_k0": json.dumps(report.burn_in_k0),
+        "beta1_real_from_k0": json.dumps(report.beta1_real_from_k0),
+        "modulus_increasing_from_k0": json.dumps(
+            report.modulus_increasing_from_k0),
+        "es_ratio_final": json.dumps(rows[-1][4]),
+        "max_match_distance_final": json.dumps(rows[-1][7]),
     }
-    return _TRAJECTORY_HEADER, rows, partial(json.dump, doc, indent=2)
+    return _TRAJECTORY_HEADER, rows, {"json": doc}
 
 
 def _at_least(lo):
@@ -341,7 +322,7 @@ def _cmd_pn(args):
     # it raises RangeTooLarge before any row.
     ns = args.range
     if args.kind == "chi":
-        return ["n", "chi"], zip(ns, chi_values(ns.start, ns[-1])), None
+        return ["n", "chi"], zip(ns, chi_values(ns.start, ns[-1])), {}
     rows = (
         (
             rec.n,
@@ -355,12 +336,12 @@ def _cmd_pn(args):
         for rec in alpha_records(ns.start, ns[-1])
     )
     header = ["n", "chi", "mertens", "dim", "top_chains", "H1", "alpha"]
-    return header, rows, None
+    return header, rows, {}
 
 
 def _cmd_pi_weight(args):
     rows = [(args.d, args.x, pi_weight(args.d, args.x))]
-    return ["d", "x", "count"], rows, None
+    return ["d", "x", "count"], rows, {}
 
 
 def _cmd_dim_report(args):
@@ -368,7 +349,7 @@ def _cmd_dim_report(args):
         (r.n, r.d, repr(r.estimate), repr(r.ratio), int(r.in_band))
         for r in dim_asymptotic_report(args.n)
     )
-    return ["n", "dim", "estimate", "ratio", "in_band"], rows, None
+    return ["n", "dim", "estimate", "ratio", "in_band"], rows, {}
 
 
 class _Parser(ArgumentParser):
@@ -451,7 +432,7 @@ def build_parser():
 
 def run(argv=None, out=None):
     # Each _cmd_* runs all its checks before it returns (header, rows,
-    # write_json), and only then is a sink chosen: a refused run writes no
+    # docs), and only then is a sink chosen: a refused run writes no
     # byte and opens no file, so --output is neither created nor truncated.
     args = build_parser().parse_args(argv)
     result = args.func(args)

@@ -13,16 +13,17 @@ dynamic program counts chains by their greatest element.  The
 subdivision orders chains by length and then lexicographically, and
 builds each length from the one before: a chain's down-set is its
 proper sub-chains, which come from its parent's.  All values are
-immutable after construction.  A poset file has one writer,
-``write_poset``, which lays the document out as ``json.dump(...,
-indent=2)`` would, in chunks, with the pairs put in order by one walk
-over the elements in label order.
+immutable after construction.  Every CSV and JSON document of the
+package has one writer, here, in runs of a few thousand items; the pairs
+of a poset file and of the subdivide CSV come in label order from one
+walk over the elements, each label row's pairs one join.
 """
 
 import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, count, islice
+# json.dumps of a str returns this encoder's output, after per-call set-up.
 from json.encoder import encode_basestring_ascii
 
 from .errors import (
@@ -281,105 +282,123 @@ def simplex_face_poset(num_vertices):
     return barycentric_subdivision(Poset(labels, rows))
 
 
-def _label_rows(p, values):
-    """Each element's up-set in the file's pair order, as ``values``.
-
-    Yields (i, row) for the elements i in label order, with row the
-    values[j] of the elements j above i, also in label order.  Labels
-    are unique, so this is the order of sorting the pairs [a, b]
-    themselves.  One walk over the elements in label order appends each
-    values[j] to the rows of its down-set, so every row comes out in
-    order without a sort and no up-set is built.
-    """
-    labels = p.labels
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    rows = [[] for _ in labels]
-    for j in order:
-        v = values[j]
-        for i in p.below[j]:
-            rows[i].append(v)
-    for i in order:
-        yield i, rows[i]
-
-
 # Items per write: a few thousand keep the writes few and the pieces small.
 _CHUNK = 4096
 
 
-def _write_list(out, items, depth):
-    # A list of encoded items as json.dump(indent=2) lays it out at this
-    # depth, written one chunk at a time.
+def write_json(out, value, depth=0):
+    """Write value, at this nesting depth, with the bytes of json.dump at
+    an indent of 2, one write per run, so no list is held whole.
+
+    value is encoded JSON (a str), an object (a dict of such values, in
+    key order) or a list: an iterable of runs, each one or more of its
+    items joined by the separator of a list at that depth.
+    """
+    if isinstance(value, str):
+        out.write(value)
+        return
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = ((encode_basestring_ascii(key) + ": ", item)
+                 for key, item in value.items())
+    else:
+        brackets, items = "[]", (("", run) for run in value)
+    lead, pad = brackets[0], "\n" + "  " * depth
+    for key, item in items:
+        out.write(lead + pad + "  " + key)
+        write_json(out, item, depth + 1)
+        lead = ","
+    out.write(brackets if lead != "," else pad + brackets[1])
+
+
+def _row_runs(template, width, sep, rows):
+    # Runs of _CHUNK rows of `width` cells joined by sep, as the rows are
+    # made: each run is one % of the template repeated, with their cells.
+    rows = iter(rows)
+    while cells := tuple(chain.from_iterable(islice(rows, _CHUNK))):
+        yield sep.join([template] * (len(cells) // width)) % cells
+
+
+def json_list(items, depth):
+    """Runs of a ``write_json`` list of encoded items at this depth."""
     sep = ",\n" + "  " * (depth + 1)
     items = iter(items)
-    chunks = iter(lambda: list(islice(items, _CHUNK)), [])
-    _write_joined(out, map(sep.join, chunks), depth)
+    return map(sep.join, iter(lambda: list(islice(items, _CHUNK)), []))
 
 
-def _write_joined(out, pieces, depth):
-    # The same list from pieces that each hold a run of its items already
-    # joined by the separator: one write per piece.
-    sep = ",\n" + "  " * (depth + 1)
-    first = next(pieces, None)
-    if first is None:
-        out.write("[]")
-        return
-    out.write("[" + sep[1:])
-    out.write(first)
-    for piece in pieces:
-        out.write(sep)
-        out.write(piece)
-    out.write("\n" + "  " * depth + "]")
+def json_objects(header, rows, depth):
+    """Runs of a ``write_json`` list of one object per row at this depth,
+    keyed by the header (each key's % doubled in the template): a str cell
+    is encoded, any other printed by "%s" (an int, as json prints it)."""
+    pad = "\n" + "  " * (depth + 2)
+    keys = (encode_basestring_ascii(h).replace("%", "%%") for h in header)
+    template = "{" + ",".join(f"{pad}{k}: %s" for k in keys) + pad[:-2] + "}"
+    rows = ([encode_basestring_ascii(x) if isinstance(x, str) else x
+             for x in row] for row in rows)
+    return _row_runs(template, len(header), "," + pad[:-2], rows)
 
 
-def write_poset(p, out):
-    """Write p to a text stream in the poset file format.
+def csv_lines(header, rows):
+    """Runs of a CSV document: the header line, then the rows ("%s" of an
+    int is str, as csv writes it; a caller quotes a str cell if need be)."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    yield line % tuple(header)  # its own write, before any row is made
+    yield from _row_runs(line, len(header), "", rows)
 
-    The bytes are those of ``json.dump(..., indent=2)`` of the labels and
-    the sorted strict pairs [a, b], written in chunks without building
-    that document: each label is encoded once, and after the elements
-    each code takes on the end of a pair, so the pairs of one row are one
-    join of their ends.
+
+def pair_runs(p, ends, head, end, sep):
+    """Runs of p's strict pairs (a, b) in label order, _CHUNK to a run.
+
+    ``ends`` lists each label's text, which takes on the end in place, so
+    no bare text is kept.  A pair is head % text(a), text(b) and end, and
+    pairs are joined by sep.  Labels are unique, so label order sorts the
+    pairs.  One walk over the elements in label order appends each end to
+    the rows of its down-set, so every row comes out in order with no sort
+    and no up-set is built; the pairs of a row share their head, so each
+    run of a row is one join of its ends.
     """
-    # json.dumps of a str, under default settings, returns this C
-    # encoder's output, so the bytes are the same without its per-call
-    # set-up.
-    enc = list(map(encode_basestring_ascii, p.labels))
-    out.write('{\n  "elements": ')
-    _write_list(out, enc, 1)
-    out.write(',\n  "relations": ')
-    # Each code now ends a pair; the bare codes are not kept.
-    enc = [code + _PAIR_END for code in enc]
-    _write_joined(out, _pair_chunks(p, enc), 1)
-    out.write("\n}")
-
-
-# The end of a pair [a, b] and the separator between pairs, as
-# json.dump(indent=2) lays them out in the relations.
-_PAIR_END = "\n    ]"
-_PAIR_SEP = ",\n    "
-
-
-def _pair_chunks(p, ends):
-    # The relations' pairs, joined by their separator, _CHUNK pairs to a
-    # piece; ends[i] is the code of label i with the pair's end.  The
-    # pairs of one row share their head, so each run of a row is one join.
-    cut = -len(_PAIR_END)
+    labels = p.labels
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    ends[:] = [text + end for text in ends]
+    rows = [[] for _ in labels]
+    for j in order:
+        e = ends[j]
+        for i in p.below[j]:
+            rows[i].append(e)
+    cut = -len(end)
     parts, room = [], _CHUNK
-    for i, row in _label_rows(p, ends):
+    for i in order:
+        row = rows[i]
         if not row:
             continue
-        head = "[\n      " + ends[i][:cut] + ",\n      "
-        glue = _PAIR_SEP + head
+        lead = head % ends[i][:cut]
+        glue = sep + lead
         while len(row) >= room:
-            parts.append(head + glue.join(row[:room]))
-            yield _PAIR_SEP.join(parts)
+            parts.append(lead + glue.join(row[:room]))
+            yield sep.join(parts)
             row = row[room:]
             parts, room = [], _CHUNK
         if row:
-            parts.append(head + glue.join(row))
+            parts.append(lead + glue.join(row))
             room -= len(row)
     if parts:
-        yield _PAIR_SEP.join(parts)
+        yield sep.join(parts)
+
+
+def poset_json(p):
+    """The poset file document of p as a ``write_json`` value, written
+    once: its labels, each encoded once, and its sorted strict pairs."""
+    codes = list(map(encode_basestring_ascii, p.labels))
+    return {
+        "elements": json_list(codes, 1),
+        "relations": pair_runs(p, codes, "[\n      %s,\n      ",
+                               "\n    ]", ",\n    "),
+    }
+
+
+def write_poset(p, out):
+    """Write p to a text stream in the poset file format, ``poset_json``."""
+    write_json(out, poset_json(p))
 
 
 def _is_string_list(value):

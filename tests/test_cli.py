@@ -536,15 +536,37 @@ def test_pi_weight_and_dim_report():
     ["pn", "alpha", "--range", "2:300"],  # alpha is NA below 6
     ["pi-weight", "--d", "3", "--x", "1000"],
     ["dim-report", "--n", "16,30,2310"],
+    ["zeta", "--input", "p6"],
+    ["zeta", "--input", "chain1"],
+    ["theorem-check", "--input", "p6", "--kmax", "3"],
+    ["theorem-check", "--input", "chain1", "--kmax", "3"],
+    ["subdivide", "--input", "p6", "--times", "2"],
+    ["subdivide", "--input", "chain1", "--times", "2"],
+    ["subdivide", "--input", "odd", "--times", "1"],
+    ["subdivide", "--input", "odd", "--times", "2"],
 ], ids=["tables-f", "tables-F", "tables-H", "pn-chi", "pn-alpha",
-        "pi-weight", "dim-report"])
-def test_json_rows_have_json_dump_bytes(argv):
+        "pi-weight", "dim-report", "zeta-p6", "zeta-chain1",
+        "theorem-check-p6", "theorem-check-chain1", "subdivide-p6",
+        "subdivide-chain1", "subdivide-odd-1", "subdivide-odd-2"])
+def test_json_rows_have_json_dump_bytes(tmp_path, argv):
     # Rows are written as they are made, with the bytes json.dump gives
-    # the whole list of row objects.
+    # the whole list of row objects.  Every other document has the bytes
+    # json.dump gives it, labels with quotes, CR, LF and non-ASCII text
+    # included; the 2-element chain (d = 1) has no targets to match and an
+    # empty product.
+    chain1 = tmp_path / "chain1.json"
+    save_poset(build_poset(["a", "b"], [("a", "b")]), chain1)
+    inputs = {"p6": write_p6(tmp_path), "chain1": str(chain1),
+              "odd": write_odd_labels(tmp_path)}
+    argv = [inputs.get(a, a) for a in argv]
+    out = run_to_string(argv + ["--format", "json"])
+    if argv[0] in ("zeta", "theorem-check", "subdivide"):
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        return
     args = build_parser().parse_args(argv)
     header, rows, _ = args.func(args)
     expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
-    assert run_to_string(argv + ["--format", "json"]) == expected + "\n"
+    assert out == expected + "\n"
 
 
 def test_json_row_template_escapes_keys_and_cells():
@@ -555,11 +577,11 @@ def test_json_row_template_escapes_keys_and_cells():
         [-2, "caf\u00e9 \u2211 \U0001d70b", "%(x)s", ""],
     ]
     buf = io.StringIO()
-    _emit(header, iter(rows), None, "json", buf)
+    _emit(header, iter(rows), {}, "json", buf)
     expected = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
     assert buf.getvalue() == expected + "\n"
     buf = io.StringIO()
-    _emit(header, iter([]), None, "json", buf)
+    _emit(header, iter([]), {}, "json", buf)
     assert buf.getvalue() == "[]\n"
 
 
@@ -617,16 +639,16 @@ def test_csv_blocks_and_percent_cells():
     for count in (3 * 4096 + 5, 3 * 4096, 1):
         rows = [(n, f"{n}% %s") for n in range(count)]
         buf = io.StringIO()
-        _emit(header, iter(rows), None, "csv", buf)
+        _emit(header, iter(rows), {}, "csv", buf)
         assert buf.getvalue() == csv_document(header, rows), count
     header = ["i", "d", "value"]
     for count in (4096 + 1, 2):
         rows = [(n, -n, f"{n}/7%") for n in range(count)]
         buf = io.StringIO()
-        _emit(header, rows, None, "csv", buf)
+        _emit(header, rows, {}, "csv", buf)
         assert buf.getvalue() == csv_document(header, rows), count
     buf = io.StringIO()
-    _emit(header, iter([]), None, "csv", buf)
+    _emit(header, iter([]), {}, "csv", buf)
     assert buf.getvalue() == "i,d,value\n"
 
 

@@ -31,13 +31,15 @@ from helpers import (
     brute_closure,
     brute_strict_chain_counts,
     brute_weak_chain_count,
+    csv_document,
     dags,
     dumped_poset,
     poset_to_dict,
     random_posets,
+    relation_pairs,
     subdivision_via_relations,
 )
-from posetzeta.cli import run
+from posetzeta.cli import _subdivide_csv, run
 
 
 def p6():
@@ -390,9 +392,16 @@ class TestWritePoset:
 
     @pytest.mark.parametrize("chunk", [1, 2, 4096])
     def test_twice_subdivided_p30(self, chunk, monkeypatch):
+        # The poset file and the subdivide CSV, whose pairs come from the
+        # same runs, at every chunk size.
         monkeypatch.setattr("posetzeta.poset._CHUNK", chunk)
         p = barycentric_subdivision(barycentric_subdivision(p30_explicit()))
         assert written(p) == dumped_poset(p)
+        header = ["kind", "a", "b"]
+        rows = [("element", lab, "") for lab in p.labels]
+        rows += [("relation", a, b) for a, b in relation_pairs(p)]
+        csv = "".join(_subdivide_csv(header, p))
+        assert csv == csv_document(header, rows)
 
     def test_writes_in_chunks(self, monkeypatch):
         monkeypatch.setattr("posetzeta.poset._CHUNK", 8)

@@ -529,11 +529,11 @@ class TestFindRoots:
         ],
         ids=["certified", "doubles", "polygon", "linear", "constant"],
     )
-    def test_nonzero_roots_are_mpc_on_every_route(self, coeffs, route):
+    def test_nonzero_roots_are_dyadics_on_every_route(self, coeffs, route):
         # Below find_roots every route gives Gaussian dyadics (x, y, f) of
         # ints within 2^bits, bits = 256 + 64, without mpmath; each
         # becomes exactly one Dyadic of find_roots, equal through
-        # `_mpmath_` to the mpc that find_roots built from it in mpmath.
+        # `_mpmath_` to the mpc of its Gaussian integers over 2^exponent.
         doubles, sweeps = [], []
 
         def float_aberth(*args):
