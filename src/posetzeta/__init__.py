@@ -50,6 +50,7 @@ from .primes import (
     SquarefreeTable,
     alpha_record,
     alpha_records,
+    alpha_rows,
     build_Pn,
     chi_Pn,
     chi_values,
@@ -58,7 +59,6 @@ from .primes import (
     mertens,
     pi_weight,
     squarefree_sieve,
-    top_chain_count,
 )
 from .subdivision import (
     F_polynomial,

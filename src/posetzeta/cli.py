@@ -7,7 +7,9 @@ with nothing printed, when the reader of stdout closes it early, as
 ``| head`` does.  A refused run writes nothing: every check runs before
 ``--output`` is opened, so that file is neither created nor truncated.
 Exact rationals are always serialized as "p/q" strings (or a bare
-integer).  Floats appear in root-tracking output, where each is a field
+integer); pn alpha prints them from the window's integer rows, H1 once
+per dimension and alpha by one gcd (AlphaRecord is the library's view
+of a row).  Floats appear in root-tracking output, where each is a field
 of its step's record, a Gaussian dyadic at the working precision, printed
 once with 20 significant digits from every bit it holds, as mpmath's
 nstr prints them, alongside the precision used (an imaginary part proved
@@ -50,7 +52,7 @@ from .poset import (
     write_json,
 )
 from .primes import (
-    alpha_records,
+    alpha_rows,
     chi_values,
     dim_asymptotic_report,
     pi_weight,
@@ -323,20 +325,21 @@ def _cmd_pn(args):
     ns = args.range
     if args.kind == "chi":
         return ["n", "chi"], zip(ns, chi_values(ns.start, ns[-1])), {}
-    rows = (
-        (
-            rec.n,
-            rec.chi,
-            1 - rec.chi,
-            rec.d,
-            rec.top_chains,
-            fmt_rational(rec.H1),
-            fmt_rational(rec.alpha),
-        )
-        for rec in alpha_records(ns.start, ns[-1])
-    )
     header = ["n", "chi", "mertens", "dim", "top_chains", "H1", "alpha"]
-    return header, rows, {}
+    return header, _alpha_cells(alpha_rows(ns.start, ns[-1])), {}
+
+
+def _alpha_cells(rows):
+    # Cells of the rows (n, chi, d, top): H1 = h / den is printed once per
+    # d, and alpha = H1 * top / chi is reduced by one gcd, as a Fraction is.
+    last = None
+    for n, chi, d, top in rows:
+        if d != last:
+            nums, den = integer_column("H", d)
+            h, h1, last = nums[1], _ratio_to_str(nums[1], den), d
+        alpha = _ratio_to_str((h if chi > 0 else -h) * top,
+                              den * abs(chi)) if d and chi else "NA"
+        yield n, chi, 1 - chi, d, top, h1, alpha
 
 
 def _cmd_pi_weight(args):
@@ -432,11 +435,11 @@ def build_parser():
 
 def run(argv=None, out=None):
     # Each _cmd_* runs all its checks before it returns (header, rows,
-    # docs), and only then is a sink chosen: a refused run writes no
-    # byte and opens no file, so --output is neither created nor truncated.
+    # docs), and only then is a sink chosen, --output or else out (stdout):
+    # a refused run writes no byte and opens no file.
     args = build_parser().parse_args(argv)
     result = args.func(args)
-    if out is None and args.output:
+    if args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             _emit(*result, args.format, fh)
     else:
@@ -461,9 +464,16 @@ _EXIT_CODES = (
 
 
 def main(argv=None):
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.FileIO):
+        # Unbuffered (python -u), a short write, as when the reader closes
+        # mid-write, would cut the output with no error: a buffered writer
+        # retries it until the pipe fails.  Freed, it leaves fd 1 open.
+        out = open(out.fileno(), "w", encoding=out.encoding,
+                   errors=out.errors, closefd=False)
     try:
-        run(argv)
-        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        run(argv, out)
+        out.flush()  # a closed pipe shows here, not at exit
     except BrokenPipeError:
         # The reader of stdout left early, as `| head` does.  Point stdout
         # at devnull so the flush at exit cannot fail again, and return

@@ -6,8 +6,7 @@ table keeps, every _BLOCK integers, how many codes of each weight came
 before and the Mertens sum M so far.  A count up to x, pi_weight(w, x)
 or M(x), is one of those prefix values plus one count over the bytes of
 at most one block, and chi(P_n) = 1 - M(n).  The rows of a window of n,
-chi(P_n) or the alpha records, are running sums over the window's code
-bytes.
+chi(P_n) or the integer alpha rows, are running sums over its codes.
 """
 
 import math
@@ -220,20 +219,6 @@ def dim_Pn(n):
         d += 1
 
 
-def top_chain_count(n):
-    """Number of maximal-length divisibility chains in [2, n].
-
-    With d = dim_Pn(n), no squarefree k <= n has more than d + 1 prime
-    factors (the (d + 2)-nd primorial exceeds n), and a chain of length
-    d gains at least one prime per step.  So it gains exactly one: it
-    starts at a prime, ends at a k with d + 1 prime factors, and is one
-    of the (d + 1)! orders in which those primes can be added, which
-    gives (d + 1)! * pi_weight(d + 1, n).
-    """
-    d = dim_Pn(n)
-    return math.factorial(d + 1) * pi_weight(d + 1, n)
-
-
 @dataclass(frozen=True)
 class AlphaRecord:
     """Statistics of P_n; ``alpha`` = H1 * top_chains / chi, or None
@@ -265,22 +250,22 @@ def chi_values(lo, hi):
     return islice(chis, 1, None)
 
 
-def alpha_records(lo, hi):
-    """Growth records of the dominant root for P_n, n = lo..hi, lo >= 2.
+def alpha_rows(lo, hi):
+    """Integer rows (n, chi, d, top_chains) of P_n, n = lo..hi, lo >= 2.
 
-    The sieve and lo are checked before the first record.  Each record
-    updates chi and the count of weight d + 1 by the code byte of n, and
-    d moves up only at a primorial, the first integer of its weight.
+    The sieve and lo are checked before the first row.  Each row updates
+    chi and the count of weight d + 1 by the code byte of n, and d moves
+    up only at a primorial, the first integer of its weight.  No k <= n
+    has more than d + 1 prime factors, so a longest chain adds one prime
+    per step: top_chains is (d + 1)! times the count of weight d + 1.
     """
-    table = squarefree_sieve(hi)
-    return _alpha_window(table, lo, hi, dim_Pn(lo))
+    return _alpha_window(squarefree_sieve(hi), lo, hi, dim_Pn(lo))
 
 
 def _alpha_window(table, lo, hi, d):
     primorials = islice(_primorials(), d + 1, None)
     bound = next(primorials)  # the first n of dimension d + 1
     count = table.count(d + 1, lo - 1)
-    h1 = H_vector(d)[1]
     orders = math.factorial(d + 1)
     codes = table.code[lo:hi + 1]
     for n, c, chi in zip(range(lo, hi + 1), codes, chi_values(lo, hi)):
@@ -289,14 +274,19 @@ def _alpha_window(table, lo, hi, d):
             d += 1
             bound = next(primorials)
             count = 0
-            h1 = H_vector(d)[1]
             orders *= d + 1
         if c == d + 1:
             count += 1
-        top = orders * count
-        alpha = Fraction(h1 * top, chi) if d and chi else None
-        yield AlphaRecord(n=n, d=d, chi=chi, top_chains=top, H1=h1,
-                          alpha=alpha)
+        yield n, chi, d, orders * count
+
+
+def alpha_records(lo, hi):
+    """Growth records of the dominant root for P_n, n = lo..hi, lo >= 2:
+    the rows of alpha_rows with their Fraction fields, the API's view of
+    the window that `pn alpha` prints from its integers."""
+    return (AlphaRecord(n, d, chi, top, h1 := H_vector(d)[1],
+                        Fraction(h1 * top, chi) if d and chi else None)
+            for n, chi, d, top in alpha_rows(lo, hi))
 
 
 def alpha_record(n):

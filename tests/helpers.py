@@ -27,8 +27,8 @@ from posetzeta import (
     chi_Pn,
     dim_Pn,
     f_number,
+    pi_weight,
     series_expand,
-    top_chain_count,
 )
 from posetzeta.dyadic import Dyadic
 from posetzeta.poset import ChainVector, _require_nonempty
@@ -744,6 +744,23 @@ def linear_sieve_codes(n):
                 break
             code[i * p] = next_code
     return code
+
+
+def top_chain_count(n):
+    """Number of maximal-length divisibility chains in [2, n].
+
+    With d = dim_Pn(n), no squarefree k <= n has more than d + 1 prime
+    factors (the (d + 2)-nd primorial exceeds n), and a chain of length
+    d gains at least one prime per step.  So it gains exactly one: it
+    starts at a prime, ends at a k with d + 1 prime factors, and is one
+    of the (d + 1)! orders in which those primes can be added, which
+    gives (d + 1)! * pi_weight(d + 1, n).
+
+    The former primes.top_chain_count; the oracle for the running count
+    of primes.alpha_rows, through alpha_record_per_n.
+    """
+    d = dim_Pn(n)
+    return factorial(d + 1) * pi_weight(d + 1, n)
 
 
 def alpha_record_per_n(n):

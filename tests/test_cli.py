@@ -17,6 +17,7 @@ import posetzeta
 from helpers import (
     F_column_by_rescaling,
     H_vector_by_composition,
+    alpha_record_per_n,
     csv_document,
     f_by_inclusion_exclusion,
     poset_to_dict,
@@ -480,6 +481,31 @@ class TestPnCommands:
         assert rows[0][0] == "5" and rows[0][-1] == "NA"
         assert rows[1] == ["6", "2", "-1", "1", "2", "1", "1"]
 
+    @pytest.mark.parametrize("lo, hi", [(2, 3000), (29990, 30040)])
+    def test_alpha_rows_match_per_n_records(self, lo, hi):
+        # The rows print from the window's integers; the per-n records,
+        # printed by fmt_rational, are their oracle.  2:3000 holds d = 0
+        # (n < 6), the chi = 0 rows and the primorials 30, 210 and 2310;
+        # 29990:30040 crosses 30030.
+        records = list(map(alpha_record_per_n, range(lo, hi + 1)))
+        want = [
+            (r.n, r.chi, 1 - r.chi, r.d, r.top_chains, fmt_rational(r.H1),
+             fmt_rational(r.alpha))
+            for r in records
+        ]
+        argv = ["pn", "alpha", "--range", f"{lo}:{hi}"]
+        header, rows = parse_csv(run_to_string(argv))
+        assert rows == [list(map(str, row)) for row in want]
+        doc = json.loads(run_to_string(argv + ["--format", "json"]))
+        assert doc == [dict(zip(header, row)) for row in want]
+        if lo == 2:
+            assert {r.n for r in records if r.d == 0} == {2, 3, 4, 5}
+            chi_zero = {r.n for r in records if r.chi == 0}
+            assert {94, 97, 98, 99, 100, 146, 147, 148} <= chi_zero
+            assert {r.n for r in records if r.alpha is None} == (
+                chi_zero | {2, 3, 4, 5}
+            )
+
     def test_bad_range(self):
         assert main(["pn", "chi", "--range", "10:2"]) == 2
         assert main(["pn", "chi", "--range", "nope"]) == 2
@@ -767,6 +793,7 @@ class TestExitCodes:
             (["theorem-check", "--input", str(cyclic)], 2),
             (["subdivide", "--input", str(surrogate), "--format", "csv"], 2),
             (["pn", "chi", "--range", "6:100000000"], 4),
+            (["pn", "alpha", "--range", "6:100000000"], 4),
         ]
         kept, absent = tmp_path / "kept.txt", tmp_path / "absent.txt"
         kept.write_text("sentinel\n")
@@ -775,6 +802,19 @@ class TestExitCodes:
             assert kept.read_bytes() == b"sentinel\n"
             assert main(argv + ["--output", str(absent)]) == code
             assert not absent.exists()
+
+    def test_refused_pn_run_writes_nothing(self, tmp_path, capsys):
+        # Both windows check the sieve cap when _cmd_pn makes them, not at
+        # their first row, so no header reaches --output or stdout.
+        kept = tmp_path / "keep.txt"
+        kept.write_text("sentinel\n")
+        capsys.readouterr()
+        for kind in ("alpha", "chi"):
+            argv = ["pn", kind, "--range", "6:100000000"]
+            assert main(argv + ["--output", str(kept)]) == 4
+            assert kept.read_bytes() == b"sentinel\n"
+            assert main(argv) == 4
+            assert capsys.readouterr().out == ""
 
     def test_computation_error(self, tmp_path):
         antichain = tmp_path / "anti.json"
@@ -943,6 +983,37 @@ class TestDeterminism:
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
         assert stderr == b""
+
+    def test_closed_pipe_exits_141_unbuffered(self):
+        # Under PYTHONUNBUFFERED stdout's text stream writes to the raw
+        # file, and a reader that closes in the middle of one large write
+        # leaves it a short write: the run must still exit 141, not 0 with
+        # its output cut.
+        env = checkout_env()
+        env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "posetzeta.cli", "tables", "--kind", "H",
+             "--dmax", "60"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(100_000)) == 100_000
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == b""
+
+    def test_unbuffered_stdout_has_the_same_bytes(self):
+        argv = ["-m", "posetzeta.cli", "tables", "--kind", "H", "--dmax", "60"]
+        plain, unbuffered = (
+            subprocess.run([sys.executable, *flags, *argv],
+                           capture_output=True, env=checkout_env())
+            for flags in ([], ["-u"])
+        )
+        assert plain.returncode == unbuffered.returncode == 0
+        assert unbuffered.stdout == plain.stdout
+        assert unbuffered.stderr == plain.stderr == b""
 
 
 class TestCachedParser:

@@ -16,6 +16,7 @@ from posetzeta import (
     ZeroEulerCharacteristic,
     alpha_record,
     alpha_records,
+    alpha_rows,
     build_poset,
     build_Pn,
     chi_Pn,
@@ -27,9 +28,13 @@ from posetzeta import (
     pi_weight,
     squarefree_sieve,
     strict_chain_vector,
+)
+from helpers import (
+    FIXED_SEED,
+    alpha_record_per_n,
+    linear_sieve_codes,
     top_chain_count,
 )
-from helpers import FIXED_SEED, alpha_record_per_n, linear_sieve_codes
 from posetzeta import primes
 from posetzeta.primes import _BLOCK, DEFAULT_SIEVE_CAP
 from reference_tables import ALPHA_N, CHI_PN
@@ -347,10 +352,17 @@ class TestAlpha:
         assert got == [alpha_record_per_n(n) for n in range(1500, 2401)]
 
     def test_window_checks_before_the_first_record(self):
-        with pytest.raises(RangeTooLarge):
-            alpha_records(2, DEFAULT_SIEVE_CAP + 1)
-        with pytest.raises(ValueError, match="n must be >= 2"):
-            alpha_records(1, 10)
+        for window in (alpha_records, alpha_rows):
+            with pytest.raises(RangeTooLarge):
+                window(2, DEFAULT_SIEVE_CAP + 1)
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                window(1, 10)
+
+    def test_rows_are_the_records_integers(self):
+        rows = list(alpha_rows(2, 3000))
+        assert rows == [(r.n, r.chi, r.d, r.top_chains)
+                        for r in alpha_records(2, 3000)]
+        assert all(type(x) is int for row in rows for x in row)
 
     def test_reference_tables(self):
         for n, expected in ALPHA_N.items():
