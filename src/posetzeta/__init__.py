@@ -49,7 +49,6 @@ from .primes import (
     AlphaRecord,
     SquarefreeTable,
     alpha_record,
-    alpha_records,
     alpha_rows,
     build_Pn,
     chi_Pn,
@@ -61,7 +60,6 @@ from .primes import (
     squarefree_sieve,
 )
 from .subdivision import (
-    F_polynomial,
     H1_bounds_check,
     H_polynomial,
     H_vector,
@@ -70,7 +68,6 @@ from .subdivision import (
     descent_matrix,
     f_matrix,
     f_number,
-    h_row_properties,
     spectral_constants,
     taylor_matrix,
     transfer_iterate,

@@ -4,12 +4,13 @@ Exit codes: 0 success, 2 invalid configuration (argparse's usage errors
 included: a missing or unknown option or command, a bad choice), 3
 computation error, 4 resource cap exceeded, and 141 (128 + SIGPIPE),
 with nothing printed, when the reader of stdout closes it early, as
-``| head`` does.  A refused run writes nothing: every check runs before
-``--output`` is opened, so that file is neither created nor truncated.
+``| head`` does (2 if it was closed before the run).  A refused run
+writes nothing: every check runs before ``--output`` is opened, so that
+file is neither created nor truncated.  stdout is UTF-8, as --output is.
 Exact rationals are always serialized as "p/q" strings (or a bare
 integer); pn alpha prints them from the window's integer rows, H1 once
-per dimension and alpha by one gcd (AlphaRecord is the library's view
-of a row).  Floats appear in root-tracking output, where each is a field
+per dimension and alpha by one gcd (alpha_record wraps one row in an
+AlphaRecord).  Floats appear in root-tracking output, where each is a field
 of its step's record, a Gaussian dyadic at the working precision, printed
 once with 20 significant digits from every bit it holds, as mpmath's
 nstr prints them, alongside the precision used (an imaginary part proved
@@ -22,6 +23,7 @@ call: every other command runs without it.  No command imports mpmath.
 The parser is built once per process.
 """
 
+import errno
 import io
 import json
 import os
@@ -443,7 +445,10 @@ def run(argv=None, out=None):
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             _emit(*result, args.format, fh)
     else:
-        _emit(*result, args.format, sys.stdout if out is None else out)
+        out = sys.stdout if out is None else out
+        if out is None:  # fd 1 was closed when Python started
+            raise OSError(errno.EBADF, "stdout is closed")
+        _emit(*result, args.format, out)
 
 
 def run_to_string(argv):
@@ -464,21 +469,25 @@ _EXIT_CODES = (
 
 
 def main(argv=None):
+    # One buffered UTF-8 writer on stdout's fd, whatever the locale, also
+    # under python -u, retries a short write (the reader closing mid-write)
+    # until the pipe fails; freed, it leaves the fd open.  A stdout with no
+    # fd (a test's capture) is kept; None (fd 1 closed) is refused by run.
     out = sys.stdout
-    if isinstance(getattr(out, "buffer", None), io.FileIO):
-        # Unbuffered (python -u), a short write, as when the reader closes
-        # mid-write, would cut the output with no error: a buffered writer
-        # retries it until the pipe fails.  Freed, it leaves fd 1 open.
-        out = open(out.fileno(), "w", encoding=out.encoding,
-                   errors=out.errors, closefd=False)
+    try:
+        out = open(out.fileno(), "w", 1 if out.line_buffering else -1,
+                   "utf-8", newline="", closefd=False)
+    except (AttributeError, OSError, ValueError):
+        pass
     try:
         run(argv, out)
-        out.flush()  # a closed pipe shows here, not at exit
+        if out is not None:
+            out.flush()  # a closed pipe shows here, not at exit
     except BrokenPipeError:
         # The reader of stdout left early, as `| head` does.  Point stdout
         # at devnull so the flush at exit cannot fail again, and return
         # 128 + SIGPIPE quietly, as shell tools do.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
         return 141
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

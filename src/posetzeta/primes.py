@@ -280,18 +280,13 @@ def _alpha_window(table, lo, hi, d):
         yield n, chi, d, orders * count
 
 
-def alpha_records(lo, hi):
-    """Growth records of the dominant root for P_n, n = lo..hi, lo >= 2:
-    the rows of alpha_rows with their Fraction fields, the API's view of
-    the window that `pn alpha` prints from its integers."""
-    return (AlphaRecord(n, d, chi, top, h1 := H_vector(d)[1],
-                        Fraction(h1 * top, chi) if d and chi else None)
-            for n, chi, d, top in alpha_rows(lo, hi))
-
-
 def alpha_record(n):
-    """Growth record of the dominant root for the poset of [2, n], n >= 2."""
-    return next(alpha_records(n, n))
+    """Growth record of the dominant root for the poset of [2, n], n >= 2:
+    the one row of alpha_rows(n, n) with its Fraction fields."""
+    ((_, chi, d, top),) = alpha_rows(n, n)
+    h1 = H_vector(d)[1]
+    return AlphaRecord(n, d, chi, top, h1,
+                       Fraction(h1 * top, chi) if d and chi else None)
 
 
 def pi_weight(d, x):

@@ -87,14 +87,6 @@ def big_F_number(i, d):
     return Fraction(a[i], den)
 
 
-def F_polynomial(d):
-    """Polynomial with coefficient of s^(d-i) equal to F_{i,d}."""
-    if d < 0:
-        raise IndexOutOfRange("d must be >= 0")
-    a, den = _F_column(d)
-    return ExactPolynomial([Fraction(x, den) for x in reversed(a)])
-
-
 def H_vector(d):
     """Coefficients (H_0, ..., H_{d+1}) of the shift of F_d to s - 1.
 
@@ -316,44 +308,6 @@ def spectral_constants(p):
         C.append(tuple(scale * x for x in a))
         residual[:m] = [r - c for r, c in zip(residual[:m], C[-1])]
     return SpectralConstants(d, tuple(C))
-
-
-@dataclass(frozen=True)
-class RowPropertyReport:
-    d: int
-    top_row_powers_ok: bool
-    monotone_chain_ok: bool
-    rotational_symmetry_ok: bool
-
-    @property
-    def ok(self):
-        return (
-            self.top_row_powers_ok
-            and self.monotone_chain_ok
-            and self.rotational_symmetry_ok
-        )
-
-
-def h_row_properties(d):
-    """Top-row powers of two, the monotone chain, and rotational symmetry."""
-    if d < 1:
-        raise IndexOutOfRange("d must be >= 1")
-    hm = descent_matrix(d)
-    powers_ok = all(hm.get(0, j) == 2 ** (d - j) for j in range(d + 1))
-    m = (d - 1) // 2
-    last_j = -1 if d % 2 == 0 else m
-    chain = []
-    for i in range(m + 1):
-        stop = last_j if i == m else -1
-        for j in range(d, stop - 1, -1):
-            chain.append(hm.get(i, j))
-    monotone_ok = all(a <= b for a, b in zip(chain, chain[1:]))
-    rotation_ok = all(
-        hm.get(i, j) == hm.get(d - 1 - i, d - 1 - j)
-        for i in range(-1, d + 1)
-        for j in range(-1, d + 1)
-    )
-    return RowPropertyReport(d, powers_ok, monotone_ok, rotation_ok)
 
 
 @dataclass(frozen=True)

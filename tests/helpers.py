@@ -768,7 +768,8 @@ def alpha_record_per_n(n):
     top_chain_count, each read off the sieve table for this n alone.
 
     The former body of primes.alpha_record; the oracle for the running
-    sums of primes.alpha_records.
+    sums of primes.alpha_rows, and of the record primes.alpha_record
+    builds from one row.
     """
     d = dim_Pn(n)
     chi = chi_Pn(n)

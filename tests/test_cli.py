@@ -1,4 +1,6 @@
+import ast
 import csv
+import importlib
 import io
 import json
 import os
@@ -1015,6 +1017,43 @@ class TestDeterminism:
         assert unbuffered.stdout == plain.stdout
         assert unbuffered.stderr == plain.stderr == b""
 
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_stdout_bytes_are_the_output_files(self, tmp_path, encoding):
+        # stdout is UTF-8 whatever the locale says, as --output is: an
+        # ASCII stdout does not fail on "é", nor does a Latin-1 one write
+        # it as the byte 0xe9.
+        labels = ["é", "b", "a,b", 'q"x']
+        path = tmp_path / "labels.json"
+        save_poset(build_poset(labels, list(zip(labels, labels[1:]))), path)
+        argv = [sys.executable, "-m", "posetzeta.cli", "subdivide",
+                "--input", str(path), "--format", "csv"]
+        env = checkout_env()
+        env["PYTHONIOENCODING"] = encoding
+        res = subprocess.run(argv, capture_output=True, env=env)
+        assert (res.returncode, res.stderr) == (0, b"")
+        out = tmp_path / "out.csv"
+        assert subprocess.run([*argv, "--output", str(out)],
+                              env=env).returncode == 0
+        assert res.stdout == out.read_bytes()
+        assert "é".encode() in res.stdout
+
+    def test_closed_stdout_exits_2(self, tmp_path):
+        # With fd 1 closed before the start, sys.stdout is None: the run
+        # is refused with one error line, as a full device's is, and a
+        # run that writes to --output is not.
+        argv = [sys.executable, "-m", "posetzeta.cli", "tables", "--kind",
+                "f", "--dmax", "1"]
+        closed = {"env": checkout_env(), "stderr": subprocess.PIPE,
+                  "preexec_fn": lambda: os.close(1)}
+        res = subprocess.run(argv, **closed)
+        assert res.returncode == 2
+        assert res.stderr.decode().splitlines() == [
+            "error: OSError: [Errno 9] stdout is closed"]
+        out = tmp_path / "f.csv"
+        res = subprocess.run([*argv, "--output", str(out)], **closed)
+        assert (res.returncode, res.stderr) == (0, b"")
+        assert out.read_text() == run_to_string(argv[3:])
+
 
 class TestCachedParser:
     def test_built_once(self):
@@ -1139,6 +1178,28 @@ class TestRootPathImports:
 
 
 class TestPackageNamespace:
+    PUBLIC_NAMES = [
+        "AlphaRecord", "BruteForceTooLarge", "ChainVector", "ChiZero",
+        "CycleDetected", "DegreeZero", "DimensionZero", "DivergentAtInfinity",
+        "DuplicateLabel", "EmptyPoset", "ExactMatrix", "ExactPolynomial",
+        "ExactRationalFunction", "H1_bounds_check", "H_polynomial", "H_vector",
+        "IndexOutOfRange", "InvalidConfig", "NoConvergence", "PoleAtOrigin",
+        "Poset", "PosetZetaError", "RangeTooLarge", "ResourceCapExceeded",
+        "RootSet", "SpectralConstants", "SquarefreeTable",
+        "SubdivisionTooLarge", "TrajectoryReport", "UnknownLabel",
+        "ZeroEulerCharacteristic", "alpha_record", "alpha_rows",
+        "barycentric_subdivision", "big_F_number", "build_Pn", "build_poset",
+        "chain_vector", "chi_Pn", "chi_values", "descent_matrix", "dim_Pn",
+        "dim_asymptotic_report", "dimension", "errors",
+        "euler_characteristic", "f_matrix", "f_number", "find_roots",
+        "g_k_polynomial", "linalg", "load_poset", "mertens", "pi_weight",
+        "polynomial", "poset", "poset_from_dict", "primes",
+        "residue_at_infinity", "roots", "save_poset", "series_expand",
+        "simplex_face_poset", "spectral_constants", "squarefree_sieve",
+        "strict_chain_vector", "subdivision", "taylor_matrix",
+        "theorem_report", "transfer_iterate", "verify_similarity",
+        "weak_chain_count", "write_poset", "zeta", "zeta_rational",
+    ]
     ROOT_NAMES = (
         "roots", "RootSet", "TrajectoryReport", "find_roots", "theorem_report",
     )
@@ -1153,6 +1214,33 @@ class TestPackageNamespace:
         assert posetzeta.find_roots is posetzeta.roots.find_roots
         for name in self.ROOT_NAMES[1:]:
             assert getattr(posetzeta, name) is getattr(roots_module, name)
+
+    def test_public_surface(self):
+        # The library is what the CLI, the acceptance tests and the
+        # benchmark reach; the second views only tests called are gone.
+        assert sorted(posetzeta.__all__) == self.PUBLIC_NAMES
+        gone = {
+            "subdivision": ("F_polynomial", "h_row_properties",
+                            "RowPropertyReport"),
+            "primes": ("alpha_records",),
+        }
+        for module, names in gone.items():
+            for name in names:
+                assert not hasattr(posetzeta, name), name
+                assert not hasattr(getattr(posetzeta, module), name), name
+        from posetzeta.roots import g_k_polynomial  # noqa: F401
+
+        # Every name the acceptance tests import, at any depth.
+        tree = ast.parse(
+            (Path(__file__).parent / "test_acceptance.py").read_text())
+        imports = [(node.module, alias.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module.startswith("posetzeta")
+                   for alias in node.names]
+        assert len(imports) > 20
+        for module, name in imports:
+            assert hasattr(importlib.import_module(module), name), (
+                module, name)
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(

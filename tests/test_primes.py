@@ -15,7 +15,6 @@ from posetzeta import (
     SquarefreeTable,
     ZeroEulerCharacteristic,
     alpha_record,
-    alpha_records,
     alpha_rows,
     build_poset,
     build_Pn,
@@ -340,28 +339,33 @@ class TestAlpha:
     def test_window_matches_per_n_records(self, lo, hi):
         # 2:3000 crosses the primorials 6, 30, 210 and 2310, 29990:30040
         # crosses 30030 and 510500:510520 crosses 510510.
-        got = list(alpha_records(lo, hi))
-        assert got == [alpha_record_per_n(n) for n in range(lo, hi + 1)]
-        assert [alpha_record(n) for n in (lo, hi)] == [got[0], got[-1]]
+        want = [alpha_record_per_n(n) for n in range(lo, hi + 1)]
+        assert list(alpha_rows(lo, hi)) == [
+            (r.n, r.chi, r.d, r.top_chains) for r in want]
+        assert list(map(alpha_record, range(lo, hi + 1))) == want
 
     def test_window_past_a_cold_cache(self, monkeypatch):
         monkeypatch.setattr(primes, "_table_cache", [None])
         assert squarefree_sieve(2).n == 1000
-        got = list(alpha_records(1500, 2400))
+        got = list(alpha_rows(1500, 2400))
         assert squarefree_sieve(2).n >= 2400
-        assert got == [alpha_record_per_n(n) for n in range(1500, 2401)]
+        assert got == [(r.n, r.chi, r.d, r.top_chains)
+                       for r in map(alpha_record_per_n, range(1500, 2401))]
 
     def test_window_checks_before_the_first_record(self):
-        for window in (alpha_records, alpha_rows):
+        # alpha_record(n) reads the window n:n, with the same checks.
+        for call in (lambda: alpha_rows(2, DEFAULT_SIEVE_CAP + 1),
+                     lambda: alpha_record(DEFAULT_SIEVE_CAP + 1)):
             with pytest.raises(RangeTooLarge):
-                window(2, DEFAULT_SIEVE_CAP + 1)
+                call()
+        for call in (lambda: alpha_rows(1, 10), lambda: alpha_record(1)):
             with pytest.raises(ValueError, match="n must be >= 2"):
-                window(1, 10)
+                call()
 
     def test_rows_are_the_records_integers(self):
         rows = list(alpha_rows(2, 3000))
         assert rows == [(r.n, r.chi, r.d, r.top_chains)
-                        for r in alpha_records(2, 3000)]
+                        for r in map(alpha_record, range(2, 3001))]
         assert all(type(x) is int for row in rows for x in row)
 
     def test_reference_tables(self):

@@ -13,7 +13,6 @@ from posetzeta import (
     DimensionZero,
     ExactMatrix,
     ExactPolynomial,
-    F_polynomial,
     H1_bounds_check,
     H_polynomial,
     H_vector,
@@ -25,7 +24,6 @@ from posetzeta import (
     descent_matrix,
     f_matrix,
     f_number,
-    h_row_properties,
     simplex_face_poset,
     spectral_constants,
     strict_chain_vector,
@@ -113,9 +111,10 @@ class TestBigFNumbers:
             big_F_number(4, 3)
 
     def test_polynomial(self):
-        assert F_polynomial(0) == ExactPolynomial([1])
-        assert F_polynomial(1) == ExactPolynomial([1, 1])
-        assert F_polynomial(2) == ExactPolynomial([1, Fr(3, 2), Fr(1, 2)])
+        # F_d's coefficient of s^(d-i) is F_{i,d} = nums[i] / den, i = 0..d.
+        for d, expected in enumerate([[1], [1, 1], [Fr(1, 2), Fr(3, 2), 1]]):
+            nums, den = integer_column("F", d)
+            assert [Fr(n, den) for n in nums] == expected, d
 
 
 class TestHNumbers:
@@ -129,7 +128,8 @@ class TestHNumbers:
 
     def test_matches_polynomial_shift(self):
         for d in range(1, 31):
-            shifted = shift_by_composition(F_polynomial(d), -1)
+            F_d = ExactPolynomial(big_F_number(i, d) for i in range(d, -1, -1))
+            shifted = shift_by_composition(F_d, -1)
             hv = H_vector(d)
             assert hv == tuple(shifted[k] for k in range(d + 2)), d
             assert all(type(h) is Fr for h in hv), d
@@ -148,9 +148,9 @@ class TestHNumbers:
     def test_sum_is_one(self):
         for d in range(1, 12):
             assert sum(H_vector(d)) == 1
-            # Equivalent statements through the two polynomials.
+            # Equivalent statements through H_d and F_d's constant term.
             assert sum(H_polynomial(d).coeffs) == 1
-            assert F_polynomial(d)[0] == 1
+            assert big_F_number(d, d) == 1
 
 
 def test_numbers_match_slow_routes():
@@ -163,8 +163,9 @@ def test_numbers_match_slow_routes():
     for d in range(41):
         column = [big_F_by_recurrence(i, d) for i in range(-1, d + 1)]
         assert [big_F_number(i, d) for i in range(-1, d + 1)] == column, d
+        nums, den = integer_column("F", d)
+        assert [Fr(n, den) for n in nums] == column[1:], d
         oracle = ExactPolynomial(reversed(column))
-        assert F_polynomial(d) == oracle, d
         if d:
             shifted = shift_by_composition(oracle, -1)
             assert H_vector(d) == tuple(shifted[k] for k in range(d + 2)), d
@@ -375,9 +376,23 @@ class TestSpectralConstants:
 
 class TestRowProperties:
     def test_suite(self):
+        # Top row 2^(d-j); the chain that runs along each row from j = d
+        # down, row by row, up to the middle of H, is monotone; and H is
+        # symmetric under the rotation (i, j) -> (d-1-i, d-1-j).
         for d in range(1, 9):
-            report = h_row_properties(d)
-            assert report.ok, report
+            hm = descent_matrix(d)
+            assert [hm.get(0, j) for j in range(d + 1)] == [
+                2 ** (d - j) for j in range(d + 1)
+            ], d
+            m = (d - 1) // 2
+            last_j = -1 if d % 2 == 0 else m
+            chain = [hm.get(i, j) for i in range(m + 1)
+                     for j in range(d, (last_j if i == m else -1) - 1, -1)]
+            assert chain == sorted(chain), d
+            for i in range(-1, d + 1):
+                for j in range(-1, d + 1):
+                    assert hm.get(i, j) == hm.get(d - 1 - i, d - 1 - j), (
+                        d, i, j)
 
     def test_top_row_values(self):
         hm = descent_matrix(4)
@@ -420,7 +435,6 @@ def test_gk_sup_norm_converges_to_limit_polynomial():
     [
         (lambda: f_number(-2, 0), ValueError, "indices must be >= -1"),
         (lambda: f_number(0, -2), ValueError, "indices must be >= -1"),
-        (lambda: F_polynomial(-1), IndexOutOfRange, "d must be >= 0"),
         (lambda: H_vector(-1), IndexOutOfRange, "d must be >= 0"),
         (lambda: descent_matrix(-1), IndexOutOfRange, "d must be >= 0"),
         (lambda: descent_matrix(2, "bogus"), ValueError, "unknown method"),
@@ -441,14 +455,13 @@ def test_gk_sup_norm_converges_to_limit_polynomial():
             IndexOutOfRange,
             "C_{2,0} undefined",
         ),
-        (lambda: h_row_properties(0), IndexOutOfRange, "d must be >= 1"),
         (lambda: H1_bounds_check(0), IndexOutOfRange, "d_max must be >= 1"),
     ],
     ids=[
-        "f_number-i", "f_number-d", "F_polynomial", "H_vector",
-        "descent_matrix", "descent_matrix-method", "f_matrix",
-        "taylor_matrix", "transfer_iterate", "SpectralConstants.get-i",
-        "SpectralConstants.get-j", "h_row_properties", "H1_bounds_check",
+        "f_number-i", "f_number-d", "H_vector", "descent_matrix",
+        "descent_matrix-method", "f_matrix", "taylor_matrix",
+        "transfer_iterate", "SpectralConstants.get-i",
+        "SpectralConstants.get-j", "H1_bounds_check",
     ],
 )
 def test_argument_checks(call, error, message):
