@@ -1,19 +1,19 @@
 """Squarefree divisibility posets and their number-theoretic statistics.
 
-One sieve writes a code byte for each integer up to n: its number of
-prime factors if it is squarefree, 255 if not.  Next to the codes the
-table keeps, every _BLOCK integers, how many codes of each weight came
-before and the Mertens sum M so far.  A count up to x, pi_weight(w, x)
-or M(x), is one of those prefix values plus one count over the bytes of
-at most one block, and chi(P_n) = 1 - M(n).  The rows of a window of n,
-chi(P_n) or the integer alpha rows, are running sums over its codes.
+One sieve writes one array, a code byte for each integer up to n: its
+number of prime factors if it is squarefree, 255 if not.  Next to it
+the table keeps, every _BLOCK integers, how many codes of each weight
+came before and the Mertens sum M so far.  A count up to x,
+pi_weight(w, x) or M(x), is one of those prefix values plus one count
+over the bytes of at most one block, and chi(P_n) = 1 - M(n).  The rows
+of a window of n, chi(P_n) or alpha, are running sums over its codes.
 """
 
 import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, compress, filterfalse, islice, repeat
 from operator import sub
 
 from .errors import ChiZero, DimensionZero, RangeTooLarge
@@ -33,12 +33,14 @@ _NOT_SQUAREFREE = 255
 _MU_OF_CODE = bytes((1, 255)[w % 2] for w in range(255)) + b"\0"
 # Adds one to a sieve code, keeping _NOT_SQUAREFREE fixed.
 _PLUS_ONE = bytes(range(1, 256)) + bytes([_NOT_SQUAREFREE])
+# Maps a sieve code to 1 if it is 0 and to 0 otherwise.
+_IS_ZERO = b"\1" + bytes(255)
 # Integers per block of prefix counts: a query counts at most this many
 # code bytes.
 _BLOCK = 512
 # Cells per slice of the Eratosthenes strides and per integer addition
 # of the primes above isqrt(n): each piece is held a few times over as
-# bytes and ints, so this bounds the memory beside the two tables.
+# bytes and ints, so this bounds the memory beside the codes.
 _PIECE = 1 << 20
 
 
@@ -54,17 +56,19 @@ class SquarefreeTable:
     """Sieve codes of 0..n and their prefix counts per block.
 
     ``code[k]`` is the number of prime factors of a squarefree k (0 for
-    k = 1) and _NOT_SQUAREFREE for any other k, 0 included.  The primes
-    p <= r = isqrt(n) are found by Eratosthenes over strided slices of
-    at most _PIECE cells; each marks the multiples of p^2 and adds one to
-    the codes of its multiples by a translate.  A prime p > r divides
-    each of its multiples t * p once, with t <= n // (r + 1) <= r, so
-    t's code is final by then and t * p is coded code[t] + 1 if t is
-    squarefree.  Per such t, the prime flags of (r, n // t] are added to
-    the codes of t * (r, n // t], each piece of at most _PIECE cells as
-    one little-endian integer.  No byte carries: a byte gains 1 only at
-    a prime, where it holds code[t], a weight below 8, and 0 elsewhere.  No Python step runs per integer or
-    per prime above r.
+    k = 1) and _NOT_SQUAREFREE for any other k, 0 included: the table's
+    one array.  A p <= r = isqrt(n) whose code is 0 when the loop
+    reaches it is prime; it marks the multiples of p^2 and adds one to
+    those of p by translates of strided pieces of at most _PIECE cells.
+    A composite k <= n has a prime factor <= r, so the codes still 0 in
+    (r, n] are the primes p > r.  Such a p divides t * p once, with
+    t <= n // (r + 1) <= r, so t * p is coded code[t] + 1 for a
+    squarefree t.  Per such t, from the largest down, the zero flags of
+    (r, n // t] are added to the codes of t * (r, n // t], as one
+    little-endian integer per piece.  For t >= 2 a flag lands on a
+    code[t] from 1 to 7: no byte carries, and every zero a later t reads
+    is still a prime.  t = 1 comes last and reads each piece before
+    writing it.  No Python step runs per integer or per prime above r.
 
     Each _BLOCK integers the table keeps how many codes of each weight
     came before, and M: ``count(w, x)`` and ``mertens(x)`` take the value
@@ -77,27 +81,23 @@ class SquarefreeTable:
     def __init__(self, n):
         self.n = n
         r = math.isqrt(n)
-        is_prime = bytearray([1]) * (n + 1)
-        is_prime[:2] = b"\0\0"
         code = bytearray(n + 1)
         code[0] = _NOT_SQUAREFREE
-        for p in compress(range(r + 1), is_prime):
-            for cells, k in _strides(p * p, n, p):
-                is_prime[cells] = bytes(k)
+        for p in filterfalse(code.__getitem__, range(2, r + 1)):
             for cells, k in _strides(p * p, n, p * p):
                 code[cells] = bytes([_NOT_SQUAREFREE]) * k
             for cells, _ in _strides(p, n, p):
                 code[cells] = code[cells].translate(_PLUS_ONE)
         lo = r + 1
         t_max = n // lo
-        # The squarefree cofactors t <= t_max, read before any of their
-        # multiples t * p > r is written.
-        for t in compress(range(1, t_max + 1),
-                          code[1:t_max + 1].translate(_MU_OF_CODE)):
+        # The squarefree cofactors t <= t_max, from the largest down.
+        for t in compress(range(t_max, 0, -1),
+                          code[t_max:0:-1].translate(_MU_OF_CODE)):
             for cells, k in _strides(t * lo, n, t):
                 a = cells.start // t
                 total = (int.from_bytes(code[cells], "little")
-                         + int.from_bytes(is_prime[a:a + k], "little"))
+                         + int.from_bytes(code[a:a + k].translate(_IS_ZERO),
+                                          "little"))
                 code[cells] = total.to_bytes(k, "little")
         self.code = code
         # Weights run from 0 (k = 1) without a gap up to the largest.

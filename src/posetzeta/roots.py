@@ -154,8 +154,7 @@ def _nonzero_roots(a, precision_bits):
     approx = _float_aberth(a, starts)
     if approx is not None:
         # Each real part exactly, as the Gaussian dyadic (m, 0, e).
-        ratios = (z.real.as_integer_ratio() for z in approx)
-        xs = [(m, 0, den.bit_length() - 1) for m, den in ratios]
+        xs = [_double_gaussian(z.real) for z in approx]
         roots = _certified_real_roots(a, xs, bits)
         if roots is not None:
             return roots

@@ -152,13 +152,12 @@ class TestSieve:
             check_queries(t, codes, xs)
 
     def test_build_peak_memory(self):
-        # The codes and the prime flags take 2 bytes per integer; the
-        # primes above isqrt(n) are added piece by piece, so the build
-        # holds less than 4 at its peak (over 6 with one slice per
-        # cofactor).  At the sieve cap the Eratosthenes strides are
-        # written in pieces too, which keeps it below 2.75 (3 with the
-        # stride of p = 2 as one slice and its translate).
-        for n, per_integer in ((4_000_000, 4), (DEFAULT_SIEVE_CAP, 2.75)):
+        # The codes are the one array, 1 byte per integer; the primes
+        # above isqrt(n) are added piece by piece, so the build holds
+        # less than 2.5 at its peak (over 3.3 with a second byte array
+        # of prime flags).  At the sieve cap the pieces are a smaller
+        # share, which keeps it below 1.75 (over 2.5 with the flags).
+        for n, per_integer in ((4_000_000, 2.5), (DEFAULT_SIEVE_CAP, 1.75)):
             tracemalloc.start()
             try:
                 SquarefreeTable(n)
@@ -166,6 +165,13 @@ class TestSieve:
             finally:
                 tracemalloc.stop()
             assert peak < per_integer * n, n
+
+    def test_published_values_at_the_cap(self):
+        # M(10^7), pi(10^7), and the squarefree integers up to 10^7.
+        x = DEFAULT_SIEVE_CAP
+        assert mertens(x) == 1037
+        assert pi_weight(1, x) == 664579
+        assert 1 + sum(pi_weight(w, x) for w in range(1, 9)) == 6079291
 
     @pytest.mark.parametrize("piece", [1, 7, 64])
     def test_pieces_of_any_size(self, monkeypatch, piece):

@@ -228,6 +228,25 @@ class TestCertifiedRoots:
         assert reals[-1] < 0
         assert all(a < b for a, b in zip(reals, reals[1:]))
 
+    def test_limit_roots_interlace(self):
+        # Between any two roots of H_d lies one root of H_{d-1}, compared
+        # exactly: the certified x of both at the larger exponent.
+        root_sets = {d: find_roots(H_polynomial(d)) for d in range(2, 31)}
+        assert all(y == 0 for rs in root_sets.values()
+                   for _, y in rs.gaussians)
+
+        def shifted_reals(rs, exponent):
+            return sorted(x << (exponent - rs.exponent)
+                          for x, _ in rs.gaussians)
+
+        for d in range(3, 31):
+            low, high = root_sets[d - 1], root_sets[d]
+            e = max(low.exponent, high.exponent)
+            outer, inner = shifted_reals(high, e), shifted_reals(low, e)
+            assert len(outer) == len(inner) + 1, d
+            assert all(a < b < c for a, b, c
+                       in zip(outer, inner, outer[1:])), d
+
     @pytest.mark.parametrize(
         "poly, rel_bits",
         [
