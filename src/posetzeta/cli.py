@@ -196,7 +196,7 @@ def _cmd_zeta(args):
     parts = {"numerator": z.numerator, "denominator": z.denominator}
     parts = {k: list(map(fmt_rational, v.coeffs)) for k, v in parts.items()}
     rows = [(k, e, c) for k, cs in parts.items() for e, c in enumerate(cs)]
-    doc = {k: json_list(map(json.dumps, cs), 1) for k, cs in parts.items()}
+    doc = {k: json_list(map(json.dumps, cs)) for k, cs in parts.items()}
     return ["part", "exponent", "coefficient"], rows, {"json": doc}
 
 

@@ -319,11 +319,10 @@ def _row_runs(template, width, sep, rows):
         yield sep.join([template] * (len(cells) // width)) % cells
 
 
-def json_list(items, depth):
-    """Runs of a ``write_json`` list of encoded items at this depth."""
-    sep = ",\n" + "  " * (depth + 1)
+def json_list(items):
+    """Runs of a ``write_json`` list of encoded items at depth 1."""
     items = iter(items)
-    return map(sep.join, iter(lambda: list(islice(items, _CHUNK)), []))
+    return map(",\n    ".join, iter(lambda: list(islice(items, _CHUNK)), []))
 
 
 def json_objects(header, rows, depth):
@@ -346,40 +345,39 @@ def csv_lines(header, rows):
     yield from _row_runs(line, len(header), "", rows)
 
 
-def pair_runs(p, ends, head, end, sep):
+def pair_runs(p, texts, head, end, sep):
     """Runs of p's strict pairs (a, b) in label order, _CHUNK to a run.
 
-    ``ends`` lists each label's text, which takes on the end in place, so
-    no bare text is kept.  A pair is head % text(a), text(b) and end, and
-    pairs are joined by sep.  Labels are unique, so label order sorts the
-    pairs.  One walk over the elements in label order appends each end to
-    the rows of its down-set, so every row comes out in order with no sort
-    and no up-set is built; the pairs of a row share their head, so each
-    run of a row is one join of its ends.
+    ``texts`` lists each label's text, and is only read.  A pair is
+    head % text(a), text(b) and end, and pairs are joined by sep.  Labels
+    are unique, so label order sorts the pairs.  One walk over the elements
+    in label order appends each text to the rows of its down-set, so every
+    row comes out in order with no sort and no up-set is built.  The pairs
+    of a row share their head, so each run of a row is one join of its
+    texts: the row's head, the texts glued by end, sep and the head again,
+    then one end.
     """
     labels = p.labels
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    ends[:] = [text + end for text in ends]
     rows = [[] for _ in labels]
     for j in order:
-        e = ends[j]
+        text = texts[j]
         for i in p.below[j]:
-            rows[i].append(e)
-    cut = -len(end)
+            rows[i].append(text)
     parts, room = [], _CHUNK
     for i in order:
         row = rows[i]
         if not row:
             continue
-        lead = head % ends[i][:cut]
-        glue = sep + lead
+        lead = head % texts[i]
+        glue = end + sep + lead
         while len(row) >= room:
-            parts.append(lead + glue.join(row[:room]))
+            parts.append(f"{lead}{glue.join(row[:room])}{end}")
             yield sep.join(parts)
             row = row[room:]
             parts, room = [], _CHUNK
         if row:
-            parts.append(lead + glue.join(row))
+            parts.append(f"{lead}{glue.join(row)}{end}")
             room -= len(row)
     if parts:
         yield sep.join(parts)
@@ -390,7 +388,7 @@ def poset_json(p):
     once: its labels, each encoded once, and its sorted strict pairs."""
     codes = list(map(encode_basestring_ascii, p.labels))
     return {
-        "elements": json_list(codes, 1),
+        "elements": json_list(codes),
         "relations": pair_runs(p, codes, "[\n      %s,\n      ",
                                "\n    ]", ",\n    "),
     }

@@ -96,11 +96,6 @@ def H_vector(d):
     """
     if d < 0:
         raise IndexOutOfRange("d must be >= 0")
-    return _H_vector(d)
-
-
-@cache
-def _H_vector(d):
     h, den = _H_column(d)
     return tuple(Fraction(x, den) for x in h)
 

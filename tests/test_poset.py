@@ -40,6 +40,7 @@ from helpers import (
     subdivision_via_relations,
 )
 from posetzeta.cli import _subdivide_csv, run
+from posetzeta.poset import pair_runs, poset_json, write_json
 
 
 def p6():
@@ -402,6 +403,28 @@ class TestWritePoset:
         rows += [("relation", a, b) for a, b in relation_pairs(p)]
         csv = "".join(_subdivide_csv(header, p))
         assert csv == csv_document(header, rows)
+
+    @pytest.mark.parametrize("head, end, sep", [
+        ("[\n      %s,\n      ", "\n    ]", ",\n    "),
+        ("relation,%s,", "\n", ""),
+    ], ids=["json", "csv"])
+    def test_pair_runs_only_read_their_texts(self, head, end, sep):
+        p = barycentric_subdivision(barycentric_subdivision(p30_explicit()))
+        texts = [json.dumps(lab) for lab in p.labels]
+        before = list(texts)
+        assert "".join(pair_runs(p, texts, head, end, sep))
+        assert texts == before
+
+    def test_document_values_read_in_either_order(self, monkeypatch):
+        # The pairs drained before the elements are written: no value of
+        # the document depends on when another one is read.
+        monkeypatch.setattr("posetzeta.poset._CHUNK", 8)
+        p = barycentric_subdivision(barycentric_subdivision(p30_explicit()))
+        doc = poset_json(p)
+        doc["relations"] = list(doc["relations"])
+        buf = io.StringIO()
+        write_json(buf, doc)
+        assert buf.getvalue() == written(p)
 
     def test_writes_in_chunks(self, monkeypatch):
         monkeypatch.setattr("posetzeta.poset._CHUNK", 8)
